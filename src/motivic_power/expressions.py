@@ -74,15 +74,21 @@ def _tokenize(src: str) -> List[Token]:
     return tokens
 
 
-# AST nodes: ("int", value), ("var", name, pos), ("add"/"sub"/"mul", l, r),
-# ("neg", child), ("pow", base, exponent, pos)
+# AST nodes: ("int", value), ("var", name, pos), ("sum", ((sign, term), ...)),
+# ("product", (factor, ...)), ("pow", base, exponent, pos).  Chains of + -
+# and * are flat, so the depth of a tree grows only with parentheses.
 Node = Tuple
+
+# Deeper nesting is refused with a ParseError before the recursive
+# descent (and the evaluation after it) could exhaust the Python stack.
+MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -101,6 +107,19 @@ class _Parser:
             )
         return self.take()
 
+    def open_group(self):
+        tok = self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                "parentheses nest deeper than %d levels" % MAX_NESTING,
+                tok.line, tok.column,
+            )
+
+    def close_group(self):
+        self.expect(")")
+        self.depth -= 1
+
     def parse(self) -> Node:
         node = self.expression()
         tok = self.peek()
@@ -109,26 +128,25 @@ class _Parser:
         return node
 
     def expression(self) -> Node:
-        tok = self.peek()
-        if tok.kind in ("+", "-"):
-            self.take()
-            node = self.term()
-            if tok.kind == "-":
-                node = ("neg", node)
-        else:
-            node = self.term()
+        sign = 1
+        if self.peek().kind in ("+", "-"):
+            sign = -1 if self.take().kind == "-" else 1
+        terms = [(sign, self.term())]
         while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = ("add" if op.kind == "+" else "sub", node, rhs)
-        return node
+            sign = -1 if self.take().kind == "-" else 1
+            terms.append((sign, self.term()))
+        if len(terms) == 1 and sign == 1:
+            return terms[0][1]
+        return ("sum", tuple(terms))
 
     def term(self) -> Node:
-        node = self.factor()
+        factors = [self.factor()]
         while self.peek().kind == "*":
             self.take()
-            node = ("mul", node, self.factor())
-        return node
+            factors.append(self.factor())
+        if len(factors) == 1:
+            return factors[0]
+        return ("product", tuple(factors))
 
     def factor(self) -> Node:
         node = self.atom()
@@ -140,9 +158,9 @@ class _Parser:
     def exponent(self) -> int:
         tok = self.peek()
         if tok.kind == "(":
-            self.take()
+            self.open_group()
             value = self.exponent()
-            self.expect(")")
+            self.close_group()
             return value
         negative = False
         if tok.kind == "-":
@@ -153,15 +171,17 @@ class _Parser:
         return -value if negative else value
 
     def atom(self) -> Node:
-        tok = self.take()
+        tok = self.peek()
+        if tok.kind == "(":
+            self.open_group()
+            node = self.expression()
+            self.close_group()
+            return node
+        self.take()
         if tok.kind == "int":
             return ("int", int(tok.text))
         if tok.kind == "name":
             return ("var", tok.text, (tok.line, tok.column))
-        if tok.kind == "(":
-            node = self.expression()
-            self.expect(")")
-            return node
         raise ParseError(
             "expected a value, found %r" % (tok.text or "end of input"),
             tok.line, tok.column,
@@ -181,16 +201,17 @@ def _evaluate(node: Node, ring: RingDescriptor) -> Polynomial:
         if name not in ring.variables:
             raise ParseError("unknown variable %r" % name, line, col)
         return Polynomial.variable(ring, name)
-    if kind == "neg":
-        return -_evaluate(node[1], ring)
-    if kind in ("add", "sub", "mul"):
-        left = _evaluate(node[1], ring)
-        right = _evaluate(node[2], ring)
-        if kind == "add":
-            return left + right
-        if kind == "sub":
-            return left - right
-        return left * right
+    if kind == "sum":
+        total = Polynomial.zero(ring)
+        for sign, term in node[1]:
+            value = _evaluate(term, ring)
+            total = total + value if sign > 0 else total - value
+        return total
+    if kind == "product":
+        result = _evaluate(node[1][0], ring)
+        for factor in node[1][1:]:
+            result = result * _evaluate(factor, ring)
+        return result
     if kind == "pow":
         base_node, exponent, (line, col) = node[1], node[2], node[3]
         if exponent < 0:

@@ -11,7 +11,7 @@ Hodge-Deligne formulas drop out.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 from . import localdata
 from .localdata import MOTIVIC_RING
@@ -105,9 +105,23 @@ class LocalHilbertData:
 
     @classmethod
     def from_json(cls, obj) -> "LocalHilbertData":
+        if not isinstance(obj, Mapping):
+            raise ValueError("local data must be a JSON object")
         if "source" not in obj:
             raise ValueError("local data files must carry a 'source' string")
-        return cls(int(obj["dimension"]), Series.from_json(obj["series"]))
+        for key in ("dimension", "series"):
+            if key not in obj:
+                raise ValueError("local data is missing the %r key" % key)
+        try:
+            dimension = int(obj["dimension"])
+        except (TypeError, ValueError):
+            raise ValueError("local data 'dimension' must be an integer, got %r"
+                             % (obj["dimension"],)) from None
+        try:
+            series = Series.from_json(obj["series"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError("malformed 'series' in local data: %r" % exc) from exc
+        return cls(dimension, series)
 
 
 def _surface_series(order: int, kernel: Kernel) -> Series:

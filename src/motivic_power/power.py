@@ -17,10 +17,14 @@ the logarithmic-derivative recurrence of the product,
     n f_n = sum_{m=1..n} g_m f_{n-m},   g_m = sum_{i | m} i * b_i(u^(m/i)),
 
 solved forwards (exponents to series) or backwards (series to exponents)
-on int64 grids when that is certifiably exact, with an automatic fall
-back to explicit peeling and block products on the dict representation.
-The two routes compute the identical integers; the generic route is also
-what user-supplied kernels get.
+over rings of at most two variables (Z, Z[L^(+-)], Z[u, v]).  The sum of
+each step runs through :class:`gridops.SlotAccumulator`: as plain
+integers over Z, on int64 grids when every value is certified below
+2^62, and otherwise on Kronecker-packed Python integers, unpacked once
+per step before the exact division by n.  Rings with more variables
+fall back to explicit peeling and block products on the dict
+representation.  The routes compute the identical integers; the generic
+route is also what user-supplied kernels get.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ def _monomial_base_exact(a: Polynomial, order: int) -> Series:
     return Series._raw(ring, order, coeffs)
 
 
-# -- slot pipelines (int64 grids with exact big-value escapes) -----------
+# -- slot pipelines (int64 grids, packed integers past 2^62) -------------
 
 def _monomial_base(a: Polynomial, order: int) -> Series:
     ring = a.ring

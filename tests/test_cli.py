@@ -142,6 +142,35 @@ class TestChecksAndExitCodes:
         assert code == 1
         assert "unknown variable" in err
 
+    def test_local_data_without_dimension_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"source": "x"}), encoding="utf-8")
+        code, out, err = run(capsys, "hilbert", "--dim", "3", "--class", "1",
+                             "--truncate", "2", "--local-data", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "'dimension'" in err
+
+    @pytest.mark.parametrize("option,template", [
+        ("--class", "%s1%s"),
+        ("--series", "1+%st%s"),
+    ])
+    def test_deep_nesting_exits_one(self, capsys, option, template):
+        src = template % ("(" * 3000, ")" * 3000)
+        argv = ["zeta", "--class", src] if option == "--class" else \
+            ["pow", "--series", src, "--exponent", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "nest deeper" in err
+        assert "line 1, column" in err
+
+    def test_long_flat_chains_still_parse(self, capsys):
+        code, out, _ = run(capsys, "zeta", "--class", "+".join(["1"] * 3000),
+                           "--truncate", "1")
+        assert code == 0
+        assert out == "t^0: 1\nt^1: 3000\n"
+
     def test_bad_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hilbert", "--dim", "2"])  # missing --class
