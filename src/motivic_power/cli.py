@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
 
 from .axioms import run_axiom_suite
 from .checks import run_oracle_checks
-from .expressions import ParseError, parse_polynomial, parse_series
+from .expressions import (
+    ParseError,
+    Size,
+    expression_size,
+    parse_polynomial,
+    parse_series,
+)
 from .hilbert import (
     LocalHilbertData,
     VarietyClass,
@@ -34,6 +41,58 @@ from .series import Series
 HODGE_RING = RingDescriptor(("u", "v"))
 
 MAX_ORDER = 200
+
+
+# Requests whose estimated cost (see ``request_cost``) exceeds this are
+# refused before any work starts.  On a 2-vCPU VM (2026) a request at the
+# bound took from about 2 s (Hilbert series) to about 40 s (classes with
+# coefficients of hundreds of bits), depending on the route it takes.
+MAX_COST = 2e10
+
+
+def request_cost(terms: float, bits: float, widths: Sequence[int],
+                 order: int) -> float:
+    """Estimated word products of one recurrence solve to ``order``.
+
+    The class has at most ``terms`` terms, an L1 norm of ``bits`` bits
+    and an exponent box ``widths`` wide in each variable.  Step n of
+    ``n f_n = sum_m g_m f_(n-m)`` multiplies g_m, counted as every cell
+    of its box (m * width + 1 per variable, as a dense grid holds it),
+    by f_(n-m), counted as at most min(terms^k, cells) terms.  A
+    coefficient of f_k has about k * bits bits, and a product of a- and
+    b-word integers counts a * b.  The estimate leans high: sparse
+    classes and big integers run faster than it counts.
+    """
+    cells = [math.prod(k * w + 1 for w in widths) for k in range(order + 1)]
+    words = [1 + k * bits / 64 for k in range(order + 1)]
+    g = [c * w for c, w in zip(cells, words)]
+    f = []
+    power = 1.0  # terms^k, which overflows to inf rather than raising
+    for c, w in zip(cells, words):
+        f.append(min(power, c) * w)
+        power *= terms
+    return sum(g[m] * f[n - m] for n in range(1, order + 1)
+               for m in range(1, n + 1))
+
+
+def _check_cost(order: int, *sizes: Size, spread: int = 0):
+    """Refuse a request whose inputs cost too much, before any work.
+
+    The class is the product of ``sizes``; ``spread`` widens it by what
+    the punctual series adds to every exponent in the Hilbert commands.
+    Evaluating the expressions is counted too.
+    """
+    terms = math.prod(size.terms for size in sizes) + spread
+    bits = sum(size.bits for size in sizes)
+    widths = [sum(hi - lo for lo, hi in axis) + spread
+              for axis in zip(*(size.box for size in sizes))]
+    cost = sum(size.work for size in sizes) + request_cost(terms, bits, widths,
+                                                          order)
+    if cost > MAX_COST:
+        raise ValueError(
+            "request too large: estimated cost %.3g exceeds the bound %.3g; "
+            "use a smaller class or series, or a lower --truncate"
+            % (cost, MAX_COST))
 
 
 def _order(value: str) -> int:
@@ -83,8 +142,15 @@ def _print_exponents(exponents, order: int, fmt: str, out):
         out.write("b_%d: %s\n" % (i, b))
 
 
+def _series_size(src: str, ring: RingDescriptor) -> Size:
+    size = expression_size(src, RingDescriptor(ring.variables + ("t",),
+                                               ring.laurent))
+    return size._replace(box=size.box[:-1])
+
+
 def _cmd_zeta(args, out) -> int:
     ring = _ring(args)
+    _check_cost(args.truncate, expression_size(args.cls, ring))
     cls = parse_polynomial(args.cls, ring)
     _print_series(kapranov_zeta(cls, args.truncate), args.format, out)
     return 0
@@ -92,6 +158,8 @@ def _cmd_zeta(args, out) -> int:
 
 def _cmd_pow(args, out) -> int:
     ring = _ring(args)
+    _check_cost(args.truncate, _series_size(args.series, ring),
+                expression_size(args.exponent, ring))
     A = parse_series(args.series, ring, args.truncate)
     m = parse_polynomial(args.exponent, ring)
     _print_series(pow_series(A, m), args.format, out)
@@ -100,13 +168,20 @@ def _cmd_pow(args, out) -> int:
 
 def _cmd_factor(args, out) -> int:
     ring = _ring(args)
+    _check_cost(args.truncate, _series_size(args.series, ring))
     A = parse_series(args.series, ring, args.truncate)
     _print_exponents(factor(A).exponents, args.truncate, args.format, out)
     return 0
 
 
+def _check_exponents(args, ring: RingDescriptor):
+    for src in args.exponents:
+        _check_cost(args.truncate, expression_size(src, ring))
+
+
 def _cmd_assemble(args, out) -> int:
     ring = _ring(args)
+    _check_exponents(args, ring)
     exponents = [parse_polynomial(src, ring) for src in args.exponents]
     product = EulerProduct(ring, args.truncate,
                            (exponents + [Polynomial.zero(ring)] * args.truncate
@@ -117,6 +192,7 @@ def _cmd_assemble(args, out) -> int:
 
 def _cmd_exp(args, out) -> int:
     ring = _ring(args)
+    _check_exponents(args, ring)
     exponents = [parse_polynomial(src, ring) for src in args.exponents]
     _print_series(exp_map(exponents, order=args.truncate, ring=ring),
                   args.format, out)
@@ -125,6 +201,7 @@ def _cmd_exp(args, out) -> int:
 
 def _cmd_log(args, out) -> int:
     ring = _ring(args)
+    _check_cost(args.truncate, _series_size(args.series, ring))
     A = parse_series(args.series, ring, args.truncate)
     _print_exponents(log_map(A), args.truncate, args.format, out)
     return 0
@@ -139,10 +216,12 @@ def _cmd_hilbert(args, out) -> int:
     user_data = _load_local_data(args.local_data) if args.local_data else None
     if args.specialize == "hodge":
         ring = _ring(args, default=HODGE_RING)
+        _check_cost(args.truncate, expression_size(args.cls, ring), spread=1)
         cls = VarietyClass(parse_polynomial(args.cls, ring), args.dim)
         result = hodge_deligne_series(cls, args.truncate, user_data)
     else:
         ring = _ring(args, default=MOTIVIC_RING)
+        _check_cost(args.truncate, expression_size(args.cls, ring), spread=1)
         cls = VarietyClass(parse_polynomial(args.cls, ring), args.dim)
         local = local_series(args.dim, args.truncate, user_data)
         result = global_series(cls, local, args.truncate)

@@ -9,8 +9,9 @@ whitespace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .rings import Polynomial, RingDescriptor
 from .series import Series
@@ -231,6 +232,94 @@ def _evaluate(node: Node, ring: RingDescriptor) -> Polynomial:
                 ring, tuple(e * exponent for e in exps))
         return _evaluate(base_node, ring) ** exponent
     raise AssertionError("unhandled node %r" % (node,))
+
+
+class Size(NamedTuple):
+    """Bounds on the polynomial an expression evaluates to, and its cost.
+
+    ``terms`` bounds the number of terms and ``bits`` is log2 of a bound
+    on the L1 norm (the sum of |coefficients|, which also bounds every
+    coefficient); ``box`` holds each variable's (low, high) exponent.
+    ``work`` estimates what evaluating the expression spends in
+    polynomial products, in the word products of ``cli.request_cost``.
+    """
+
+    terms: float
+    bits: float
+    box: Tuple[Tuple[int, int], ...]
+    work: float
+
+
+def _box_terms(box) -> float:
+    return math.prod(float(min(hi - lo + 1, 1e300)) for lo, hi in box)
+
+
+# A term pair of a polynomial product (a dict update in Python) costs
+# about as much as this many word products in the series recurrences.
+_PAIR_WORK = 20
+
+
+def _size_product(a: Size, b: Size) -> Size:
+    box = tuple((la + lb, ha + hb) for (la, ha), (lb, hb) in zip(a.box, b.box))
+    work = a.terms * b.terms * _PAIR_WORK * (
+        1 + (1 + a.bits / 64) * (1 + b.bits / 64))
+    return Size(min(a.terms * b.terms, _box_terms(box)), a.bits + b.bits,
+                box, a.work + b.work + work)
+
+
+def _size(node: Node, ring: RingDescriptor) -> Size:
+    """Abstract evaluation of ``node``: sizes only, no coefficient work."""
+    kind = node[0]
+    point = ((0, 0),) * ring.nvars
+    if kind == "int":
+        return Size(1, math.log2(max(1, abs(node[1]))), point, 0.0)
+    if kind == "var":
+        if node[1] not in ring.variables:
+            return Size(1, 0.0, point, 0.0)
+        i = ring.variables.index(node[1])
+        return Size(1, 0.0, point[:i] + ((1, 1),) + point[i + 1:], 0.0)
+    if kind == "sum":
+        parts = [_size(term, ring) for _, term in node[1]]
+        top = max(p.bits for p in parts)
+        box = tuple((min(lo for lo, _ in axis), max(hi for _, hi in axis))
+                    for axis in zip(*(p.box for p in parts)))
+        return Size(min(sum(p.terms for p in parts), _box_terms(box)),
+                    top + math.log2(sum(2.0 ** (p.bits - top) for p in parts)),
+                    box, sum(p.work for p in parts))
+    if kind == "product":
+        result = _size(node[1][0], ring)
+        for factor in node[1][1:]:
+            result = _size_product(result, _size(factor, ring))
+        return result
+    if kind == "pow":
+        base, exponent = _size(node[1], ring), node[2]
+        if exponent < 0:
+            box = tuple((lo * exponent, lo * exponent) for lo, _ in base.box)
+            return Size(1, 0.0, box, base.work)
+        # the squarings and products of Polynomial.__pow__
+        work, base = base.work, base._replace(work=0.0)
+        result = Size(1, 0.0, point, 0.0)
+        while exponent:
+            if exponent & 1:
+                result = _size_product(result, base)
+            exponent >>= 1
+            if exponent:
+                base = _size_product(base, base)
+                work += base.work
+                base = base._replace(work=0.0)
+        return result._replace(work=result.work + work)
+    raise AssertionError("unhandled node %r" % (node,))
+
+
+def expression_size(src: str, ring: RingDescriptor) -> Size:
+    """Bounds on ``parse_polynomial(src, ring)``, found without evaluating it.
+
+    Parsing checks the syntax (raising :class:`ParseError`); the bounds
+    follow the evaluation's sums, products and powers on sizes alone,
+    so they take time linear in the expression and logarithmic in its
+    exponents, however large the polynomial would be.
+    """
+    return _size(parse_ast(src), ring)
 
 
 def parse_polynomial(src: str, ring: RingDescriptor) -> Polynomial:

@@ -7,15 +7,29 @@ series to the power of the class of the variety.  Specializing the
 coefficients (all variables to 1, or L to uv) commutes with the power
 operation, which is what makes the Euler-characteristic and
 Hodge-Deligne formulas drop out.
+
+The punctual surface series does not depend on the variety, so it is
+built once per process and kernel (the largest order asked for is kept
+and truncated on later requests).  It is assembled from its Euler
+exponents L^(k-1), and it carries them in its factorization cache, so
+raising it to a power runs only the forward recurrence; the
+Hodge-Deligne step carries the exponents across L -> uv as (uv)^(k-1).
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from . import localdata
 from .localdata import MOTIVIC_RING
-from .power import Kernel, MONOMIAL_KERNEL, base_series, exp_map, pow_series
+from .power import (
+    EulerProduct,
+    Kernel,
+    MONOMIAL_KERNEL,
+    base_series,
+    exp_map,
+    pow_series,
+)
 from .rings import (
     INTEGERS,
     MonomialMap,
@@ -92,9 +106,18 @@ class LocalHilbertData:
             self.dimension, self.series.order)
 
     def truncate(self, order: int) -> "LocalHilbertData":
+        """The data to a lower order, keeping any cached factorization.
+
+        Factors (1-t^i)^(-b_i) with i > order are 1 mod t^(order+1), so
+        the truncated series factors into the first ``order`` exponents.
+        """
         if order == self.series.order:
             return self
-        return LocalHilbertData(self.dimension, self.series.truncate(order))
+        series = self.series.truncate(order)
+        for kernel, product in self.series._factor_cache.items():
+            series._factor_cache[kernel] = EulerProduct(
+                series.ring, order, product.exponents[:order])
+        return LocalHilbertData(self.dimension, series)
 
     def to_json(self, source: str = "") -> dict:
         return {
@@ -129,18 +152,33 @@ def _surface_series(order: int, kernel: Kernel) -> Series:
 
     The product is Exp of sum_k L^(k-1) t^k; its low-order coefficients
     must agree with the bundled file, which was generated from the
-    partition-sum oracle.
+    partition-sum oracle.  The series was assembled from exactly those
+    exponents and the factorization is unique, so they go into its
+    factorization cache under ``kernel``.
     """
     L = Polynomial.variable(MOTIVIC_RING, "L")
-    series = exp_map([L ** (k - 1) for k in range(1, order + 1)],
-                     order=order, ring=MOTIVIC_RING, kernel=kernel)
+    exponents = [L ** (k - 1) for k in range(1, order + 1)]
+    series = exp_map(exponents, order=order, ring=MOTIVIC_RING, kernel=kernel)
     bundled = localdata.load_surface_series()
     depth = min(order, bundled.order)
     if series.truncate(depth) != bundled.truncate(depth):
         raise AssertionError(
             "surface series disagrees with the bundled oracle-generated data"
         )
+    series._factor_cache[kernel] = EulerProduct(MOTIVIC_RING, order, exponents)
     return series
+
+
+# The largest punctual surface series built so far, per kernel.
+_SURFACE_CACHE: Dict[Kernel, LocalHilbertData] = {}
+
+
+def _surface_local(order: int, kernel: Kernel) -> LocalHilbertData:
+    cached = _SURFACE_CACHE.get(kernel)
+    if cached is None or cached.series.order < order:
+        cached = LocalHilbertData(2, _surface_series(order, kernel))
+        _SURFACE_CACHE[kernel] = cached
+    return cached.truncate(order)
 
 
 def local_series(dimension: int, order: int,
@@ -150,9 +188,12 @@ def local_series(dimension: int, order: int,
 
     For curves every degree contributes the single ideal (t^n), so the
     series is all ones.  For surfaces the series is the classical
-    infinite product, validated against the bundled partition-sum data.
-    Higher dimensions have no bundled closed form and require
-    ``user_data``.
+    infinite product, validated against the bundled partition-sum data
+    when first built; it is kept for the rest of the process (per
+    kernel, at the largest order requested) and carries its Euler
+    exponents L^(k-1) in its factorization cache.  Higher dimensions
+    have no bundled closed form and require ``user_data``, which is
+    returned truncated and never cached.
     """
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a nonnegative integer")
@@ -172,7 +213,7 @@ def local_series(dimension: int, order: int,
         ones = Series(MOTIVIC_RING, order, [1] * (order + 1))
         return LocalHilbertData(1, ones)
     if dimension == 2:
-        return LocalHilbertData(2, _surface_series(order, kernel))
+        return _surface_local(order, kernel)
     raise ValueError(
         "no closed form is bundled for dimension %d; supply user_data "
         "with the punctual series" % dimension
@@ -218,11 +259,25 @@ def hodge_deligne_series(X: VarietyClass, order: int,
             "Hodge-Deligne input must live in a two-variable ring, got %s" % target
         )
     local = local_series(X.dimension, order, user_data, kernel)
+    return pow_series(_uv_image(local.series, target, kernel),
+                      X.representation, kernel)
+
+
+def _uv_image(series: Series, target: RingDescriptor, kernel: Kernel) -> Series:
+    """The local series under L -> uv, with its factorization transported.
+
+    L -> uv sends monomials to unit monomials, which commutes with the
+    monomial kernel (see :func:`power.transport_check`), so a cached
+    factorization maps exponent by exponent.  Other kernels get none.
+    """
     u, v = (Polynomial.variable(target, name) for name in target.variables)
-    to_uv = MonomialMap(local.series.ring, target,
-                        {local.series.ring.variables[0]: u * v})
-    mapped = local.series.map_coefficients(to_uv, target)
-    return pow_series(mapped, X.representation, kernel)
+    to_uv = MonomialMap(series.ring, target, {series.ring.variables[0]: u * v})
+    mapped = series.map_coefficients(to_uv, target)
+    known = series._factor_cache.get(kernel)
+    if kernel is MONOMIAL_KERNEL and known is not None:
+        mapped._factor_cache[kernel] = EulerProduct(
+            target, known.order, [to_uv(b) for b in known.exponents])
+    return mapped
 
 
 def kapranov_zeta(X, order: int, kernel: Kernel = MONOMIAL_KERNEL) -> Series:

@@ -205,3 +205,56 @@ class TestTiming:
             capsys.readouterr()
             elapsed = time.perf_counter() - start
             assert elapsed < 5.0, "%s took %.1f s" % (argv, elapsed)
+
+
+class TestCostBound:
+    """Requests are priced before any work starts (``cli.request_cost``)."""
+
+    @staticmethod
+    def estimate(capsys, monkeypatch, *argv):
+        import re
+        monkeypatch.setattr("motivic_power.cli.MAX_COST", 0.0)
+        code, _, err = run(capsys, *argv)
+        monkeypatch.undo()
+        assert code == 1
+        return float(re.search(r"estimated cost (\S+) exceeds", err).group(1))
+
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "--class", "(1+2*x)^3000", "--vars", "x", "--truncate", "3"],
+        ["factor", "--series", "(1+2*t)^3000", "--truncate", "3"],
+        ["hilbert", "--dim", "2", "--class", "1+u^2+v^2+20*u*v+u^2*v^2",
+         "--specialize", "hodge", "--truncate", "200"],
+    ])
+    def test_oversized_requests_are_refused_at_once(self, capsys, argv):
+        import time
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: request too large")
+
+    def test_request_just_under_the_bound_runs(self, capsys, monkeypatch):
+        from motivic_power.cli import MAX_COST
+        under = ["hilbert", "--dim", "1", "--class", "1+u*v", "--specialize",
+                 "hodge", "--truncate", "66"]
+        over = under[:-1] + ["68"]
+        assert 0.8 * MAX_COST < self.estimate(capsys, monkeypatch, *under) \
+            <= MAX_COST < self.estimate(capsys, monkeypatch, *over)
+        code, out, _ = run(capsys, *under)
+        assert code == 0
+        assert out.splitlines()[1] == "t^1: u*v + 1"
+        code, _, err = run(capsys, *over)
+        assert code == 1 and "request too large" in err
+
+    def test_estimate_counts_every_command_input(self, capsys, monkeypatch):
+        small = self.estimate(capsys, monkeypatch, "pow", "--series", "1+t",
+                              "--exponent", "x", "--vars", "x")
+        assert self.estimate(capsys, monkeypatch, "pow", "--series", "1+t",
+                             "--exponent", "x^9", "--vars", "x") > small
+        assert self.estimate(capsys, monkeypatch, "pow", "--series",
+                             "1+(x^9+1)*t", "--exponent", "x",
+                             "--vars", "x") > small
+        assert self.estimate(capsys, monkeypatch, "exp", "--exponents", "x^9",
+                             "1", "--vars", "x") > self.estimate(
+            capsys, monkeypatch, "exp", "--exponents", "x", "1", "--vars", "x")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from motivic_power.axioms import random_polynomial
 from motivic_power.expressions import (
     ParseError,
+    expression_size,
     parse_polynomial,
     parse_series,
 )
@@ -99,3 +101,33 @@ class TestSeriesParsing:
         ring = RingDescriptor(("t",))
         with pytest.raises(ValueError, match="clashes"):
             parse_series("1+t", ring, 2)
+
+
+class TestExpressionSize:
+    @pytest.mark.parametrize("src", [
+        "0", "7", "-12345678901234567890", "x", "x^-3*y", "(x+2*y-1)^5",
+        "(1+2*x)^13*(3-y)^4 - x*y + 5", "(x^2-x^-1)^3*(x+y)^2",
+        "+".join(["x"] * 50),
+        "(x-1)*(x+1) - x^2", "((1+x)^2)^3 + (y^2)^0",
+    ])
+    def test_bounds_hold_for_the_evaluated_polynomial(self, src):
+        ring = RingDescriptor(("x", "y"), laurent=True)
+        p = parse_polynomial(src, ring)
+        size = expression_size(src, ring)
+        assert len(p.terms) <= size.terms
+        assert sum(abs(c) for c in p.terms.values()) <= 2 ** size.bits * (1 + 1e-9)
+        for exps in p.terms:
+            assert all(lo <= e <= hi for e, (lo, hi) in zip(exps, size.box))
+
+    def test_huge_powers_are_sized_without_evaluating(self):
+        ring = RingDescriptor(("x",))
+        size = expression_size("(1+2*x)^1000000", ring)
+        assert size.box == ((0, 1000000),)
+        assert size.terms == 1000001
+        assert size.bits == pytest.approx(1000000 * math.log2(3))
+
+    def test_power_work_counts_the_squarings(self):
+        ring = RingDescriptor(("x",))
+        # x^8 is three squarings and one product with the start value
+        squared = expression_size("(1+x)^2", ring).work
+        assert expression_size("(1+x)^8", ring).work > 3 * squared

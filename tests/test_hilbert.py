@@ -1,6 +1,6 @@
 import pytest
 
-from motivic_power import localdata
+from motivic_power import hilbert, localdata
 from motivic_power.hilbert import (
     LocalHilbertData,
     VarietyClass,
@@ -14,6 +14,12 @@ from motivic_power.hilbert import (
 )
 from motivic_power.localdata import MOTIVIC_RING
 from motivic_power.oracles import partition_count, punctual_surface_class_oracle
+from motivic_power.power import (
+    MONOMIAL_KERNEL,
+    EulerProduct,
+    factor,
+    pow_series,
+)
 from motivic_power.rings import (
     INTEGERS,
     Polynomial,
@@ -264,3 +270,75 @@ class TestVarietyClass:
     def test_int_promotion(self):
         X = VarietyClass(5, 1)
         assert X.representation == Polynomial.constant(INTEGERS, 5)
+
+
+class TestSurfaceSeriesCache:
+    """The punctual surface series is built once and carries its exponents."""
+
+    @staticmethod
+    def fresh_copy(series):
+        return Series(series.ring, series.order, series.coefficients)
+
+    def test_seeded_factorization_matches_reverse_recurrence(self):
+        series = local_series(2, 60).series
+        seeded = series._factor_cache[MONOMIAL_KERNEL]
+        assert seeded == EulerProduct(
+            MOTIVIC_RING, 60, [L ** (k - 1) for k in range(1, 61)])
+        copy = self.fresh_copy(series)
+        assert not copy._factor_cache
+        assert factor(copy) == seeded
+
+    def test_uv_image_factorization_matches_reverse_recurrence(self):
+        mapped = hilbert._uv_image(local_series(2, 60).series, UV,
+                                   MONOMIAL_KERNEL)
+        seeded = mapped._factor_cache[MONOMIAL_KERNEL]
+        uv = Polynomial(UV, {(1, 1): 1})
+        assert seeded == EulerProduct(
+            UV, 60, [uv ** (k - 1) for k in range(1, 61)])
+        assert factor(self.fresh_copy(mapped)) == seeded
+
+    def test_uv_image_of_unfactored_series_carries_nothing(self):
+        series = self.fresh_copy(local_series(2, 6).series)
+        assert not hilbert._uv_image(series, UV, MONOMIAL_KERNEL)._factor_cache
+
+    def test_lower_order_after_higher_equals_fresh_build(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", {})
+        high = local_series(2, 40)
+        low = local_series(2, 20)
+        fresh = hilbert._surface_series(20, MONOMIAL_KERNEL)
+        assert low.series == fresh
+        assert low.series._factor_cache == fresh._factor_cache
+        assert low.series == high.series.truncate(20)
+        assert hilbert._SURFACE_CACHE[MONOMIAL_KERNEL].series.order == 40
+
+    def test_built_once_per_order(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", {})
+        calls = []
+        build = hilbert._surface_series
+
+        def counted(order, kernel):
+            calls.append(order)
+            return build(order, kernel)
+
+        monkeypatch.setattr(hilbert, "_surface_series", counted)
+        for order in (10, 10, 5, 12, 8):
+            assert local_series(2, order).series == build(order, MONOMIAL_KERNEL)
+        assert calls == [10, 12]
+
+    def test_global_series_reads_the_seeded_factorization(self, monkeypatch):
+        X = VarietyClass(L ** 2 + L + 1, 2)
+        local = local_series(2, 30)
+        expected = pow_series(self.fresh_copy(local.series), X.representation)
+        monkeypatch.setattr(
+            "motivic_power.power._factor_fast",
+            lambda A: pytest.fail("the reverse recurrence ran"))
+        assert global_series(X, local, 30) == expected
+        assert global_series(X, local, 18) == expected.truncate(18)
+
+    def test_user_data_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", {})
+        series = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + L + L ** 3])
+        data = LocalHilbertData(3, series)
+        assert local_series(3, 2, data).series == series.truncate(2)
+        assert not hilbert._SURFACE_CACHE
+        assert not series._factor_cache

@@ -112,6 +112,12 @@ class TestKernelAdditivity:
         Kernel("clone", _monomial_base_exact,
                sample_rings=(INTEGERS, LAURENT_L, UV))
 
+    def test_monomial_kernel_passes_validation(self):
+        # The built-in kernel is not validated at import; this is where
+        # its samples over Z, Z[L^(+-)] and Z[u, v] are checked.
+        for ring in (INTEGERS, LAURENT_L, UV):
+            MONOMIAL_KERNEL._validate(ring, 5)
+
 
 class TestFactorAssemble:
     def test_factor_geometric(self):
@@ -317,3 +323,21 @@ class TestEulerProductType:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             EulerProduct(INTEGERS, 3, [1, 2])
+
+
+class TestFactorCacheStaysEmpty:
+    """Building a series never seeds its factorization.
+
+    Only the punctual surface series carries known exponents; everything
+    else must go through the reverse recurrence when factored, which is
+    what the factor/assemble round trips test.
+    """
+
+    def test_assemble_exp_and_pow_leave_the_cache_empty(self, ring):
+        rng = random.Random(71)
+        E = EulerProduct(ring, 6, [random_polynomial(rng, ring) for _ in range(6)])
+        assert not assemble(E)._factor_cache
+        assert not exp_map(list(E.exponents), order=6, ring=ring)._factor_cache
+        A = random_unital_series(rng, ring, 6)
+        powered = pow_series(A, random_polynomial(rng, ring))
+        assert not powered._factor_cache
