@@ -9,6 +9,7 @@ failure, 2 on bad usage.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -75,24 +76,127 @@ def request_cost(terms: float, bits: float, widths: Sequence[int],
                for m in range(1, n + 1))
 
 
-def _check_cost(order: int, *sizes: Size, spread: int = 0):
-    """Refuse a request whose inputs cost too much, before any work.
+# Work that ``request_cost`` does not count, in its units, taken at the
+# slow end of the calibration above (2e-9 s per unit): the fixed Python
+# cost of one recurrence solve (about 1 ms), and per step of the oracle
+# sweeps one enumerated candidate (0.2 us) and one multiplicity vector of
+# the closed formula (2 us).
+SOLVE_OVERHEAD = 5e5
+CANDIDATE_COST = 100
+VECTOR_COST = 1000
+
+# One axioms sample runs eleven powers and three series products; most
+# powers are a reverse and a forward solve.
+SOLVES_PER_SAMPLE = 20
+
+
+def _solve_cost(order: int, *sizes: Size, spread: int = 0) -> float:
+    """Estimated cost of one solve, evaluating the expressions included.
 
     The class is the product of ``sizes``; ``spread`` widens it by what
     the punctual series adds to every exponent in the Hilbert commands.
-    Evaluating the expressions is counted too.
     """
     terms = math.prod(size.terms for size in sizes) + spread
     bits = sum(size.bits for size in sizes)
     widths = [sum(hi - lo for lo, hi in axis) + spread
               for axis in zip(*(size.box for size in sizes))]
-    cost = sum(size.work for size in sizes) + request_cost(terms, bits, widths,
+    return sum(size.work for size in sizes) + request_cost(terms, bits, widths,
                                                           order)
+
+
+def _check_cost(cost: float):
+    """Refuse a request whose estimated cost is above the bound, before any work."""
     if cost > MAX_COST:
         raise ValueError(
             "request too large: estimated cost %.3g exceeds the bound %.3g; "
-            "use a smaller class or series, or a lower --truncate"
-            % (cost, MAX_COST))
+            "ask for less: a smaller class, series or count, or a lower "
+            "--truncate" % (cost, MAX_COST))
+
+
+def _axioms_cost(ring: RingDescriptor, order: int, samples: int) -> float:
+    """The solves of ``samples`` axiom samples at the generator's sizes.
+
+    ``axioms.random_polynomial`` fills every exponent vector of total
+    degree at most 2 (absolute degree if Laurent) with a coefficient in
+    [-3, 3]; a power multiplies such a coefficient of A by such an m.
+    """
+    n = ring.nvars
+    terms = 2 * n * n + 2 * n + 1 if ring.laurent else (n + 1) * (n + 2) // 2
+    lo = -2 if ring.laurent else 0
+    drawn = Size(terms, math.log2(3 * terms), ((lo, 2),) * n, 0.0)
+    return samples * SOLVES_PER_SAMPLE * (SOLVE_OVERHEAD
+                                          + _solve_cost(order, drawn, drawn))
+
+
+def _geometric(x: float, n: int) -> float:
+    """1 + x + ... + x^n for x >= 1, infinite when it overflows."""
+    if x == 1:
+        return n + 1.0
+    try:
+        return (x ** (n + 1) - 1) / (x - 1)
+    except OverflowError:
+        return math.inf
+
+
+def _sweep_cost(points: int, weight: int, size: int, order: int) -> float:
+    """Estimated cost of ``checks.oracle_equivalence_sweep``.
+
+    Each of the (size+1)^weight profiles runs, for every point count
+    p <= points, passes over its ``weight`` sizes, one power over Z, the
+    closed formula over every multiplicity vector of degree <= order,
+    and an enumeration of (1+s)^p candidates, s the profile's total
+    size.  The candidates are counted by total size only once the rest
+    is within the bound, which keeps the number of totals small.
+    """
+    try:
+        runs = float(size + 1) ** weight * (points + 1)
+    except OverflowError:
+        return math.inf
+    vectors = [1] + [0] * order  # partitions of k into parts <= weight
+    for part in range(1, min(weight, order) + 1):
+        for k in range(part, order + 1):
+            vectors[k] += vectors[k - part]
+    bits = math.log2((1 + size * weight) * (1 + points))
+    cost = runs * (2 * (SOLVE_OVERHEAD + request_cost(1, bits, [], order))
+                   + VECTOR_COST * sum(vectors[1:]) + CANDIDATE_COST * weight)
+    if cost > MAX_COST:
+        return cost
+    by_total = [1]  # profiles by total size
+    for _ in range(weight if size else 0):
+        prefix = [0, *itertools.accumulate(by_total)]
+        last = len(by_total) - 1
+        by_total = [prefix[min(t, last) + 1] - prefix[max(t - size, 0)]
+                    for t in range(last + size + 1)]
+    return cost + CANDIDATE_COST * sum(
+        count * _geometric(1.0 + total, points)
+        for total, count in enumerate(by_total))
+
+
+def _local_size(data: LocalHilbertData, order: int, nvars: int) -> Size:
+    """A user's punctual series to ``order``, sized like a ``--series`` input.
+
+    Terms, the bits of the L1 norm and the exponent box in L, which
+    L -> uv puts on both axes of the Hodge ring.
+    """
+    coeffs = data.series.coefficients[:order + 1]
+    exps = [e for c in coeffs for (e,) in c.terms]
+    norm = sum(abs(v) for c in coeffs for v in c.terms.values())
+    return Size(len(exps), math.log2(max(norm, 1)),
+                ((min(exps), max(exps)),) * nvars, 0.0)
+
+
+def _count(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError("counts must be nonnegative, got %d" % n)
+    return n
+
+
+def _samples(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError("need at least one sample, got %d" % n)
+    return n
 
 
 def _order(value: str) -> int:
@@ -150,7 +254,7 @@ def _series_size(src: str, ring: RingDescriptor) -> Size:
 
 def _cmd_zeta(args, out) -> int:
     ring = _ring(args)
-    _check_cost(args.truncate, expression_size(args.cls, ring))
+    _check_cost(_solve_cost(args.truncate, expression_size(args.cls, ring)))
     cls = parse_polynomial(args.cls, ring)
     _print_series(kapranov_zeta(cls, args.truncate), args.format, out)
     return 0
@@ -158,8 +262,8 @@ def _cmd_zeta(args, out) -> int:
 
 def _cmd_pow(args, out) -> int:
     ring = _ring(args)
-    _check_cost(args.truncate, _series_size(args.series, ring),
-                expression_size(args.exponent, ring))
+    _check_cost(_solve_cost(args.truncate, _series_size(args.series, ring),
+                            expression_size(args.exponent, ring)))
     A = parse_series(args.series, ring, args.truncate)
     m = parse_polynomial(args.exponent, ring)
     _print_series(pow_series(A, m), args.format, out)
@@ -168,7 +272,7 @@ def _cmd_pow(args, out) -> int:
 
 def _cmd_factor(args, out) -> int:
     ring = _ring(args)
-    _check_cost(args.truncate, _series_size(args.series, ring))
+    _check_cost(_solve_cost(args.truncate, _series_size(args.series, ring)))
     A = parse_series(args.series, ring, args.truncate)
     _print_exponents(factor(A).exponents, args.truncate, args.format, out)
     return 0
@@ -176,7 +280,7 @@ def _cmd_factor(args, out) -> int:
 
 def _check_exponents(args, ring: RingDescriptor):
     for src in args.exponents:
-        _check_cost(args.truncate, expression_size(src, ring))
+        _check_cost(_solve_cost(args.truncate, expression_size(src, ring)))
 
 
 def _cmd_assemble(args, out) -> int:
@@ -201,7 +305,7 @@ def _cmd_exp(args, out) -> int:
 
 def _cmd_log(args, out) -> int:
     ring = _ring(args)
-    _check_cost(args.truncate, _series_size(args.series, ring))
+    _check_cost(_solve_cost(args.truncate, _series_size(args.series, ring)))
     A = parse_series(args.series, ring, args.truncate)
     _print_exponents(log_map(A), args.truncate, args.format, out)
     return 0
@@ -213,16 +317,18 @@ def _load_local_data(path: str) -> LocalHilbertData:
 
 
 def _cmd_hilbert(args, out) -> int:
-    user_data = _load_local_data(args.local_data) if args.local_data else None
-    if args.specialize == "hodge":
-        ring = _ring(args, default=HODGE_RING)
-        _check_cost(args.truncate, expression_size(args.cls, ring), spread=1)
-        cls = VarietyClass(parse_polynomial(args.cls, ring), args.dim)
+    hodge = args.specialize == "hodge"
+    ring = _ring(args, default=HODGE_RING if hodge else MOTIVIC_RING)
+    sizes = [expression_size(args.cls, ring)]
+    user_data = None
+    if args.local_data:
+        user_data = _load_local_data(args.local_data)
+        sizes.append(_local_size(user_data, args.truncate, ring.nvars))
+    _check_cost(_solve_cost(args.truncate, *sizes, spread=1))
+    cls = VarietyClass(parse_polynomial(args.cls, ring), args.dim)
+    if hodge:
         result = hodge_deligne_series(cls, args.truncate, user_data)
     else:
-        ring = _ring(args, default=MOTIVIC_RING)
-        _check_cost(args.truncate, expression_size(args.cls, ring), spread=1)
-        cls = VarietyClass(parse_polynomial(args.cls, ring), args.dim)
         local = local_series(args.dim, args.truncate, user_data)
         result = global_series(cls, local, args.truncate)
         if args.specialize == "euler":
@@ -232,6 +338,8 @@ def _cmd_hilbert(args, out) -> int:
 
 
 def _cmd_oracle_check(args, out) -> int:
+    _check_cost(_sweep_cost(args.max_points, args.max_weight, args.max_size,
+                            args.truncate))
     failures = run_oracle_checks(args.max_points, args.max_weight,
                                  args.max_size, args.truncate)
     if args.format == "json":
@@ -254,6 +362,7 @@ def _cmd_axioms(args, out) -> int:
     else:
         seed = int(os.environ.get("MOTIVIC_POWER_SEED", "0"))
     ring = _ring(args)
+    _check_cost(_axioms_cost(ring, args.truncate, args.samples))
     report = run_axiom_suite(ring, args.truncate, args.samples, seed)
     if args.format == "json":
         json.dump({"status": "pass" if report.ok else "fail",
@@ -323,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check",
                        help="exhaustive equivalence sweeps of the counting oracles")
-    p.add_argument("--max-points", type=int, default=4, metavar="M")
-    p.add_argument("--max-weight", type=int, default=4, metavar="W")
-    p.add_argument("--max-size", type=int, default=3, metavar="A")
+    p.add_argument("--max-points", type=_count, default=4, metavar="M")
+    p.add_argument("--max-weight", type=_count, default=4, metavar="W")
+    p.add_argument("--max-size", type=_count, default=3, metavar="A")
     _add_common(p, default_truncate=6)
     p.set_defaults(handler=_cmd_oracle_check)
 
@@ -333,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized check of the seven power-structure laws")
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to MOTIVIC_POWER_SEED, then 0")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_samples, default=20)
     _add_common(p, default_truncate=8)
     p.set_defaults(handler=_cmd_axioms)
 

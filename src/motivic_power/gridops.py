@@ -2,20 +2,23 @@
 
 The series pipelines spend their time in sums of polynomial products:
 ``sum_m g_m f_(n-m)`` in the log-derivative recurrences and
-``sum_i a_i b_(k-i)`` in series products.  :class:`SlotAccumulator`
-collects the pairs of one such sum and computes the whole sum by one of
-two exact routes, chosen once from the exact integer bound
+``sum_i a_i b_(k-i)`` in series products.  Over rings that pass
+:func:`on_slots` every polynomial of such a pipeline is a :class:`Slot`:
+a dense int64 array when all its coefficients are below 2**62 in
+magnitude, and a term map otherwise.  :class:`SlotAccumulator` collects
+the pairs of one sum and computes the whole sum by one of two exact
+routes, chosen once from the exact integer bound
 
     B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|,
 
 which no coefficient of the sum can exceed in magnitude:
 
-* **int64 grids** when the sum is certified below 2**62: by B itself,
-  or failing that by float64 convolutions of absolute values, padded
-  far beyond their own rounding slop.  Each polynomial is a small dense
-  numpy array.  x -> z^S, y -> z lays every array of the sum on one
-  line, with the stride S taken from the exponent box of the sum, so
-  each product is one C-level convolution added into one line.
+* **int64 arrays** when every operand is an array and the sum is
+  certified below 2**62: by B itself, or failing that by float64
+  convolutions of absolute values, padded far beyond their own rounding
+  slop.  x -> z^S, y -> z lays every array of the sum on one line, with
+  the stride S taken from the exponent box of the sum, so each product
+  is one C-level convolution added into one line.
 * **packed integers** otherwise (Kronecker substitution): the same
   x -> z^S, y -> z followed by z -> 2^W turns each polynomial into one
   Python integer.  The digit width W comes from B plus a sign bit, an
@@ -24,13 +27,9 @@ which no coefficient of the sum can exceed in magnitude:
   Frobenius-spread g_m, say) is applied as shifted scalar multiples of
   the other operand instead of a full multiply.
 
-Sums of constants (no variables) are plain Python integer sums.
-Anything else (more than two variables) raises :class:`NeedExact` and
-the caller reruns on the plain dict path.
-
-A :class:`Slot` is one polynomial travelling through a pipeline: a grid
-when its coefficients fit int64, a term map when they do not, plus its
-packed integer for the last digit width and stride it was packed at.
+Sums of constants (no variables) are plain Python integer sums.  Rings
+with more variables do not run on slots; their callers use the dict
+arithmetic of :mod:`motivic_power.rings`.
 """
 
 from __future__ import annotations
@@ -48,100 +47,24 @@ from .rings import Polynomial, RingDescriptor
 _LIMIT = float(2 ** 62)
 _LIMIT_INT = 2 ** 62
 
-# A packed digit holds at least one int64 (grids pack eight bytes at a time).
+# A packed digit holds at least one int64 (arrays pack eight bytes at a time).
 _MIN_WIDTH = 64
-
-
-class NeedExact(Exception):
-    """Raised when the fast arithmetic is unavailable; callers rerun the
-    whole operation on the exact dict representation."""
-
 
 Exps = Tuple[int, ...]
 Terms = Dict[Exps, int]
 
 
-class Grid:
-    """A polynomial in <= 2 variables as a dense int64 array plus offsets.
+def on_slots(ring: RingDescriptor) -> bool:
+    """Do polynomials over ``ring`` run on slots?
 
-    ``offsets[i]`` is the exponent of variable i at array index 0
-    (negative for Laurent polynomials) and ``top[i]`` the exponent at
-    the last index.  Zero variables are stored as a one-cell array.
-    Every stored value is certified below 2**62.
+    The line layout x -> z^S, y -> z covers at most two variables.
     """
-
-    __slots__ = ("offsets", "top", "arr", "nnz", "amax")
-
-    def __init__(self, offsets: Tuple[int, ...], arr: np.ndarray):
-        self.offsets = offsets
-        self.top = tuple(o + n - 1 for o, n in zip(offsets, arr.shape))
-        self.arr = arr
-        self.nnz = int(np.count_nonzero(arr))
-        self.amax = int(np.abs(arr).max()) if self.nnz else 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.nnz == 0
+    return ring.nvars <= 2
 
 
-def _zero_grid(nvars: int) -> Grid:
-    return Grid((0,) * nvars, np.zeros((1,) * max(nvars, 1), dtype=np.int64))
-
-
-def unit_grid(nvars: int) -> Grid:
-    return Grid((0,) * nvars,
-                np.array([1], dtype=np.int64).reshape((1,) * max(nvars, 1)))
-
-
-def _bounding_box(exps: Sequence[Exps], nvars: int):
-    mins = tuple(min(e[i] for e in exps) for i in range(nvars))
-    maxs = tuple(max(e[i] for e in exps) for i in range(nvars))
-    shape = tuple(maxs[i] - mins[i] + 1 for i in range(nvars))
-    return mins, shape
-
-
-def grid_from_terms(terms: Terms, nvars: int) -> Grid:
-    """Build a grid; raises NeedExact on values beyond the certified range."""
-    if nvars > 2:
-        raise NeedExact("grids support at most two variables")
-    if not terms:
-        return _zero_grid(nvars)
-    for c in terms.values():
-        if c >= _LIMIT_INT or -c >= _LIMIT_INT:
-            raise NeedExact("coefficient exceeds the certified int64 range")
-    if nvars == 0:
-        return Grid((), np.array([terms[()]], dtype=np.int64))
-    mins, shape = _bounding_box(list(terms), nvars)
-    arr = np.zeros(shape, dtype=np.int64)
-    if nvars == 1:
-        for (e0,), c in terms.items():
-            arr[e0 - mins[0]] = c
-    else:
-        for (e0, e1), c in terms.items():
-            arr[e0 - mins[0], e1 - mins[1]] = c
-    return Grid(mins, arr)
-
-
-def from_polynomial(p: Polynomial) -> Grid:
-    return grid_from_terms(p._terms, p.ring.nvars)
-
-
-def grid_terms(g: Grid, nvars: int) -> Terms:
-    if nvars == 0:
-        c = int(g.arr[0])
-        return {(): c} if c else {}
-    nz = np.nonzero(g.arr)
-    values = g.arr[nz].tolist()
-    if nvars == 1:
-        keys = ((e,) for e in (nz[0] + g.offsets[0]).tolist())
-    else:
-        keys = zip((nz[0] + g.offsets[0]).tolist(),
-                   (nz[1] + g.offsets[1]).tolist())
-    return dict(zip(keys, values))
-
-
-def to_polynomial(g: Grid, ring: RingDescriptor) -> Polynomial:
-    return Polynomial._raw(ring, grid_terms(g, ring.nvars))
+def _hull(exps: Sequence[Exps], nvars: int) -> Tuple[Exps, Exps]:
+    return (tuple(min(e[i] for e in exps) for i in range(nvars)),
+            tuple(max(e[i] for e in exps) for i in range(nvars)))
 
 
 # -- lines: x -> z^stride, y -> z, shared by both routes ------------------
@@ -163,9 +86,10 @@ def _flatten(arr: np.ndarray, stride: int) -> np.ndarray:
     return flat[: (rows - 1) * stride + cols]
 
 
-def _line(g: Grid, stride: int) -> np.ndarray:
-    """The grid's values in digit order at this stride."""
-    return _flatten(g.arr, stride) if g.arr.ndim == 2 else g.arr
+def _line(slot: "Slot", stride: int) -> np.ndarray:
+    """The array slot's values in digit order at this stride."""
+    arr = slot.arr
+    return _flatten(arr, stride) if arr.ndim == 2 else arr
 
 
 def _stride(lo: Exps, hi: Exps) -> int:
@@ -211,8 +135,8 @@ def _float_certified(lines) -> bool:
     return True
 
 
-def _sum_lines(lo: Exps, hi: Exps, stride: int, placed) -> Grid:
-    """Grid over the box lo..hi of a sum of int64 lines.
+def _sum_lines(lo: Exps, hi: Exps, stride: int, placed) -> "Slot":
+    """Array slot over the box lo..hi of a sum of int64 lines.
 
     ``placed`` yields (digit index of the line's first value, line) at
     ``stride``, so each line can be computed just before it is added.
@@ -222,7 +146,7 @@ def _sum_lines(lo: Exps, hi: Exps, stride: int, placed) -> Grid:
     for at, line in placed:
         at -= base
         total[at:at + line.shape[0]] += line
-    return Grid(lo, total.reshape(-1, stride) if len(lo) == 2 else total)
+    return Slot.dense(lo, total.reshape(-1, stride) if len(lo) == 2 else total)
 
 
 # -- packed route: Kronecker substitution into Python integers -------------
@@ -230,8 +154,8 @@ def _sum_lines(lo: Exps, hi: Exps, stride: int, placed) -> Grid:
 def _pack(slot: "Slot", width: int, stride: int) -> int:
     """The slot as sum c * 2^(width * (lin(e) - lin(lo))), signed digits."""
     w = width >> 3
-    if slot.grid is not None:
-        flat = _line(slot.grid, stride)
+    if slot.arr is not None:
+        flat = _line(slot, stride)
         buf = np.zeros((flat.shape[0], w), dtype=np.uint8)
         buf[:, :8] = np.maximum(flat, 0).astype("<u8").view(np.uint8) \
             .reshape(-1, 8)
@@ -323,59 +247,71 @@ def _packed_sum(pairs, nvars: int, bound: int) -> Terms:
 _conv_limbs = _packed_sum
 
 
-def exact_conv_terms(a: Grid, b: Grid, nvars: int) -> Terms:
-    """Exact convolution of two int64 grids, output of any magnitude."""
-    if a.is_zero or b.is_zero:
-        return {}
-    return _packed_sum([(Slot(nvars, grid=a), Slot(nvars, grid=b))], nvars,
-                       min(a.nnz, b.nnz) * a.amax * b.amax)
-
-
-# -- slots: grid when it fits, terms when it does not --------------------
+# -- slots: an int64 array when it fits, a term map when it does not -------
 
 class Slot:
     """One polynomial travelling through a solver pipeline.
 
-    ``stats`` is (nnz, max |coefficient|, low corner, high corner), where
-    the corners bound the exponents: the grid's box, or the term map's
-    exact hull.
+    Exactly one of ``arr`` and ``terms`` is set.  ``arr`` is a dense
+    int64 array, every value below 2**62 in magnitude, indexed by
+    exponent minus the low corner (one cell for no variables; zeros
+    allowed).  ``terms`` is a term map of any magnitude.  ``stats`` is
+    (nnz, max |coefficient|, low corner, high corner), where the corners
+    bound the exponents: the array's box, or the term map's exact hull.
     """
 
-    __slots__ = ("nvars", "grid", "terms", "stats", "_packed", "_spread")
+    __slots__ = ("nvars", "arr", "terms", "stats", "_packed", "_spread")
 
-    def __init__(self, nvars: int, grid: Optional[Grid] = None,
-                 terms: Optional[Terms] = None):
+    def __init__(self, nvars: int, terms: Optional[Terms] = None,
+                 arr: Optional[np.ndarray] = None, lo: Exps = ()):
         self.nvars = nvars
-        self.grid = grid
+        self.arr = arr
         self.terms = terms
-        if grid is not None:
-            self.stats = (grid.nnz, grid.amax, grid.offsets, grid.top)
+        if arr is not None:
+            nnz = int(np.count_nonzero(arr))
+            self.stats = (nnz, int(np.abs(arr).max()) if nnz else 0, lo,
+                          tuple(o + n - 1 for o, n in zip(lo, arr.shape)))
         elif terms:
-            lo, shape = _bounding_box(list(terms), nvars)
-            self.stats = (len(terms), max(abs(c) for c in terms.values()), lo,
-                          tuple(o + n - 1 for o, n in zip(lo, shape)))
+            self.stats = (len(terms), max(abs(c) for c in terms.values()),
+                          *_hull(list(terms), nvars))
         else:
             self.stats = (0, 0, (0,) * nvars, (0,) * nvars)
         self._packed = None
         self._spread = None
 
     @classmethod
+    def dense(cls, lo: Exps, arr: np.ndarray) -> "Slot":
+        """Array slot whose index 0 holds the exponent ``lo``."""
+        return cls(len(lo), arr=arr, lo=lo)
+
+    @classmethod
     def wrap(cls, terms: Terms, nvars: int) -> "Slot":
-        """Grid representation when certified, term map otherwise."""
-        try:
-            return cls(nvars, grid=grid_from_terms(terms, nvars))
-        except NeedExact:
-            if nvars > 2:
-                raise
-            return cls(nvars, terms=dict(terms))
+        """An int64 array when every coefficient is below 2**62, else a term map."""
+        for c in terms.values():
+            if c >= _LIMIT_INT or -c >= _LIMIT_INT:
+                return cls(nvars, terms=dict(terms))
+        if not terms:
+            return cls(nvars, terms={})
+        if nvars == 0:
+            return cls.dense((), np.array([terms[()]], dtype=np.int64))
+        lo, hi = _hull(list(terms), nvars)
+        arr = np.zeros(tuple(h - o + 1 for o, h in zip(lo, hi)), dtype=np.int64)
+        if nvars == 1:
+            for (e0,), c in terms.items():
+                arr[e0 - lo[0]] = c
+        else:
+            for (e0, e1), c in terms.items():
+                arr[e0 - lo[0], e1 - lo[1]] = c
+        return cls.dense(lo, arr)
 
     @classmethod
     def zero(cls, nvars: int) -> "Slot":
-        return cls(nvars, grid=_zero_grid(nvars))
+        return cls(nvars, terms={})
 
     @classmethod
     def one(cls, nvars: int) -> "Slot":
-        return cls(nvars, grid=unit_grid(nvars))
+        return cls.dense((0,) * nvars,
+                         np.ones((1,) * max(nvars, 1), dtype=np.int64))
 
     @property
     def is_zero(self) -> bool:
@@ -398,37 +334,45 @@ class Slot:
 
     def constant(self) -> int:
         """The value of a slot in no variables."""
-        if self.grid is not None:
-            return int(self.grid.arr[0])
+        if self.arr is not None:
+            return int(self.arr[0])
         return self.terms.get((), 0)
 
     def to_terms(self) -> Terms:
+        """The term map (shared, not copied, for a term-map slot)."""
         if self.terms is not None:
             return self.terms
-        return grid_terms(self.grid, self.nvars)
+        arr, lo = self.arr, self.stats[2]
+        if self.nvars == 0:
+            c = int(arr[0])
+            return {(): c} if c else {}
+        nz = np.nonzero(arr)
+        values = arr[nz].tolist()
+        if self.nvars == 1:
+            keys = ((e,) for e in (nz[0] + lo[0]).tolist())
+        else:
+            keys = zip((nz[0] + lo[0]).tolist(), (nz[1] + lo[1]).tolist())
+        return dict(zip(keys, values))
 
     def to_polynomial(self, ring: RingDescriptor) -> Polynomial:
-        if self.grid is not None:
-            return to_polynomial(self.grid, ring)
+        if self.arr is not None:
+            return Polynomial._raw(ring, self.to_terms())
         return Polynomial._raw(ring, dict(self.terms))
 
     def scale_exponents(self, j: int) -> "Slot":
-        if j == 1 or self.is_zero:
+        if j == 1 or self.is_zero or self.nvars == 0:
             return self
-        if self.grid is not None:
-            g = self.grid
-            if self.nvars == 0:
-                return self
+        if self.arr is not None:
+            arr = self.arr
             if self.nvars == 1:
-                out = np.zeros((g.arr.shape[0] - 1) * j + 1, dtype=np.int64)
-                out[::j] = g.arr
+                out = np.zeros((arr.shape[0] - 1) * j + 1, dtype=np.int64)
+                out[::j] = arr
             else:
-                r, c = g.arr.shape
+                r, c = arr.shape
                 out = np.zeros(((r - 1) * j + 1, (c - 1) * j + 1),
                                dtype=np.int64)
-                out[::j, ::j] = g.arr
-            return Slot(self.nvars,
-                        grid=Grid(tuple(o * j for o in g.offsets), out))
+                out[::j, ::j] = arr
+            return Slot.dense(tuple(o * j for o in self.stats[2]), out)
         return Slot(self.nvars, terms={
             tuple(e * j for e in exps): c for exps, c in self.terms.items()
         })
@@ -436,11 +380,11 @@ class Slot:
     def divide_exact(self, n: int) -> "Slot":
         if n == 1 or self.is_zero:
             return self
-        if self.grid is not None:
-            q, r = np.divmod(self.grid.arr, n)
+        if self.arr is not None:
+            q, r = np.divmod(self.arr, n)
             if r.any():
                 raise ArithmeticError("expected an exact division by %d" % n)
-            return Slot(self.nvars, grid=Grid(self.grid.offsets, q))
+            return Slot.dense(self.stats[2], q)
         out = {}
         for e, c in self.terms.items():
             q, r = divmod(c, n)
@@ -454,7 +398,7 @@ class SlotAccumulator:
     """Sum of products of slot pairs, computed on one route when read.
 
     ``add_pair`` only records the pair and adds its share of the exact
-    bound; ``result`` runs every pair on int64 grids when the whole sum
+    bound; ``result`` runs every pair on int64 arrays when the whole sum
     is certified there, and on packed integers otherwise.  Constants
     (no variables) are summed as Python integers, which is exact at any
     size and skips the per-pair array work.
@@ -480,16 +424,15 @@ class SlotAccumulator:
         if nvars == 0:
             total = sum(a.constant() * b.constant() for a, b in pairs)
             return Slot.wrap({(): total} if total else {}, 0)
-        if all(a.grid is not None and b.grid is not None for a, b in pairs):
+        if all(a.arr is not None and b.arr is not None for a, b in pairs):
             lo, hi = _corners(pairs, nvars)
             stride = _stride(lo, hi)
-            lines = [(_lin(a.grid.offsets, stride) + _lin(b.grid.offsets, stride),
-                      _line(a.grid, stride), _line(b.grid, stride))
+            lines = [(_lin(a.stats[2], stride) + _lin(b.stats[2], stride),
+                      _line(a, stride), _line(b, stride))
                      for a, b in pairs]
             if self.bound < _LIMIT_INT or _float_certified(lines):
-                return Slot(nvars, grid=_sum_lines(
-                    lo, hi, stride,
-                    ((at, _conv_arrays(x, y)) for at, x, y in lines)))
+                return _sum_lines(lo, hi, stride,
+                                  ((at, _conv_arrays(x, y)) for at, x, y in lines))
         return Slot.wrap(_packed_sum(pairs, nvars, self.bound), nvars)
 
 
@@ -501,17 +444,17 @@ def slot_product(a: Slot, b: Slot, nvars: int) -> Slot:
 
 def slot_linear(pieces: List[Tuple[int, Slot]], nvars: int) -> Slot:
     """Integer linear combination of slots (scalar scaling, no convolution)."""
-    parts: List[Tuple[int, Grid]] = []
+    parts: List[Tuple[int, Slot]] = []
     out: Terms = {}
     total = 0
     for k, s in pieces:
         if not k or s.is_zero:
             continue
-        if s.grid is not None:
-            contribution = abs(k) * s.grid.amax
+        if s.arr is not None:
+            contribution = abs(k) * s.stats[1]
             if total + contribution < _LIMIT_INT:
                 total += contribution
-                parts.append((k, s.grid))
+                parts.append((k, s))
                 continue
         for e, c in s.to_terms().items():
             v = out.get(e, 0) + k * c
@@ -520,15 +463,15 @@ def slot_linear(pieces: List[Tuple[int, Slot]], nvars: int) -> Slot:
             elif e in out:
                 del out[e]
     if parts:
-        lo = tuple(min(g.offsets[i] for _, g in parts) for i in range(nvars))
-        hi = tuple(max(g.top[i] for _, g in parts) for i in range(nvars))
+        lo = tuple(min(s.stats[2][i] for _, s in parts) for i in range(nvars))
+        hi = tuple(max(s.stats[3][i] for _, s in parts) for i in range(nvars))
         stride = _stride(lo, hi)
         merged = _sum_lines(lo, hi, stride,
-                            ((_lin(g.offsets, stride), _line(g, stride) * k)
-                             for k, g in parts))
+                            ((_lin(s.stats[2], stride), _line(s, stride) * k)
+                             for k, s in parts))
         if not out:
-            return Slot(nvars, grid=merged)
-        for e, c in grid_terms(merged, nvars).items():
+            return merged
+        for e, c in merged.to_terms().items():
             v = out.get(e, 0) + c
             if v:
                 out[e] = v

@@ -17,14 +17,15 @@ the logarithmic-derivative recurrence of the product,
     n f_n = sum_{m=1..n} g_m f_{n-m},   g_m = sum_{i | m} i * b_i(u^(m/i)),
 
 solved forwards (exponents to series) or backwards (series to exponents)
-over rings of at most two variables (Z, Z[L^(+-)], Z[u, v]).  The sum of
-each step runs through :class:`gridops.SlotAccumulator`: as plain
-integers over Z, on int64 grids when every value is certified below
-2^62, and otherwise on Kronecker-packed Python integers, unpacked once
-per step before the exact division by n.  Rings with more variables
-fall back to explicit peeling and block products on the dict
-representation.  The routes compute the identical integers; the generic
-route is also what user-supplied kernels get.
+over the rings that pass :func:`gridops.on_slots` (Z, Z[L^(+-)],
+Z[u, v]).  The sum of each step runs through
+:class:`gridops.SlotAccumulator`: as plain integers over Z, on int64
+arrays when every value is certified below 2^62, and otherwise on
+Kronecker-packed Python integers, unpacked once per step before the
+exact division by n.  Rings with more variables use explicit peeling
+and block products on the dict representation.  The routes compute the
+identical integers; the generic route is also what user-supplied
+kernels get.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 from . import gridops
-from .gridops import NeedExact, Slot
+from .gridops import Slot, on_slots
 from .rings import (
     MonomialMap,
     Polynomial,
@@ -86,19 +87,22 @@ def _monomial_base_exact(a: Polynomial, order: int) -> Series:
     return Series._raw(ring, order, coeffs)
 
 
-# -- slot pipelines (int64 grids, packed integers past 2^62) -------------
+# -- slot pipelines (int64 arrays, packed integers past 2^62) ------------
 
 def _monomial_base(a: Polynomial, order: int) -> Series:
+    """(1-t)^{-a}: the Euler product with exponents (a, 0, ..., 0)."""
     ring = a.ring
-    if ring.nvars <= 2:
-        try:
-            base = Slot.wrap(a._terms, ring.nvars)
-            g = [None] + [base.scale_exponents(j) for j in range(1, order + 1)]
-            f = _solve_forward(g, order, ring.nvars)
-            return Series._raw(ring, order, [x.to_polynomial(ring) for x in f])
-        except NeedExact:
-            pass
-    return _monomial_base_exact(a, order)
+    if not on_slots(ring):
+        return _monomial_base_exact(a, order)
+    b = [Slot.wrap(a._terms, ring.nvars)] + [Slot.zero(ring.nvars)] * (order - 1)
+    return _assemble_slots(ring, order, b)
+
+
+def _assemble_slots(ring: RingDescriptor, order: int, b: List[Slot]) -> Series:
+    """Multiply out prod_{i=1..N} (1-t^i)^{-b_i} by the forward recurrence."""
+    g = _g_from_exponents(b, order, ring.nvars)
+    f = _solve_forward(g, order, ring.nvars)
+    return Series._raw(ring, order, [x.to_polynomial(ring) for x in f])
 
 
 def _solve_forward(g: List[Optional[Slot]], order: int, nvars: int) -> List[Slot]:
@@ -309,17 +313,12 @@ def _factor_peeling(A: Series, kernel: Kernel) -> List[Polynomial]:
     return exponents
 
 
-def _factor_fast(A: Series) -> Optional[List[Polynomial]]:
+def _factor_fast(A: Series) -> List[Polynomial]:
     ring = A.ring
-    if ring.nvars > 2:
-        return None
-    try:
-        f = [Slot.wrap(c._terms, ring.nvars) for c in A.coefficients]
-        g = _solve_reverse(f, A.order, ring.nvars)
-        b = _exponents_from_g(g, A.order, ring.nvars)
-        return [x.to_polynomial(ring) for x in b]
-    except NeedExact:
-        return None
+    f = [Slot.wrap(c._terms, ring.nvars) for c in A.coefficients]
+    g = _solve_reverse(f, A.order, ring.nvars)
+    b = _exponents_from_g(g, A.order, ring.nvars)
+    return [x.to_polynomial(ring) for x in b]
 
 
 def factor(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> EulerProduct:
@@ -335,10 +334,9 @@ def factor(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> EulerProduct:
         return cached
     if not A.is_unital():
         raise ValueError("only unital series (constant term 1) factor uniquely")
-    exponents = None
-    if kernel is MONOMIAL_KERNEL:
+    if kernel is MONOMIAL_KERNEL and on_slots(A.ring):
         exponents = _factor_fast(A)
-    if exponents is None:
+    else:
         exponents = _factor_peeling(A, kernel)
     result = EulerProduct(A.ring, A.order, exponents)
     A._factor_cache[kernel] = result
@@ -355,48 +353,27 @@ def _assemble_blocks(ring: RingDescriptor, order: int,
 
 
 def _assemble_fast(ring: RingDescriptor, order: int,
-                   exponents: Sequence[Polynomial]) -> Optional[Series]:
-    if ring.nvars > 2:
-        return None
-    try:
-        b = [Slot.wrap(p._terms, ring.nvars) for p in exponents]
-        g = _g_from_exponents(b, order, ring.nvars)
-        f = _solve_forward(g, order, ring.nvars)
-        return Series._raw(ring, order,
-                           [x.to_polynomial(ring) for x in f])
-    except NeedExact:
-        return None
+                   exponents: Sequence[Polynomial]) -> Series:
+    return _assemble_slots(ring, order,
+                           [Slot.wrap(p._terms, ring.nvars) for p in exponents])
 
 
 def assemble(product: EulerProduct,
              kernel: Kernel = MONOMIAL_KERNEL) -> Series:
     """Multiply out prod_{i=1..N} (1-t^i)^{-b_i}, truncated at N."""
-    if kernel is MONOMIAL_KERNEL:
-        fast = _assemble_fast(product.ring, product.order, product.exponents)
-        if fast is not None:
-            return fast
+    if kernel is MONOMIAL_KERNEL and on_slots(product.ring):
+        return _assemble_fast(product.ring, product.order, product.exponents)
     return _assemble_blocks(product.ring, product.order, product.exponents,
                             kernel)
 
 
-def _pow_fast(A: Series, m: Polynomial) -> Optional[Series]:
+def _pow_fast(A: Series, m: Polynomial) -> Series:
     """Factor, scale exponents by m and reassemble, all on slots."""
-    ring = A.ring
-    if ring.nvars > 2:
-        return None
-    try:
-        factored = factor(A, MONOMIAL_KERNEL)
-        ms = Slot.wrap(m._terms, ring.nvars)
-        scaled = [
-            gridops.slot_product(Slot.wrap(b._terms, ring.nvars), ms, ring.nvars)
-            for b in factored.exponents
-        ]
-        g = _g_from_exponents(scaled, A.order, ring.nvars)
-        f = _solve_forward(g, A.order, ring.nvars)
-        return Series._raw(ring, A.order,
-                           [x.to_polynomial(ring) for x in f])
-    except NeedExact:
-        return None
+    nvars = A.ring.nvars
+    ms = Slot.wrap(m._terms, nvars)
+    scaled = [gridops.slot_product(Slot.wrap(b._terms, nvars), ms, nvars)
+              for b in factor(A, MONOMIAL_KERNEL).exponents]
+    return _assemble_slots(A.ring, A.order, scaled)
 
 
 def pow_series(A: Series, m: Polynomial,
@@ -410,13 +387,10 @@ def pow_series(A: Series, m: Polynomial,
         )
     if not A.is_unital():
         raise ValueError("only unital series (constant term 1) can be powered")
-    if kernel is MONOMIAL_KERNEL:
-        fast = _pow_fast(A, m)
-        if fast is not None:
-            return fast
-    factored = factor(A, kernel)
-    scaled = EulerProduct(A.ring, A.order, [b * m for b in factored.exponents])
-    return _assemble_blocks(A.ring, A.order, scaled.exponents, kernel)
+    if kernel is MONOMIAL_KERNEL and on_slots(A.ring):
+        return _pow_fast(A, m)
+    scaled = [b * m for b in factor(A, kernel).exponents]
+    return _assemble_blocks(A.ring, A.order, scaled, kernel)
 
 
 def exp_map(exponents: Sequence[Union[Polynomial, int]],

@@ -8,8 +8,9 @@ known order is an error: the missing coefficients are simply not known.
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, List, Mapping, Sequence, Union
 
+from .gridops import Slot, SlotAccumulator, on_slots
 from .rings import (
     Polynomial,
     RingDescriptor,
@@ -92,10 +93,8 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        if self.ring.nvars <= 2:
-            fast = self._mul_grids(other)
-            if fast is not None:
-                return fast
+        if on_slots(self.ring):
+            return self._mul_grids(other)
         return self._mul_exact(other)
 
     def _mul_exact(self, other: "Series") -> "Series":
@@ -114,23 +113,19 @@ class Series:
             out.append(Polynomial._raw(ring, {e: c for e, c in acc.items() if c}))
         return Series._raw(ring, self.order, out)
 
-    def _mul_grids(self, other: "Series") -> Optional["Series"]:
-        from . import gridops
+    def _mul_grids(self, other: "Series") -> "Series":
         ring = self.ring
         nvars = ring.nvars
-        try:
-            a = [gridops.Slot.wrap(c._terms, nvars) for c in self.coefficients]
-            b = [gridops.Slot.wrap(c._terms, nvars) for c in other.coefficients]
-            out = []
-            for k in range(self.order + 1):
-                acc = gridops.SlotAccumulator(nvars)
-                for i in range(k + 1):
-                    if not a[i].is_zero and not b[k - i].is_zero:
-                        acc.add_pair(a[i], b[k - i])
-                out.append(acc.result().to_polynomial(ring))
-            return Series._raw(ring, self.order, out)
-        except gridops.NeedExact:
-            return None
+        a = [Slot.wrap(c._terms, nvars) for c in self.coefficients]
+        b = [Slot.wrap(c._terms, nvars) for c in other.coefficients]
+        out = []
+        for k in range(self.order + 1):
+            acc = SlotAccumulator(nvars)
+            for i in range(k + 1):
+                if not a[i].is_zero and not b[k - i].is_zero:
+                    acc.add_pair(a[i], b[k - i])
+            out.append(acc.result().to_polynomial(ring))
+        return Series._raw(ring, self.order, out)
 
     def __pow__(self, n: int) -> "Series":
         """Plain n-fold truncated product (integer n >= 0)."""

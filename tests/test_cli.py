@@ -224,6 +224,11 @@ class TestCostBound:
         ["factor", "--series", "(1+2*t)^3000", "--truncate", "3"],
         ["hilbert", "--dim", "2", "--class", "1+u^2+v^2+20*u*v+u^2*v^2",
          "--specialize", "hodge", "--truncate", "200"],
+        ["axioms", "--vars", "u", "v", "--truncate", "200", "--samples", "1"],
+        ["axioms", "--samples", "100000"],
+        ["oracle-check", "--max-points", "40", "--max-weight", "40"],
+        ["oracle-check", "--max-weight", "1000000000", "--max-size", "0"],
+        ["oracle-check", "--truncate", "60"],
     ])
     def test_oversized_requests_are_refused_at_once(self, capsys, argv):
         import time
@@ -258,3 +263,57 @@ class TestCostBound:
         assert self.estimate(capsys, monkeypatch, "exp", "--exponents", "x^9",
                              "1", "--vars", "x") > self.estimate(
             capsys, monkeypatch, "exp", "--exponents", "x", "1", "--vars", "x")
+
+    def test_wide_local_data_is_refused_at_once(self, capsys, tmp_path):
+        # coefficient k spans L^0 .. L^(40k): a 2 MB file whose solve at
+        # order 60 ran for about 19 s before it was priced
+        ring = MOTIVIC_RING.to_json()
+        coeffs = [{"ring": ring, "terms": [{"exp": [0], "coef": "1"}]}] * 2
+        coeffs += [{"ring": ring, "terms": [{"exp": [e], "coef": "1"}
+                                            for e in range(40 * k + 1)]}
+                   for k in range(2, 61)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "dimension": 3, "source": "unit test",
+            "series": {"order": 60, "coeffs": coeffs}}), encoding="utf-8")
+        import time
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hilbert", "--dim", "3", "--class",
+                             "L^3+L^2+L+1", "--local-data", str(path),
+                             "--truncate", "60")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: request too large")
+
+    def test_local_data_moves_the_estimate(self, capsys, monkeypatch, tmp_path):
+        L = Polynomial.variable(MOTIVIC_RING, "L")
+        argv = ["hilbert", "--dim", "3", "--class", "1", "--truncate", "3",
+                "--local-data"]
+        estimates = []
+        for top in (L, L ** 9, 2 ** 70 * L):
+            series = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + top])
+            path = tmp_path / "d3.json"
+            path.write_text(json.dumps(LocalHilbertData(3, series).to_json("t")),
+                            encoding="utf-8")
+            estimates.append(self.estimate(capsys, monkeypatch, *argv, str(path)))
+        assert estimates[0] < estimates[1] and estimates[0] < estimates[2]
+
+    def test_default_sweeps_are_well_within_the_bound(self, capsys, monkeypatch):
+        from motivic_power.cli import MAX_COST
+        for argv in (["axioms"], ["oracle-check"],
+                     ["axioms", "--vars", "u", "v", "--truncate", "10"],
+                     ["oracle-check", "--truncate", "20"]):
+            assert self.estimate(capsys, monkeypatch, *argv) < 0.2 * MAX_COST
+
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--samples", "-3"],
+        ["axioms", "--samples", "0"],
+        ["oracle-check", "--max-points", "-1"],
+        ["oracle-check", "--max-weight", "-2"],
+        ["oracle-check", "--max-size", "-1"],
+    ])
+    def test_negative_counts_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err

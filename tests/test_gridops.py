@@ -8,12 +8,9 @@ import pytest
 
 from motivic_power import gridops
 from motivic_power.gridops import (
-    NeedExact,
     Slot,
     SlotAccumulator,
-    exact_conv_terms,
-    from_polynomial,
-    grid_terms,
+    _packed_sum,
     slot_linear,
     slot_product,
 )
@@ -26,6 +23,15 @@ def dict_product(pa, pb, nvars):
     acc = {}
     _accumulate_product(acc, pa, pb, nvars)
     return {e: c for e, c in acc.items() if c}
+
+
+def exact_conv_terms(a, b, nvars):
+    """Product of two array slots on the packed route, of any magnitude."""
+    if a.is_zero or b.is_zero:
+        return {}
+    assert a.arr is not None and b.arr is not None
+    (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
+    return _packed_sum([(a, b)], nvars, min(na, nb) * ma * mb)
 
 
 def random_terms(rng, ring, bound, degree=3):
@@ -47,18 +53,16 @@ def test_exact_conv_matches_dict_product(bound):
             ta = random_terms(rng, ring, min(bound, 2 ** 61))
             tb = random_terms(rng, ring, min(bound, 2 ** 61))
             want = dict_product(ta, tb, ring.nvars)
-            if bound <= 2 ** 61:
-                ga = gridops.grid_from_terms(ta, ring.nvars)
-                gb = gridops.grid_from_terms(tb, ring.nvars)
-                assert exact_conv_terms(ga, gb, ring.nvars) == want
             sa, sb = Slot.wrap(ta, ring.nvars), Slot.wrap(tb, ring.nvars)
+            if bound <= 2 ** 61:
+                assert exact_conv_terms(sa, sb, ring.nvars) == want
             assert slot_product(sa, sb, ring.nvars).to_terms() == want
 
 
 def test_big_values_take_the_terms_route():
     big = {(0, 0): 2 ** 100, (1, 1): -(2 ** 80)}
     slot = Slot.wrap(big, 2)
-    assert slot.grid is None and slot.terms == big
+    assert slot.arr is None and slot.terms == big
     small = Slot.wrap({(1, 0): 3}, 2)
     product = slot_product(slot, small, 2)
     assert product.to_terms() == {(1, 0): 3 * 2 ** 100, (2, 1): -3 * 2 ** 80}
@@ -107,16 +111,17 @@ def test_accumulator_matches_dict_reference():
         assert acc.result().to_terms() == reference
 
 
-def test_three_variables_refuse_grids():
-    ring3 = RingDescriptor(("x", "y", "z"))
-    with pytest.raises(NeedExact):
-        gridops.grid_from_terms({(1, 1, 1): 1}, 3)
+def test_three_variables_refuse_slots():
+    assert all(gridops.on_slots(ring) for ring in ALL_RINGS)
+    assert not gridops.on_slots(RingDescriptor(("x", "y", "z")))
 
 
 def test_grid_round_trip_with_laurent_offsets():
     p = Polynomial(LAURENT_L, {(-3,): 7, (2,): -1})
-    g = from_polynomial(p)
-    assert grid_terms(g, 1) == p.terms
+    slot = Slot.wrap(p._terms, 1)
+    assert slot.arr is not None and slot.stats[2:] == ((-3,), (2,))
+    assert slot.to_terms() == p.terms
+    assert slot.to_polynomial(LAURENT_L) == p
 
 
 def test_zero_and_unit_slots():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from motivic_power import hilbert, localdata
@@ -342,3 +344,79 @@ class TestSurfaceSeriesCache:
         assert local_series(3, 2, data).series == series.truncate(2)
         assert not hilbert._SURFACE_CACHE
         assert not series._factor_cache
+
+
+def plane_partition_counts(top):
+    """pp(n) for n <= top, by listing every plane partition row by row.
+
+    A plane partition is a stack of weakly decreasing rows of positive
+    integers, each row no longer than the one above and no larger in any
+    column.
+    """
+    counts = [0] * (top + 1)
+
+    def rows_under(above, budget, prefix=()):
+        if prefix:
+            yield prefix
+        i = len(prefix)
+        if i < len(above):
+            cap = min(above[i], prefix[-1] if prefix else budget, budget)
+            for part in range(1, cap + 1):
+                yield from rows_under(above, budget - part, prefix + (part,))
+
+    def stack(total, above):
+        counts[total] += 1
+        for row in rows_under(above, top - total):
+            stack(total + sum(row), row)
+
+    stack(0, (top,) * top)
+    return counts
+
+
+def macmahon_power(chi, order):
+    """prod_k (1 - t^k)^(-k chi), multiplied out factor by factor."""
+    c = [1] + [0] * order
+    for k in range(1, order + 1):
+        for _ in range(k * abs(chi)):
+            if chi > 0:  # times 1/(1 - t^k) = 1 + t^k + t^2k + ...
+                for n in range(k, order + 1):
+                    c[n] += c[n - k]
+            else:  # times (1 - t^k)
+                for n in range(order, k - 1, -1):
+                    c[n] -= c[n - k]
+    return c
+
+
+class TestMacMahon:
+    """Torus-fixed points of Hilb^n(C^3) are the plane partitions of n, so
+    the Euler specialization of a threefold's series is M(t)^chi(X)."""
+
+    ORDER = 12
+
+    def local_data(self):
+        counts = plane_partition_counts(self.ORDER)
+        assert counts[:7] == [1, 1, 3, 6, 13, 24, 48]
+        return LocalHilbertData(3, Series(MOTIVIC_RING, self.ORDER, counts))
+
+    @pytest.mark.parametrize("cls,chi", [
+        (L ** 3 + L ** 2 + L + 1, 4),
+        (L ** 3, 1),
+        (L ** 3 - 3 * L, -2),
+    ])
+    def test_euler_specialization_is_macmahon(self, cls, chi):
+        X = VarietyClass(cls, 3)
+        series = global_series(X, self.local_data(), self.ORDER)
+        got = [c.constant_value() for c in euler_specialization(series).coefficients]
+        assert got == macmahon_power(chi, self.ORDER)
+
+    def test_through_the_cli(self, capsys, tmp_path):
+        from motivic_power.cli import main
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(self.local_data().to_json("plane partitions")),
+                        encoding="utf-8")
+        assert main(["hilbert", "--dim", "3", "--class", "L^3+L^2+L+1",
+                     "--local-data", str(path), "--specialize", "euler",
+                     "--truncate", str(self.ORDER)]) == 0
+        out = capsys.readouterr().out
+        assert out == "".join("t^%d: %d\n" % (k, c) for k, c in
+                              enumerate(macmahon_power(4, self.ORDER)))

@@ -23,8 +23,6 @@ from motivic_power.gridops import (
     Slot,
     SlotAccumulator,
     _packed_sum,
-    exact_conv_terms,
-    grid_from_terms,
     slot_product,
 )
 from motivic_power.power import (
@@ -113,9 +111,14 @@ def test_exact_conv_of_grids_matches_dict(data):
     exps = st.tuples(*[st.integers(lo, 3)] * ring.nvars)
     ta, tb = (data.draw(st.dictionaries(exps, small.filter(bool), max_size=5))
               for _ in range(2))
-    got = exact_conv_terms(grid_from_terms(ta, ring.nvars),
-                           grid_from_terms(tb, ring.nvars), ring.nvars)
-    assert got == dict_sum([(ta, tb)], ring.nvars)
+    a, b = Slot.wrap(ta, ring.nvars), Slot.wrap(tb, ring.nvars)
+    want = dict_sum([(ta, tb)], ring.nvars)
+    if a.is_zero or b.is_zero:
+        assert want == {}
+    else:
+        assert a.arr is not None and b.arr is not None
+        (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
+        assert _packed_sum([(a, b)], ring.nvars, min(na, nb) * ma * mb) == want
 
 
 @settings(max_examples=40, deadline=None)

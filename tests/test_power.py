@@ -341,3 +341,59 @@ class TestFactorCacheStaysEmpty:
         A = random_unital_series(rng, ring, 6)
         powered = pow_series(A, random_polynomial(rng, ring))
         assert not powered._factor_cache
+
+
+UVW = RingDescriptor(("u", "v", "w"))
+
+
+class TestThreeVariables:
+    """Z[u, v, w] does not run on slots: dict products and peeling.
+
+    Inputs in u and v alone must give the Z[u, v] slot-route results
+    pushed into the larger ring; an input in w must keep the laws.
+    """
+
+    @pytest.fixture
+    def dict_route(self, monkeypatch):
+        from motivic_power import power
+        calls = []
+        for name in ("_factor_peeling", "_monomial_base_exact"):
+            def counted(*args, _fn=getattr(power, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(power, name, counted)
+        return calls
+
+    def test_uv_inputs_match_the_slot_route(self, dict_route):
+        to_uvw = MonomialMap(UV, UVW, {name: Polynomial.variable(UVW, name)
+                                       for name in UV.variables})
+
+        def lift(S):
+            return S.map_coefficients(to_uvw, UVW)
+
+        rng = random.Random(37)
+        order = 5
+        A = random_unital_series(rng, UV, order)
+        B = random_unital_series(rng, UV, order)
+        a, m = random_polynomial(rng, UV), random_polynomial(rng, UV)
+        E = EulerProduct(UV, order, [random_polynomial(rng, UV)
+                                     for _ in range(order)])
+        want = (base_series(a, order), factor(A), assemble(E),
+                pow_series(A, m), A * B)
+        assert dict_route == []
+        assert base_series(to_uvw(a), order) == lift(want[0])
+        assert factor(lift(A)) == EulerProduct(
+            UVW, order, [to_uvw(b) for b in want[1].exponents])
+        assert assemble(EulerProduct(
+            UVW, order, [to_uvw(b) for b in E.exponents])) == lift(want[2])
+        assert pow_series(lift(A), to_uvw(m)) == lift(want[3])
+        assert lift(A) * lift(B) == lift(want[4])
+        assert set(dict_route) == {"_factor_peeling", "_monomial_base_exact"}
+
+    def test_laws_with_w(self, dict_route):
+        A = random_unital_series(random.Random(41), UVW, 4)
+        assert any(e[2] for c in A.coefficients for e in c.terms)
+        assert assemble(factor(A)) == A
+        assert pow_series(A, 3) == A * A * A
+        assert pow_series(A, -1) * A == Series.one(UVW, 4)
+        assert "_factor_peeling" in dict_route
