@@ -27,9 +27,10 @@ which no coefficient of the sum can exceed in magnitude:
   Frobenius-spread g_m, say) is applied as shifted scalar multiples of
   the other operand instead of a full multiply.
 
-Sums of constants (no variables) are plain Python integer sums.  Rings
-with more variables do not run on slots; their callers use the dict
-arithmetic of :mod:`motivic_power.rings`.
+A slot in no variables is always a term map ``{(): c}``, and sums of
+such constants are plain Python integer sums.  Rings with more variables
+do not run on slots; their callers use the dict arithmetic of
+:mod:`motivic_power.rings`.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _lin(exps: Exps, stride: int) -> int:
     """Digit index of an exponent vector under x -> z^stride, y -> z."""
     if len(exps) == 2:
         return exps[0] * stride + exps[1]
-    return exps[0] if exps else 0
+    return exps[0]
 
 
 def _flatten(arr: np.ndarray, stride: int) -> np.ndarray:
@@ -194,17 +195,14 @@ def _unpack(value: int, digits: int, width: int, origin: Exps,
     nonzero = np.flatnonzero((rows[:, -1] != 0x80)
                              | rows[:, :-1].any(axis=1)).tolist()
     from_bytes = int.from_bytes
-    nvars = len(origin)
-    if nvars == 2:
+    if len(origin) == 2:
         o0, o1 = origin
         return {(o0 + k // stride, o1 + k % stride):
                 from_bytes(data[k * w:(k + 1) * w], "little") - half
                 for k in nonzero}
-    if nvars == 1:
-        o0 = origin[0]
-        return {(o0 + k,): from_bytes(data[k * w:(k + 1) * w], "little") - half
-                for k in nonzero}
-    return {(): from_bytes(data, "little") - half} if nonzero else {}
+    o0 = origin[0]
+    return {(o0 + k,): from_bytes(data[k * w:(k + 1) * w], "little") - half
+            for k in nonzero}
 
 
 def _packed_sum(pairs, nvars: int, bound: int) -> Terms:
@@ -254,8 +252,8 @@ class Slot:
 
     Exactly one of ``arr`` and ``terms`` is set.  ``arr`` is a dense
     int64 array, every value below 2**62 in magnitude, indexed by
-    exponent minus the low corner (one cell for no variables; zeros
-    allowed).  ``terms`` is a term map of any magnitude.  ``stats`` is
+    exponent minus the low corner (zeros allowed).  ``terms`` is a term
+    map of any magnitude; a slot in no variables is always one.  ``stats`` is
     (nnz, max |coefficient|, low corner, high corner), where the corners
     bound the exponents: the array's box, or the term map's exact hull.
     """
@@ -286,14 +284,13 @@ class Slot:
 
     @classmethod
     def wrap(cls, terms: Terms, nvars: int) -> "Slot":
-        """An int64 array when every coefficient is below 2**62, else a term map."""
+        """An int64 array when there are variables and every coefficient is
+        below 2**62, else a term map."""
+        if not nvars or not terms:
+            return cls(nvars, terms=dict(terms))
         for c in terms.values():
             if c >= _LIMIT_INT or -c >= _LIMIT_INT:
                 return cls(nvars, terms=dict(terms))
-        if not terms:
-            return cls(nvars, terms={})
-        if nvars == 0:
-            return cls.dense((), np.array([terms[()]], dtype=np.int64))
         lo, hi = _hull(list(terms), nvars)
         arr = np.zeros(tuple(h - o + 1 for o, h in zip(lo, hi)), dtype=np.int64)
         if nvars == 1:
@@ -310,8 +307,7 @@ class Slot:
 
     @classmethod
     def one(cls, nvars: int) -> "Slot":
-        return cls.dense((0,) * nvars,
-                         np.ones((1,) * max(nvars, 1), dtype=np.int64))
+        return cls.wrap({(0,) * nvars: 1}, nvars)
 
     @property
     def is_zero(self) -> bool:
@@ -332,20 +328,11 @@ class Slot:
                                          for e, c in self.to_terms().items()])
         return s[1]
 
-    def constant(self) -> int:
-        """The value of a slot in no variables."""
-        if self.arr is not None:
-            return int(self.arr[0])
-        return self.terms.get((), 0)
-
     def to_terms(self) -> Terms:
         """The term map (shared, not copied, for a term-map slot)."""
         if self.terms is not None:
             return self.terms
         arr, lo = self.arr, self.stats[2]
-        if self.nvars == 0:
-            c = int(arr[0])
-            return {(): c} if c else {}
         nz = np.nonzero(arr)
         values = arr[nz].tolist()
         if self.nvars == 1:
@@ -401,7 +388,7 @@ class SlotAccumulator:
     bound; ``result`` runs every pair on int64 arrays when the whole sum
     is certified there, and on packed integers otherwise.  Constants
     (no variables) are summed as Python integers, which is exact at any
-    size and skips the per-pair array work.
+    size and skips the per-pair packing work.
     """
 
     def __init__(self, nvars: int):
@@ -422,8 +409,9 @@ class SlotAccumulator:
         if not pairs:
             return Slot.zero(nvars)
         if nvars == 0:
-            total = sum(a.constant() * b.constant() for a, b in pairs)
-            return Slot.wrap({(): total} if total else {}, 0)
+            # recorded pairs are nonzero, so each holds its constant term
+            total = sum(a.terms[()] * b.terms[()] for a, b in pairs)
+            return Slot(0, terms={(): total} if total else {})
         if all(a.arr is not None and b.arr is not None for a, b in pairs):
             lo, hi = _corners(pairs, nvars)
             stride = _stride(lo, hi)

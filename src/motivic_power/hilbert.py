@@ -9,8 +9,8 @@ operation, which is what makes the Euler-characteristic and
 Hodge-Deligne formulas drop out.
 
 The punctual surface series does not depend on the variety, so it is
-built once per process and kernel (the largest order asked for is kept
-and truncated on later requests).  It is assembled from its Euler
+built once per process (the largest order asked for is kept and
+truncated on later requests).  It is assembled from its Euler
 exponents L^(k-1), and it carries them in its factorization cache, so
 raising it to a power runs only the forward recurrence; the
 Hodge-Deligne step carries the exponents across L -> uv as (uv)^(k-1).
@@ -18,13 +18,12 @@ Hodge-Deligne step carries the exponents across L -> uv as (uv)^(k-1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from . import localdata
 from .localdata import MOTIVIC_RING
 from .power import (
     EulerProduct,
-    Kernel,
     MONOMIAL_KERNEL,
     base_series,
     exp_map,
@@ -114,8 +113,8 @@ class LocalHilbertData:
         if order == self.series.order:
             return self
         series = self.series.truncate(order)
-        for kernel, product in self.series._factor_cache.items():
-            series._factor_cache[kernel] = EulerProduct(
+        for key, product in self.series._factor_cache.items():
+            series._factor_cache[key] = EulerProduct(
                 series.ring, order, product.exponents[:order])
         return LocalHilbertData(self.dimension, series)
 
@@ -147,53 +146,53 @@ class LocalHilbertData:
         return cls(dimension, series)
 
 
-def _surface_series(order: int, kernel: Kernel) -> Series:
+def _surface_series(order: int) -> Series:
     """prod_k (1 - L^(k-1) t^k)^(-1) to the given order, oracle-checked.
 
     The product is Exp of sum_k L^(k-1) t^k; its low-order coefficients
     must agree with the bundled file, which was generated from the
     partition-sum oracle.  The series was assembled from exactly those
     exponents and the factorization is unique, so they go into its
-    factorization cache under ``kernel``.
+    factorization cache.
     """
     L = Polynomial.variable(MOTIVIC_RING, "L")
     exponents = [L ** (k - 1) for k in range(1, order + 1)]
-    series = exp_map(exponents, order=order, ring=MOTIVIC_RING, kernel=kernel)
+    series = exp_map(exponents, order=order, ring=MOTIVIC_RING)
     bundled = localdata.load_surface_series()
     depth = min(order, bundled.order)
     if series.truncate(depth) != bundled.truncate(depth):
         raise AssertionError(
             "surface series disagrees with the bundled oracle-generated data"
         )
-    series._factor_cache[kernel] = EulerProduct(MOTIVIC_RING, order, exponents)
+    series._factor_cache[MONOMIAL_KERNEL] = EulerProduct(MOTIVIC_RING, order,
+                                                         exponents)
     return series
 
 
-# The largest punctual surface series built so far, per kernel.
-_SURFACE_CACHE: Dict[Kernel, LocalHilbertData] = {}
+# The largest punctual surface series built so far.
+_SURFACE_CACHE: Optional[LocalHilbertData] = None
 
 
-def _surface_local(order: int, kernel: Kernel) -> LocalHilbertData:
-    cached = _SURFACE_CACHE.get(kernel)
-    if cached is None or cached.series.order < order:
-        cached = LocalHilbertData(2, _surface_series(order, kernel))
-        _SURFACE_CACHE[kernel] = cached
-    return cached.truncate(order)
+def _surface_local(order: int) -> LocalHilbertData:
+    global _SURFACE_CACHE
+    if _SURFACE_CACHE is None or _SURFACE_CACHE.series.order < order:
+        _SURFACE_CACHE = LocalHilbertData(2, _surface_series(order))
+    return _SURFACE_CACHE.truncate(order)
 
 
 def local_series(dimension: int, order: int,
-                 user_data: Optional[LocalHilbertData] = None,
-                 kernel: Kernel = MONOMIAL_KERNEL) -> LocalHilbertData:
+                 user_data: Optional[LocalHilbertData] = None
+                 ) -> LocalHilbertData:
     """Punctual series for affine d-space: bundled for d <= 2, else supplied.
 
     For curves every degree contributes the single ideal (t^n), so the
     series is all ones.  For surfaces the series is the classical
     infinite product, validated against the bundled partition-sum data
-    when first built; it is kept for the rest of the process (per
-    kernel, at the largest order requested) and carries its Euler
-    exponents L^(k-1) in its factorization cache.  Higher dimensions
-    have no bundled closed form and require ``user_data``, which is
-    returned truncated and never cached.
+    when first built; it is kept for the rest of the process (at the
+    largest order requested) and carries its Euler exponents L^(k-1) in
+    its factorization cache.  Higher dimensions have no bundled closed
+    form and require ``user_data``, which is returned truncated and
+    never cached.
     """
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a nonnegative integer")
@@ -213,15 +212,15 @@ def local_series(dimension: int, order: int,
         ones = Series(MOTIVIC_RING, order, [1] * (order + 1))
         return LocalHilbertData(1, ones)
     if dimension == 2:
-        return _surface_local(order, kernel)
+        return _surface_local(order)
     raise ValueError(
         "no closed form is bundled for dimension %d; supply user_data "
         "with the punctual series" % dimension
     )
 
 
-def global_series(X: VarietyClass, local: LocalHilbertData, order: int,
-                  kernel: Kernel = MONOMIAL_KERNEL) -> Series:
+def global_series(X: VarietyClass, local: LocalHilbertData,
+                  order: int) -> Series:
     """Generating series of the Hilbert schemes of X: local series to the [X]."""
     if X.representation.ring != local.series.ring:
         raise RingMismatchError(
@@ -233,7 +232,7 @@ def global_series(X: VarietyClass, local: LocalHilbertData, order: int,
             "class has dimension %d, local data dimension %d"
             % (X.dimension, local.dimension)
         )
-    return pow_series(local.truncate(order).series, X.representation, kernel)
+    return pow_series(local.truncate(order).series, X.representation)
 
 
 def euler_specialization(S: Series) -> Series:
@@ -245,8 +244,8 @@ def euler_specialization(S: Series) -> Series:
 
 
 def hodge_deligne_series(X: VarietyClass, order: int,
-                         user_data: Optional[LocalHilbertData] = None,
-                         kernel: Kernel = MONOMIAL_KERNEL) -> Series:
+                         user_data: Optional[LocalHilbertData] = None
+                         ) -> Series:
     """Series of Hodge-Deligne polynomials of the Hilbert schemes of X.
 
     ``X.representation`` is the polynomial e_X itself, in a two-variable
@@ -258,32 +257,31 @@ def hodge_deligne_series(X: VarietyClass, order: int,
         raise RingMismatchError(
             "Hodge-Deligne input must live in a two-variable ring, got %s" % target
         )
-    local = local_series(X.dimension, order, user_data, kernel)
-    return pow_series(_uv_image(local.series, target, kernel),
-                      X.representation, kernel)
+    local = local_series(X.dimension, order, user_data)
+    return pow_series(_uv_image(local.series, target), X.representation)
 
 
-def _uv_image(series: Series, target: RingDescriptor, kernel: Kernel) -> Series:
+def _uv_image(series: Series, target: RingDescriptor) -> Series:
     """The local series under L -> uv, with its factorization transported.
 
     L -> uv sends monomials to unit monomials, which commutes with the
     monomial kernel (see :func:`power.transport_check`), so a cached
-    factorization maps exponent by exponent.  Other kernels get none.
+    factorization maps exponent by exponent.
     """
     u, v = (Polynomial.variable(target, name) for name in target.variables)
     to_uv = MonomialMap(series.ring, target, {series.ring.variables[0]: u * v})
     mapped = series.map_coefficients(to_uv, target)
-    known = series._factor_cache.get(kernel)
-    if kernel is MONOMIAL_KERNEL and known is not None:
-        mapped._factor_cache[kernel] = EulerProduct(
+    known = series._factor_cache.get(MONOMIAL_KERNEL)
+    if known is not None:
+        mapped._factor_cache[MONOMIAL_KERNEL] = EulerProduct(
             target, known.order, [to_uv(b) for b in known.exponents])
     return mapped
 
 
-def kapranov_zeta(X, order: int, kernel: Kernel = MONOMIAL_KERNEL) -> Series:
+def kapranov_zeta(X, order: int) -> Series:
     """Zeta series of a class: coefficient n is the n-th symmetric power."""
     rep = X.representation if isinstance(X, VarietyClass) else X
-    return base_series(rep, order, kernel)
+    return base_series(rep, order)
 
 
 def _direct_affine_series(dimension: int, order: int) -> Series:
@@ -309,7 +307,6 @@ def _direct_affine_series(dimension: int, order: int) -> Series:
 
 
 def affine_consistency_check(dimension: int, order: int,
-                             kernel: Kernel = MONOMIAL_KERNEL,
                              report: Optional[List[str]] = None) -> bool:
     """Check the local-to-global pipeline on affine space itself.
 
@@ -322,9 +319,9 @@ def affine_consistency_check(dimension: int, order: int,
     """
     if report is None:
         report = []
-    local = local_series(dimension, order, kernel=kernel).series
+    local = local_series(dimension, order).series
     L = Polynomial.variable(MOTIVIC_RING, "L")
-    affine = pow_series(local, L ** dimension, kernel)
+    affine = pow_series(local, L ** dimension)
     if affine != _direct_affine_series(dimension, order):
         report.append(
             "d=%d: local series to the power L^%d does not match the "
@@ -334,8 +331,8 @@ def affine_consistency_check(dimension: int, order: int,
     samples = [Polynomial.zero(MOTIVIC_RING), Polynomial.one(MOTIVIC_RING),
                L, L + 1, L ** 2, 2 * L]
     for X in samples:
-        lhs = pow_series(affine, inverse_power * X, kernel)
-        rhs = pow_series(local, X, kernel)
+        lhs = pow_series(affine, inverse_power * X)
+        rhs = pow_series(local, X)
         if lhs != rhs:
             report.append(
                 "d=%d: rescaled power disagrees at [X] = %s" % (dimension, X)

@@ -1,8 +1,11 @@
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
-from motivic_power.cli import main
+from motivic_power.cli import MAX_LOCAL_DATA_BYTES, main
 from motivic_power.hilbert import LocalHilbertData
 from motivic_power.localdata import MOTIVIC_RING
 from motivic_power.power import EulerProduct
@@ -83,6 +86,63 @@ class TestSeriesCommands:
                            "--truncate", "3")
         assert code == 0
         assert out == "b_1: 1\nb_2: 0\nb_3: 0\n"
+
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("alias,command,argv", [
+        ("exp", "assemble", ["--exponents", "u*v", "-1", "--vars", "u", "v",
+                             "--truncate", "4"]),
+        ("exp", "assemble", ["--exponents", "L^-1+2", "L", "--vars", "L",
+                             "--laurent", "--truncate", "5"]),
+        ("exp", "assemble", ["--exponents", "3", "--truncate", "0"]),
+        ("log", "factor", ["--series", "1+t+t^2", "--truncate", "5"]),
+        ("log", "factor", ["--series", "1+(L^-1+L)*t-t^3", "--vars", "L",
+                           "--laurent", "--truncate", "6"]),
+        ("log", "factor", ["--series", "1", "--truncate", "0"]),
+    ])
+    def test_exp_and_log_print_what_assemble_and_factor_print(
+            self, capsys, fmt, alias, command, argv):
+        argv = argv + ["--format", fmt]
+        code, out, _ = run(capsys, alias, *argv)
+        assert code == 0
+        assert run(capsys, command, *argv) == (0, out, "")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """(argv, printed t^k lines) for each command of the README's CLI block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    commands = []
+    for line in block.split("```", 1)[0].splitlines():
+        if line.startswith("motivic-power "):
+            commands.append((shlex.split(line, comments=True)[1:], []))
+        elif line.startswith("# t^"):
+            commands[-1][1].append(line[2:])
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+class TestReadmeCommands:
+    def test_block_is_found(self):
+        assert len(README_COMMANDS) >= 12
+        assert any(printed for _, printed in README_COMMANDS)
+
+    @pytest.mark.parametrize("argv,printed", [
+        pytest.param(argv, printed, id=" ".join(argv), marks=(
+            [pytest.mark.skip(reason="punctual_d3.json is not shipped")]
+            if "punctual_d3.json" in argv else []))
+        for argv, printed in README_COMMANDS
+    ])
+    def test_command_runs(self, capsys, argv, printed):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if printed:
+            assert out.splitlines() == printed
 
 
 class TestJsonOutput:
@@ -284,6 +344,35 @@ class TestCostBound:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith("error: request too large")
+
+    def test_deeply_nested_local_data_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hilbert", "--dim", "3", "--class",
+                             "L^3+1", "--local-data", str(path),
+                             "--truncate", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "nests too deeply" in err
+
+    def test_local_data_above_the_byte_bound_is_refused_unread(
+            self, capsys, tmp_path):
+        L = Polynomial.variable(MOTIVIC_RING, "L")
+        series = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + L + L ** 3])
+        text = json.dumps(LocalHilbertData(3, series).to_json(source="t"))
+        argv = ["hilbert", "--dim", "3", "--class", "1", "--truncate", "3",
+                "--local-data"]
+        path = tmp_path / "padded.json"
+        path.write_text(text.ljust(MAX_LOCAL_DATA_BYTES), encoding="utf-8")
+        code, out, _ = run(capsys, *argv, str(path))
+        assert code == 0 and out.splitlines()[3] == "t^3: L^3 + L + 1"
+        path.write_text(text.ljust(MAX_LOCAL_DATA_BYTES + 1), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "larger than" in err
 
     def test_local_data_moves_the_estimate(self, capsys, monkeypatch, tmp_path):
         L = Polynomial.variable(MOTIVIC_RING, "L")

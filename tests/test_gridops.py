@@ -54,7 +54,8 @@ def test_exact_conv_matches_dict_product(bound):
             tb = random_terms(rng, ring, min(bound, 2 ** 61))
             want = dict_product(ta, tb, ring.nvars)
             sa, sb = Slot.wrap(ta, ring.nvars), Slot.wrap(tb, ring.nvars)
-            if bound <= 2 ** 61:
+            if bound <= 2 ** 61 and ring.nvars:
+                # slots in no variables are term maps: Z never packs
                 assert exact_conv_terms(sa, sb, ring.nvars) == want
             assert slot_product(sa, sb, ring.nvars).to_terms() == want
 
@@ -122,6 +123,21 @@ def test_grid_round_trip_with_laurent_offsets():
     assert slot.arr is not None and slot.stats[2:] == ((-3,), (2,))
     assert slot.to_terms() == p.terms
     assert slot.to_polynomial(LAURENT_L) == p
+
+
+def test_slots_in_no_variables_are_term_maps():
+    for terms in ({}, {(): 5}, {(): -(2 ** 61)}, {(): 2 ** 62}):
+        slot = Slot.wrap(terms, 0)
+        assert slot.arr is None and slot.terms == terms
+    one = Slot.one(0)
+    assert one.arr is None and one.terms == {(): 1}
+    acc = SlotAccumulator(0)
+    acc.add_pair(Slot.wrap({(): 3}, 0), Slot.wrap({(): -4}, 0))
+    product = acc.result()
+    assert product.arr is None and product.terms == {(): -12}
+    combo = slot_linear([(2, Slot.wrap({(): 3}, 0)), (1, Slot.wrap({(): -6}, 0))],
+                        0)
+    assert combo.arr is None and combo.is_zero
 
 
 def test_zero_and_unit_slots():

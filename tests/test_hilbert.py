@@ -291,8 +291,7 @@ class TestSurfaceSeriesCache:
         assert factor(copy) == seeded
 
     def test_uv_image_factorization_matches_reverse_recurrence(self):
-        mapped = hilbert._uv_image(local_series(2, 60).series, UV,
-                                   MONOMIAL_KERNEL)
+        mapped = hilbert._uv_image(local_series(2, 60).series, UV)
         seeded = mapped._factor_cache[MONOMIAL_KERNEL]
         uv = Polynomial(UV, {(1, 1): 1})
         assert seeded == EulerProduct(
@@ -301,30 +300,30 @@ class TestSurfaceSeriesCache:
 
     def test_uv_image_of_unfactored_series_carries_nothing(self):
         series = self.fresh_copy(local_series(2, 6).series)
-        assert not hilbert._uv_image(series, UV, MONOMIAL_KERNEL)._factor_cache
+        assert not hilbert._uv_image(series, UV)._factor_cache
 
     def test_lower_order_after_higher_equals_fresh_build(self, monkeypatch):
-        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", {})
+        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", None)
         high = local_series(2, 40)
         low = local_series(2, 20)
-        fresh = hilbert._surface_series(20, MONOMIAL_KERNEL)
+        fresh = hilbert._surface_series(20)
         assert low.series == fresh
         assert low.series._factor_cache == fresh._factor_cache
         assert low.series == high.series.truncate(20)
-        assert hilbert._SURFACE_CACHE[MONOMIAL_KERNEL].series.order == 40
+        assert hilbert._SURFACE_CACHE.series.order == 40
 
     def test_built_once_per_order(self, monkeypatch):
-        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", {})
+        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", None)
         calls = []
         build = hilbert._surface_series
 
-        def counted(order, kernel):
+        def counted(order):
             calls.append(order)
-            return build(order, kernel)
+            return build(order)
 
         monkeypatch.setattr(hilbert, "_surface_series", counted)
         for order in (10, 10, 5, 12, 8):
-            assert local_series(2, order).series == build(order, MONOMIAL_KERNEL)
+            assert local_series(2, order).series == build(order)
         assert calls == [10, 12]
 
     def test_global_series_reads_the_seeded_factorization(self, monkeypatch):

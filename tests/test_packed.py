@@ -23,6 +23,7 @@ from motivic_power.gridops import (
     Slot,
     SlotAccumulator,
     _packed_sum,
+    slot_linear,
     slot_product,
 )
 from motivic_power.power import (
@@ -96,9 +97,10 @@ def test_sum_of_products_matches_dict(data):
     for a, b in slots:
         acc.add_pair(a, b)
     assert acc.result().to_terms() == want
-    # the packed route itself, whatever the size of the values
+    # the packed route itself, whatever the size of the values; Z sums
+    # are plain integer sums, checked through the accumulator above
     live = [(a, b) for a, b in slots if not a.is_zero and not b.is_zero]
-    if live:
+    if live and nvars:
         assert _packed_sum(live, nvars, acc.bound) == want
 
 
@@ -115,6 +117,10 @@ def test_exact_conv_of_grids_matches_dict(data):
     want = dict_sum([(ta, tb)], ring.nvars)
     if a.is_zero or b.is_zero:
         assert want == {}
+    elif not ring.nvars:
+        # a slot in no variables is a term map, multiplied as integers
+        assert a.terms is not None and b.terms is not None
+        assert slot_product(a, b, 0).to_terms() == want
     else:
         assert a.arr is not None and b.arr is not None
         (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
@@ -138,6 +144,35 @@ def test_frobenius_spread_operand_matches_dict(data):
         na, ma, _, _ = a.stats
         nb, mb, _, _ = b.stats
         assert _packed_sum([(a, b)], nvars, min(na, nb) * ma * mb) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_slot_linear_matches_dict(data):
+    # values on both sides of 2^62 put some slots on int64 lines and send
+    # others, or a line sum that would pass 2^62, to the term-map sum
+    ring = data.draw(st.sampled_from(RINGS))
+    nvars = ring.nvars
+    near = st.builds(lambda base, d, sign: sign * (base + d),
+                     st.sampled_from([2 ** 62 - 4, 2 ** 62]),
+                     st.integers(0, 3), st.sampled_from([1, -1]))
+    values = st.one_of(st.integers(-5, 5), near,
+                       st.integers(-(2 ** 61), 2 ** 61)).filter(bool)
+    lo = -2 if ring.laurent else 0
+    exps = st.tuples(*[st.integers(lo, 2)] * nvars)
+    scalars = st.one_of(st.integers(-3, 3), st.sampled_from([2 ** 40, -(2 ** 40)]))
+    pieces = data.draw(st.lists(
+        st.tuples(scalars, st.dictionaries(exps, values, max_size=5)),
+        max_size=5))
+    want = {}
+    for k, terms in pieces:
+        for e, c in terms.items():
+            want[e] = want.get(e, 0) + k * c
+    want = {e: c for e, c in want.items() if c}
+    combo = slot_linear([(k, Slot.wrap(t, nvars)) for k, t in pieces], nvars)
+    assert combo.to_terms() == want
+    if not nvars:
+        assert combo.arr is None
 
 
 def test_sparse_operand_is_applied_term_by_term():
