@@ -1,13 +1,13 @@
-"""Exact sums of polynomial products in at most two variables.
+"""Exact sums of polynomial products.
 
 The series pipelines spend their time in sums of polynomial products:
 ``sum_m g_m f_(n-m)`` in the log-derivative recurrences and
-``sum_i a_i b_(k-i)`` in series products.  Over rings that pass
-:func:`on_slots` every polynomial of such a pipeline is a :class:`Slot`:
-a dense int64 array when all its coefficients are below 2**62 in
-magnitude, and a term map otherwise.  :class:`SlotAccumulator` collects
-the pairs of one sum and computes the whole sum by one of two exact
-routes, chosen once from the exact integer bound
+``sum_i a_i b_(k-i)`` in series products.  Every polynomial of such a
+pipeline is a :class:`Slot`: in one or two variables, a dense int64
+array when all its coefficients are below 2**62 in magnitude, and a term
+map otherwise.  :class:`SlotAccumulator` collects the pairs of one sum
+and computes the whole sum by one of two exact routes, chosen once from
+the exact integer bound
 
     B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|,
 
@@ -27,10 +27,10 @@ which no coefficient of the sum can exceed in magnitude:
   Frobenius-spread g_m, say) is applied as shifted scalar multiples of
   the other operand instead of a full multiply.
 
-A slot in no variables is always a term map ``{(): c}``, and sums of
-such constants are plain Python integer sums.  Rings with more variables
-do not run on slots; their callers use the dict arithmetic of
-:mod:`motivic_power.rings`.
+The line layout covers at most two variables.  A slot in no variables
+is always a term map ``{(): c}``, and sums of such constants are plain
+Python integer sums.  A slot in three or more variables is always a term
+map too, and their sums are dict sums of term-by-term products.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rings import Polynomial, RingDescriptor
+from .rings import Polynomial, RingDescriptor, _accumulate_product
 
 # Certified values stay below 2**62.  The float bounds compared against
 # this are deliberate over-estimates padded by (1 + 1e-9), which dwarfs
@@ -53,14 +53,6 @@ _MIN_WIDTH = 64
 
 Exps = Tuple[int, ...]
 Terms = Dict[Exps, int]
-
-
-def on_slots(ring: RingDescriptor) -> bool:
-    """Do polynomials over ``ring`` run on slots?
-
-    The line layout x -> z^S, y -> z covers at most two variables.
-    """
-    return ring.nvars <= 2
 
 
 def _hull(exps: Sequence[Exps], nvars: int) -> Tuple[Exps, Exps]:
@@ -253,9 +245,10 @@ class Slot:
     Exactly one of ``arr`` and ``terms`` is set.  ``arr`` is a dense
     int64 array, every value below 2**62 in magnitude, indexed by
     exponent minus the low corner (zeros allowed).  ``terms`` is a term
-    map of any magnitude; a slot in no variables is always one.  ``stats`` is
-    (nnz, max |coefficient|, low corner, high corner), where the corners
-    bound the exponents: the array's box, or the term map's exact hull.
+    map of any magnitude; a slot in no variables, or in more than two, is
+    always one.  ``stats`` is (nnz, max |coefficient|, low corner, high
+    corner), where the corners bound the exponents: the array's box, or
+    the term map's exact hull.
     """
 
     __slots__ = ("nvars", "arr", "terms", "stats", "_packed", "_spread")
@@ -271,7 +264,7 @@ class Slot:
                           tuple(o + n - 1 for o, n in zip(lo, arr.shape)))
         elif terms:
             self.stats = (len(terms), max(abs(c) for c in terms.values()),
-                          *_hull(list(terms), nvars))
+                          *(_hull(list(terms), nvars) if nvars else ((), ())))
         else:
             self.stats = (0, 0, (0,) * nvars, (0,) * nvars)
         self._packed = None
@@ -284,9 +277,9 @@ class Slot:
 
     @classmethod
     def wrap(cls, terms: Terms, nvars: int) -> "Slot":
-        """An int64 array when there are variables and every coefficient is
-        below 2**62, else a term map."""
-        if not nvars or not terms:
+        """An int64 array when there are one or two variables and every
+        coefficient is below 2**62, else a term map."""
+        if not terms or not 0 < nvars <= 2:
             return cls(nvars, terms=dict(terms))
         for c in terms.values():
             if c >= _LIMIT_INT or -c >= _LIMIT_INT:
@@ -388,7 +381,8 @@ class SlotAccumulator:
     bound; ``result`` runs every pair on int64 arrays when the whole sum
     is certified there, and on packed integers otherwise.  Constants
     (no variables) are summed as Python integers, which is exact at any
-    size and skips the per-pair packing work.
+    size and skips the per-pair packing work; term maps in three or more
+    variables are summed term by term into one dict.
     """
 
     def __init__(self, nvars: int):
@@ -412,6 +406,11 @@ class SlotAccumulator:
             # recorded pairs are nonzero, so each holds its constant term
             total = sum(a.terms[()] * b.terms[()] for a, b in pairs)
             return Slot(0, terms={(): total} if total else {})
+        if nvars > 2:
+            acc: Terms = {}
+            for a, b in pairs:
+                _accumulate_product(acc, a.terms, b.terms, nvars)
+            return Slot(nvars, terms={e: c for e, c in acc.items() if c})
         if all(a.arr is not None and b.arr is not None for a, b in pairs):
             lo, hi = _corners(pairs, nvars)
             stride = _stride(lo, hi)

@@ -17,15 +17,14 @@ the logarithmic-derivative recurrence of the product,
     n f_n = sum_{m=1..n} g_m f_{n-m},   g_m = sum_{i | m} i * b_i(u^(m/i)),
 
 solved forwards (exponents to series) or backwards (series to exponents)
-over the rings that pass :func:`gridops.on_slots` (Z, Z[L^(+-)],
-Z[u, v]).  The sum of each step runs through
-:class:`gridops.SlotAccumulator`: as plain integers over Z, on int64
-arrays when every value is certified below 2^62, and otherwise on
-Kronecker-packed Python integers, unpacked once per step before the
-exact division by n.  Rings with more variables use explicit peeling
-and block products on the dict representation.  The routes compute the
-identical integers; the generic route is also what user-supplied
-kernels get.
+over every ring.  The sum of each step runs through
+:class:`gridops.SlotAccumulator` before the exact division by n: as
+plain integers over Z, on int64 arrays when every value is certified
+below 2^62, on Kronecker-packed Python integers otherwise, and as dict
+sums in three or more variables.  User-supplied kernels get explicit
+peeling and block products instead; the dict recurrence
+``_monomial_base_exact`` stays as the reference the tests compare the
+built-in kernel with.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import itertools
 from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 from . import gridops
-from .gridops import Slot, on_slots
+from .gridops import Slot
 from .rings import (
     MonomialMap,
     Polynomial,
@@ -58,7 +57,7 @@ def _divisors(n: int) -> List[int]:
     return [i for i in range(1, n + 1) if n % i == 0]
 
 
-# -- exact dict-based recurrence (reference and fallback) ---------------
+# -- exact dict-based recurrence (reference) ----------------------------
 
 def _monomial_base_exact(a: Polynomial, order: int) -> Series:
     ring = a.ring
@@ -87,13 +86,11 @@ def _monomial_base_exact(a: Polynomial, order: int) -> Series:
     return Series._raw(ring, order, coeffs)
 
 
-# -- slot pipelines (int64 arrays, packed integers past 2^62) ------------
+# -- slot pipelines (every ring) ----------------------------------------
 
 def _monomial_base(a: Polynomial, order: int) -> Series:
     """(1-t)^{-a}: the Euler product with exponents (a, 0, ..., 0)."""
     ring = a.ring
-    if not on_slots(ring):
-        return _monomial_base_exact(a, order)
     b = [Slot.wrap(a._terms, ring.nvars)] + [Slot.zero(ring.nvars)] * (order - 1)
     return _assemble_slots(ring, order, b)
 
@@ -334,7 +331,7 @@ def factor(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> EulerProduct:
         return cached
     if not A.is_unital():
         raise ValueError("only unital series (constant term 1) factor uniquely")
-    if kernel is MONOMIAL_KERNEL and on_slots(A.ring):
+    if kernel is MONOMIAL_KERNEL:
         exponents = _factor_fast(A)
     else:
         exponents = _factor_peeling(A, kernel)
@@ -361,7 +358,7 @@ def _assemble_fast(ring: RingDescriptor, order: int,
 def assemble(product: EulerProduct,
              kernel: Kernel = MONOMIAL_KERNEL) -> Series:
     """Multiply out prod_{i=1..N} (1-t^i)^{-b_i}, truncated at N."""
-    if kernel is MONOMIAL_KERNEL and on_slots(product.ring):
+    if kernel is MONOMIAL_KERNEL:
         return _assemble_fast(product.ring, product.order, product.exponents)
     return _assemble_blocks(product.ring, product.order, product.exponents,
                             kernel)
@@ -387,7 +384,7 @@ def pow_series(A: Series, m: Polynomial,
         )
     if not A.is_unital():
         raise ValueError("only unital series (constant term 1) can be powered")
-    if kernel is MONOMIAL_KERNEL and on_slots(A.ring):
+    if kernel is MONOMIAL_KERNEL:
         return _pow_fast(A, m)
     scaled = [b * m for b in factor(A, kernel).exponents]
     return _assemble_blocks(A.ring, A.order, scaled, kernel)

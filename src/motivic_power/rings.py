@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, Iterable, Mapping, Tuple
 
 Exponents = Tuple[int, ...]
@@ -116,7 +117,7 @@ def _accumulate_product(acc: Dict[Exponents, int], pterms, qterms, nvars: int):
     else:
         for e1, c1 in pterms.items():
             for e2, c2 in qterms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
 
 

@@ -4,19 +4,16 @@ A series of order N stores exactly the coefficients of t^0 .. t^N; all
 arithmetic is exact and happens mod t^(N+1).  Operations on two series
 require equal orders (truncate first), and extending a series beyond its
 known order is an error: the missing coefficients are simply not known.
+Products and inverses sum their coefficient products on
+:class:`gridops.SlotAccumulator`, over every ring.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Mapping, Sequence, Union
 
-from .gridops import Slot, SlotAccumulator, on_slots
-from .rings import (
-    Polynomial,
-    RingDescriptor,
-    RingMismatchError,
-    _accumulate_product,
-)
+from .gridops import Slot, SlotAccumulator
+from .rings import Polynomial, RingDescriptor, RingMismatchError
 
 
 class Series:
@@ -93,27 +90,6 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        if on_slots(self.ring):
-            return self._mul_grids(other)
-        return self._mul_exact(other)
-
-    def _mul_exact(self, other: "Series") -> "Series":
-        ring = self.ring
-        nvars = ring.nvars
-        a = self.coefficients
-        b = other.coefficients
-        out = []
-        for k in range(self.order + 1):
-            acc = {}
-            for i in range(k + 1):
-                p = a[i]
-                q = b[k - i]
-                if p._terms and q._terms:
-                    _accumulate_product(acc, p._terms, q._terms, nvars)
-            out.append(Polynomial._raw(ring, {e: c for e, c in acc.items() if c}))
-        return Series._raw(ring, self.order, out)
-
-    def _mul_grids(self, other: "Series") -> "Series":
         ring = self.ring
         nvars = ring.nvars
         a = [Slot.wrap(c._terms, nvars) for c in self.coefficients]
@@ -146,19 +122,15 @@ class Series:
             raise ValueError("only series with constant term 1 can be inverted")
         ring = self.ring
         nvars = ring.nvars
-        a = self.coefficients
-        support = [j for j in range(1, self.order + 1) if a[j]._terms]
-        inv = [Polynomial.one(ring)]
+        negated = [Slot.wrap({e: -c for e, c in p._terms.items()}, nvars)
+                   for p in self.coefficients]
+        inv = [Slot.one(nvars)]
         for k in range(1, self.order + 1):
-            acc = {}
-            for j in support:
-                if j > k:
-                    break
-                q = inv[k - j]
-                if q._terms:
-                    _accumulate_product(acc, a[j]._terms, q._terms, nvars)
-            inv.append(Polynomial._raw(ring, {e: -c for e, c in acc.items() if c}))
-        return Series._raw(ring, self.order, inv)
+            acc = SlotAccumulator(nvars)
+            for j in range(1, k + 1):
+                acc.add_pair(negated[j], inv[k - j])
+            inv.append(acc.result())
+        return Series._raw(ring, self.order, [x.to_polynomial(ring) for x in inv])
 
     def rescale(self, k: int) -> "Series":
         """Substitute t -> t^k, truncating at the same order."""

@@ -1,12 +1,52 @@
 import pytest
 from hypothesis import strategies as st
 
-from motivic_power.rings import INTEGERS, Polynomial, RingDescriptor
+from motivic_power.rings import (
+    INTEGERS,
+    Polynomial,
+    RingDescriptor,
+    _accumulate_product,
+)
+from motivic_power.series import Series
 
 LAURENT_L = RingDescriptor(("L",), laurent=True)
 UV = RingDescriptor(("u", "v"))
+UVW = RingDescriptor(("u", "v", "w"))
 
 ALL_RINGS = [INTEGERS, LAURENT_L, UV]
+
+
+def dict_series_product(A, B):
+    """A * B summed in plain dicts: the series-product reference."""
+    ring = A.ring
+    nvars = ring.nvars
+    a = A.coefficients
+    b = B.coefficients
+    out = []
+    for k in range(A.order + 1):
+        acc = {}
+        for i in range(k + 1):
+            p = a[i]
+            q = b[k - i]
+            if p._terms and q._terms:
+                _accumulate_product(acc, p._terms, q._terms, nvars)
+        out.append(Polynomial._raw(ring, {e: c for e, c in acc.items() if c}))
+    return Series._raw(ring, A.order, out)
+
+
+def dict_inverse(A):
+    """A^(-1) by inv_k = -sum_j a_j inv_(k-j) in plain dicts: the reference."""
+    ring = A.ring
+    a = A.coefficients
+    inv = [Polynomial.one(ring)]
+    for k in range(1, A.order + 1):
+        acc = {}
+        for j in range(1, k + 1):
+            if a[j]._terms and inv[k - j]._terms:
+                _accumulate_product(acc, a[j]._terms, inv[k - j]._terms,
+                                    ring.nvars)
+        inv.append(Polynomial._raw(ring, {e: -c for e, c in acc.items() if c}))
+    return Series._raw(ring, A.order, inv)
 
 
 def exponent_vectors(ring, max_degree=2):

@@ -324,6 +324,21 @@ class TestCostBound:
                              "1", "--vars", "x") > self.estimate(
             capsys, monkeypatch, "exp", "--exponents", "x", "1", "--vars", "x")
 
+    def test_three_variable_factor_near_the_bound_runs(self, capsys,
+                                                       monkeypatch):
+        # three variables run the priced recurrence, not Θ(N³) peeling:
+        # at order 30 peeling took over half a minute
+        from motivic_power.cli import MAX_COST
+        argv = ["factor", "--series", "1+(u+v+w)*t+u*v*w*t^2",
+                "--vars", "u", "v", "w", "--truncate", "38"]
+        assert 0.8 * MAX_COST < self.estimate(capsys, monkeypatch, *argv) \
+            <= MAX_COST
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        assert out.splitlines()[0] == "b_1: u + v + w"
+
     def test_wide_local_data_is_refused_at_once(self, capsys, tmp_path):
         # coefficient k spans L^0 .. L^(40k): a 2 MB file whose solve at
         # order 60 ran for about 19 s before it was priced

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from motivic_power import gridops
 from motivic_power.gridops import (
     Slot,
     SlotAccumulator,
@@ -14,7 +13,7 @@ from motivic_power.gridops import (
     slot_linear,
     slot_product,
 )
-from motivic_power.rings import Polynomial, RingDescriptor, _accumulate_product
+from motivic_power.rings import Polynomial, _accumulate_product
 
 from conftest import ALL_RINGS, LAURENT_L
 
@@ -112,9 +111,30 @@ def test_accumulator_matches_dict_reference():
         assert acc.result().to_terms() == reference
 
 
-def test_three_variables_refuse_slots():
-    assert all(gridops.on_slots(ring) for ring in ALL_RINGS)
-    assert not gridops.on_slots(RingDescriptor(("x", "y", "z")))
+def test_three_variable_slots_are_term_maps():
+    # no line layout in three variables: every slot is a term map, of
+    # small and huge values alike, and sums of products are dict sums
+    ta = {(0, 0, 0): 1, (1, 0, 2): -3, (0, 1, 1): 2 ** 61}
+    tb = {(0, 0, 1): 5, (2, 1, 0): -(2 ** 62) - 1}
+    a, b = Slot.wrap(ta, 3), Slot.wrap(tb, 3)
+    assert a.arr is None and a.terms == ta
+    assert b.arr is None and b.terms == tb
+    assert Slot.one(3).terms == {(0, 0, 0): 1}
+    acc = SlotAccumulator(3)
+    acc.add_pair(a, b)
+    acc.add_pair(b, b)
+    product = acc.result()
+    want = dict_product(ta, tb, 3)
+    for e, c in dict_product(tb, tb, 3).items():
+        want[e] = want.get(e, 0) + c
+    assert product.arr is None
+    assert product.terms == {e: c for e, c in want.items() if c}
+    spread = a.scale_exponents(2)
+    assert spread.arr is None
+    assert spread.terms == {tuple(2 * x for x in e): c for e, c in ta.items()}
+    combo = slot_linear([(2, a), (-1, Slot.wrap({(1, 0, 2): -6}, 3))], 3)
+    assert combo.arr is None
+    assert combo.terms == {(0, 0, 0): 2, (0, 1, 1): 2 ** 62}
 
 
 def test_grid_round_trip_with_laurent_offsets():

@@ -2,11 +2,12 @@
 
 Every result is compared with ``==`` against a plain dict reference:
 ``_accumulate_product`` for sums of products, ``_monomial_base_exact``
-for the kernel series, and ``_factor_peeling`` / ``_assemble_blocks``
-(run with dict series products) for factor and assemble.  Inputs aim at
-the places an exact route can go wrong: coefficients on both sides of
+for the kernel series, ``dict_series_product`` for series products, and
+``_factor_peeling`` / ``_assemble_blocks`` (run with dict series
+products and inverses) for factor and assemble.  Inputs aim at the
+places an exact route can go wrong: coefficients on both sides of
 +-2^62 and around +-2^200, mixed signs, negative Laurent offsets in one
-and two variables, zero and constant slots, sparse Frobenius-spread
+to three variables, zero and constant slots, sparse Frobenius-spread
 operands, digit widths that grow in the middle of a solve, and inexact
 divisions.
 """
@@ -44,10 +45,13 @@ from motivic_power.rings import (
 )
 from motivic_power.series import Series
 
-from conftest import LAURENT_L, UV
+from conftest import LAURENT_L, UV, UVW, dict_inverse, dict_series_product
 
 LAURENT_UV = RingDescriptor(("u", "v"), laurent=True)
+LAURENT_UVW = RingDescriptor(("u", "v", "w"), laurent=True)
 RINGS = [INTEGERS, LAURENT_L, UV, LAURENT_UV]
+# three variables have no line layout: their slots are term maps
+EVERY_RING = RINGS + [UVW, LAURENT_UVW]
 EDGES = [2 ** 62, 2 ** 200]
 
 DICT_KERNEL = Kernel("dict", _monomial_base_exact)
@@ -75,19 +79,19 @@ def dict_sum(pairs, nvars):
 
 @contextmanager
 def dict_series_products():
-    """Run Series products on the dict route only, for the references."""
-    saved = Series.__mul__
-    Series.__mul__ = Series._mul_exact
+    """Run Series products and inverses in plain dicts, for the references."""
+    saved = Series.__mul__, Series.inverse
+    Series.__mul__, Series.inverse = dict_series_product, dict_inverse
     try:
         yield
     finally:
-        Series.__mul__ = saved
+        Series.__mul__, Series.inverse = saved
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_sum_of_products_matches_dict(data):
-    ring = data.draw(st.sampled_from(RINGS))
+    ring = data.draw(st.sampled_from(EVERY_RING))
     nvars = ring.nvars
     pairs = data.draw(st.lists(st.tuples(term_maps(ring), term_maps(ring)),
                                min_size=1, max_size=4))
@@ -97,11 +101,13 @@ def test_sum_of_products_matches_dict(data):
     for a, b in slots:
         acc.add_pair(a, b)
     assert acc.result().to_terms() == want
-    # the packed route itself, whatever the size of the values; Z sums
-    # are plain integer sums, checked through the accumulator above
+    # the packed route itself, whatever the size of the values; sums over
+    # Z and in three variables never pack, checked through the accumulator
     live = [(a, b) for a, b in slots if not a.is_zero and not b.is_zero]
-    if live and nvars:
+    if live and 0 < nvars <= 2:
         assert _packed_sum(live, nvars, acc.bound) == want
+    if nvars > 2:
+        assert all(a.arr is None and b.arr is None for a, b in slots)
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,7 +157,7 @@ def test_frobenius_spread_operand_matches_dict(data):
 def test_slot_linear_matches_dict(data):
     # values on both sides of 2^62 put some slots on int64 lines and send
     # others, or a line sum that would pass 2^62, to the term-map sum
-    ring = data.draw(st.sampled_from(RINGS))
+    ring = data.draw(st.sampled_from(EVERY_RING))
     nvars = ring.nvars
     near = st.builds(lambda base, d, sign: sign * (base + d),
                      st.sampled_from([2 ** 62 - 4, 2 ** 62]),
@@ -171,7 +177,7 @@ def test_slot_linear_matches_dict(data):
     want = {e: c for e, c in want.items() if c}
     combo = slot_linear([(k, Slot.wrap(t, nvars)) for k, t in pieces], nvars)
     assert combo.to_terms() == want
-    if not nvars:
+    if not 0 < nvars <= 2:
         assert combo.arr is None
 
 
@@ -193,7 +199,7 @@ def test_sparse_operand_is_applied_term_by_term():
 
 
 def test_zero_and_constant_slots():
-    for nvars in (0, 1, 2):
+    for nvars in (0, 1, 2, 3):
         zero = Slot.zero(nvars)
         big = Slot.wrap({(0,) * nvars: -(2 ** 200) - 1}, nvars)
         assert slot_product(zero, big, nvars).is_zero
@@ -228,7 +234,7 @@ def test_digit_width_grows_mid_solve():
 
 
 def test_inexact_division_raises():
-    for nvars in (0, 1, 2):
+    for nvars in (0, 1, 2, 3):
         g = [None, Slot.wrap({(0,) * nvars: 2 ** 100 + 1}, nvars),
              Slot.zero(nvars)]
         with pytest.raises(ArithmeticError):
@@ -248,13 +254,14 @@ def unital_series(ring, order):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_recurrences_match_dict_references(data):
-    ring = data.draw(st.sampled_from(RINGS))
+    ring = data.draw(st.sampled_from(EVERY_RING))
     order = data.draw(st.integers(1, 4))
     a = Polynomial(ring, data.draw(term_maps(ring, max_size=3, degree=2)))
     assert _monomial_base(a, order) == _monomial_base_exact(a, order)
     A = data.draw(unital_series(ring, order))
     B = data.draw(unital_series(ring, order))
-    assert A._mul_grids(B) == A._mul_exact(B)
+    assert A * B == dict_series_product(A, B)
+    assert A.inverse() == dict_inverse(A)
     exps = data.draw(st.lists(term_maps(ring, max_size=2, degree=2),
                               min_size=order, max_size=order))
     exps = [Polynomial(ring, e) for e in exps]

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from motivic_power.rings import INTEGERS, Polynomial, RingMismatchError
 from motivic_power.series import Series
 
-from conftest import LAURENT_L, UV, polynomials
+from conftest import (
+    LAURENT_L,
+    UV,
+    UVW,
+    dict_inverse,
+    dict_series_product,
+    polynomials,
+)
 
 
 def series_over(ring, order=5, **kw):
@@ -66,10 +73,12 @@ class TestMultiplication:
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
 
-    @settings(max_examples=25, deadline=None)
-    @given(series_over(LAURENT_L, 5), series_over(LAURENT_L, 5))
-    def test_fast_path_matches_exact(self, a, b):
-        assert a._mul_grids(b) == a._mul_exact(b)
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([LAURENT_L, UVW]).flatmap(
+        lambda ring: st.tuples(series_over(ring, 5), series_over(ring, 5))))
+    def test_fast_path_matches_exact(self, pair):
+        a, b = pair
+        assert a * b == dict_series_product(a, b)
 
     def test_huge_coefficients_stay_exact(self):
         big = 10 ** 40
@@ -105,6 +114,12 @@ class TestInverse:
         one = Series.one(UV, 5)
         assert A * inv == one
         assert inv * A == one
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([INTEGERS, LAURENT_L, UV, UVW]).flatmap(
+        lambda ring: unital_over(ring, 5, coeff_bound=2 ** 70)))
+    def test_matches_dict_reference(self, A):
+        assert A.inverse() == dict_inverse(A)
 
 
 class TestRescaleTruncate:
