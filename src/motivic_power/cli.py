@@ -295,8 +295,13 @@ def _cmd_assemble(args, out) -> int:
     return 0
 
 
-def _load_local_data(path: str) -> LocalHilbertData:
-    """Read a ``--local-data`` file, refusing it before parsing when too big."""
+def _load_local_data(path: str, order: int) -> LocalHilbertData:
+    """Read a ``--local-data`` file, refusing it before parsing when too big.
+
+    Only the coefficients up to ``order`` are parsed: a series that
+    declares a higher order, and carries exactly the coefficients it
+    declares, is cut to that prefix first.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(MAX_LOCAL_DATA_BYTES + 1)
     if len(raw) > MAX_LOCAL_DATA_BYTES:
@@ -306,6 +311,13 @@ def _load_local_data(path: str) -> LocalHilbertData:
         payload = json.loads(raw)
     except RecursionError:
         raise ValueError("local data file %s nests too deeply" % path) from None
+    series = payload.get("series") if isinstance(payload, dict) else None
+    if isinstance(series, dict):
+        declared, coeffs = series.get("order"), series.get("coeffs")
+        if (type(declared) is int and declared > order
+                and isinstance(coeffs, list) and len(coeffs) == declared + 1):
+            payload = dict(payload, series=dict(series, order=order,
+                                                coeffs=coeffs[:order + 1]))
     return LocalHilbertData.from_json(payload)
 
 
@@ -315,7 +327,7 @@ def _cmd_hilbert(args, out) -> int:
     sizes = [expression_size(args.cls, ring)]
     user_data = None
     if args.local_data:
-        user_data = _load_local_data(args.local_data)
+        user_data = _load_local_data(args.local_data, args.truncate)
         sizes.append(_local_size(user_data, args.truncate, ring.nvars))
     _check_cost(_solve_cost(args.truncate, *sizes, spread=1))
     cls = VarietyClass(parse_polynomial(args.cls, ring), args.dim)

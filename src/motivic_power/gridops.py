@@ -1,31 +1,34 @@
-"""Exact sums of polynomial products.
+"""Exact sums of polynomial products and scaled polynomials.
 
-The series pipelines spend their time in sums of polynomial products:
-``sum_m g_m f_(n-m)`` in the log-derivative recurrences and
-``sum_i a_i b_(k-i)`` in series products.  Every polynomial of such a
-pipeline is a :class:`Slot`: in one or two variables, a dense int64
-array when all its coefficients are below 2**62 in magnitude, and a term
-map otherwise.  :class:`SlotAccumulator` collects the pairs of one sum
-and computes the whole sum by one of two exact routes, chosen once from
-the exact integer bound
+The series pipelines spend their time in sums such as
+``sum_m g_m f_(n-m) - n f_n`` in the log-derivative recurrences and
+``sum_i a_i b_(k-i)`` in series products: integer combinations of
+products of two polynomials and of polynomials scaled by an integer.
+Every polynomial of such a pipeline is a :class:`Slot`: in one or two
+variables, a dense int64 array when all its coefficients are below 2**62
+in magnitude, and a term map otherwise.  :class:`SlotAccumulator`
+collects the products and scaled slots of one sum and computes the whole
+sum by one of two exact routes, chosen once from the exact integer bound
 
-    B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|,
+    B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|
+      + sum over scaled slots of |k| * max|s|,
 
 which no coefficient of the sum can exceed in magnitude:
 
 * **int64 arrays** when every operand is an array and the sum is
   certified below 2**62: by B itself, or failing that by float64
   convolutions of absolute values, padded far beyond their own rounding
-  slop.  x -> z^S, y -> z lays every array of the sum on one line, with
-  the stride S taken from the exponent box of the sum, so each product
-  is one C-level convolution added into one line.
+  slop, added to the exact share of the scaled slots.  x -> z^S, y -> z
+  lays every array of the sum on one line, with the stride S taken from
+  the exponent box of the sum, so each product is one C-level
+  convolution and each scaled slot one scaled line, added into one line.
 * **packed integers** otherwise (Kronecker substitution): the same
   x -> z^S, y -> z followed by z -> 2^W turns each polynomial into one
   Python integer.  The digit width W comes from B plus a sign bit, an
-  exact integer.  The products of all pairs are added as integers and
-  the sum is unpacked once.  An operand with few terms (a
-  Frobenius-spread g_m, say) is applied as shifted scalar multiples of
-  the other operand instead of a full multiply.
+  exact integer.  The products of all pairs and the scaled slots are
+  added as integers and the sum is unpacked once.  An operand with few
+  terms (a Frobenius-spread g_m, say) is applied as shifted scalar
+  multiples of the other operand instead of a full multiply.
 
 The line layout covers at most two variables.  A slot in no variables
 is always a term map ``{(): c}``, and sums of such constants are plain
@@ -35,6 +38,7 @@ map too, and their sums are dict sums of term-by-term products.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,9 +94,13 @@ def _stride(lo: Exps, hi: Exps) -> int:
     return hi[1] - lo[1] + 1 if len(lo) == 2 else 0
 
 
-def _corners(pairs, nvars: int) -> Tuple[Exps, Exps]:
-    """Low and high corners bounding the exponents of a sum of products."""
+def _corners(pairs, scaled, nvars: int) -> Tuple[Exps, Exps]:
+    """Low and high corners bounding the exponents of a sum of products
+    and scaled slots (each scaled slot counts as a product with 1)."""
     stats = [(a.stats, b.stats) for a, b in pairs]
+    if scaled:
+        one = (1, 1, (0,) * nvars, (0,) * nvars)
+        stats += [(s.stats, one) for _, s in scaled]
     return (tuple(min(sa[2][i] + sb[2][i] for sa, sb in stats)
                   for i in range(nvars)),
             tuple(max(sa[3][i] + sb[3][i] for sa, sb in stats)
@@ -113,19 +121,20 @@ def _abs_bound_max(a: np.ndarray, b: np.ndarray) -> float:
     return worst * (1.0 + 1e-9) + 1.0
 
 
-def _float_certified(lines) -> bool:
-    """Do the float64 bounds of all line pairs sum below the int64 limit?
+def _float_certified(lines, share: int) -> bool:
+    """Do ``share``, the exact bound of the scaled slots, and the float64
+    bounds of all line pairs sum below the int64 limit?
 
     The exact bound works from maxima alone; this one convolves the
     absolute values, so it also certifies sums whose large coefficients
     never meet.  It gives up as soon as the running total fails.
     """
-    total = 0.0
+    total = float(share) * (1.0 + 1e-9)
     for _, a, b in lines:
-        total += _abs_bound_max(a, b)
         if total >= _LIMIT:
             return False
-    return True
+        total += _abs_bound_max(a, b)
+    return total < _LIMIT
 
 
 def _sum_lines(lo: Exps, hi: Exps, stride: int, placed) -> "Slot":
@@ -197,15 +206,15 @@ def _unpack(value: int, digits: int, width: int, origin: Exps,
             for k in nonzero}
 
 
-def _packed_sum(pairs, nvars: int, bound: int) -> Terms:
-    """Exact sum of the pair products on packed integers.
+def _packed_sum(pairs, scaled, nvars: int, bound: int) -> Terms:
+    """Exact sum of the pair products and scaled slots on packed integers.
 
-    ``bound`` must be the exact bound B of the pairs; the digit width is
+    ``bound`` must be the exact bound B of the sum; the digit width is
     its bit length plus a sign bit, in whole bytes.  A pair whose sparser
     operand fills at most a third of its packed span is applied term by
     term; any other pair is one integer multiply.
     """
-    origin, top = _corners(pairs, nvars)
+    origin, top = _corners(pairs, scaled, nvars)
     stride = _stride(origin, top)
     width = max(_MIN_WIDTH, (bound.bit_length() + 1 + 7) // 8 * 8)
     base = _lin(origin, stride)
@@ -228,6 +237,9 @@ def _packed_sum(pairs, nvars: int, bound: int) -> Terms:
         else:
             acc += (a.packed(width, stride) * b.packed(width, stride)) \
                 << (width * (lo_a + lo_b - base))
+    for k, s in scaled:
+        acc += (s.packed(width, stride) * k) \
+            << (width * (_lin(s.stats[2], stride) - base))
     return _unpack(acc, _lin(top, stride) - base + 1, width, origin, stride)
 
 
@@ -375,19 +387,23 @@ class Slot:
 
 
 class SlotAccumulator:
-    """Sum of products of slot pairs, computed on one route when read.
+    """Sum of products of slot pairs and of scaled slots, computed on one
+    route when read.
 
-    ``add_pair`` only records the pair and adds its share of the exact
-    bound; ``result`` runs every pair on int64 arrays when the whole sum
-    is certified there, and on packed integers otherwise.  Constants
-    (no variables) are summed as Python integers, which is exact at any
-    size and skips the per-pair packing work; term maps in three or more
-    variables are summed term by term into one dict.
+    ``add_pair(a, b)`` records a*b and ``add(k, s)`` records k*s; each
+    only adds its share of the exact bound.  ``result`` runs the whole
+    sum on int64 arrays when it is certified there, and on packed
+    integers otherwise; scaled slots are added as scaled lines or
+    integers and never convolved.  Constants (no variables) are summed
+    as Python integers, which is exact at any size and skips the
+    per-pair packing work; term maps in three or more variables are
+    summed term by term into one dict.
     """
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.pairs: List[Tuple[Slot, Slot]] = []
+        self.scaled: List[Tuple[int, Slot]] = []
         self.bound = 0
 
     def add_pair(self, a: Slot, b: Slot):
@@ -398,29 +414,41 @@ class SlotAccumulator:
         self.bound += (na if na < nb else nb) * ma * mb
         self.pairs.append((a, b))
 
+    def add(self, k: int, s: Slot):
+        if k and not s.is_zero:
+            self.bound += abs(k) * s.stats[1]
+            self.scaled.append((k, s))
+
     def result(self) -> Slot:
-        pairs, nvars = self.pairs, self.nvars
-        if not pairs:
+        pairs, scaled, nvars = self.pairs, self.scaled, self.nvars
+        if not pairs and not scaled:
             return Slot.zero(nvars)
         if nvars == 0:
-            # recorded pairs are nonzero, so each holds its constant term
-            total = sum(a.terms[()] * b.terms[()] for a, b in pairs)
+            # recorded slots are nonzero, so each holds its constant term
+            total = (sum(a.terms[()] * b.terms[()] for a, b in pairs)
+                     + sum(k * s.terms[()] for k, s in scaled))
             return Slot(0, terms={(): total} if total else {})
         if nvars > 2:
             acc: Terms = {}
             for a, b in pairs:
                 _accumulate_product(acc, a.terms, b.terms, nvars)
+            for k, s in scaled:
+                _accumulate_product(acc, {(0,) * nvars: k}, s.terms, nvars)
             return Slot(nvars, terms={e: c for e, c in acc.items() if c})
-        if all(a.arr is not None and b.arr is not None for a, b in pairs):
-            lo, hi = _corners(pairs, nvars)
+        if (all(a.arr is not None and b.arr is not None for a, b in pairs)
+                and all(s.arr is not None for _, s in scaled)):
+            lo, hi = _corners(pairs, scaled, nvars)
             stride = _stride(lo, hi)
             lines = [(_lin(a.stats[2], stride) + _lin(b.stats[2], stride),
                       _line(a, stride), _line(b, stride))
                      for a, b in pairs]
-            if self.bound < _LIMIT_INT or _float_certified(lines):
-                return _sum_lines(lo, hi, stride,
-                                  ((at, _conv_arrays(x, y)) for at, x, y in lines))
-        return Slot.wrap(_packed_sum(pairs, nvars, self.bound), nvars)
+            if self.bound < _LIMIT_INT or _float_certified(
+                    lines, sum(abs(k) * s.stats[1] for k, s in scaled)):
+                return _sum_lines(lo, hi, stride, chain(
+                    ((at, _conv_arrays(x, y)) for at, x, y in lines),
+                    ((_lin(s.stats[2], stride), _line(s, stride) * k)
+                     for k, s in scaled)))
+        return Slot.wrap(_packed_sum(pairs, scaled, nvars, self.bound), nvars)
 
 
 def slot_product(a: Slot, b: Slot, nvars: int) -> Slot:
@@ -430,38 +458,8 @@ def slot_product(a: Slot, b: Slot, nvars: int) -> Slot:
 
 
 def slot_linear(pieces: List[Tuple[int, Slot]], nvars: int) -> Slot:
-    """Integer linear combination of slots (scalar scaling, no convolution)."""
-    parts: List[Tuple[int, Slot]] = []
-    out: Terms = {}
-    total = 0
+    """Integer linear combination sum k*s of slots, on the accumulator."""
+    acc = SlotAccumulator(nvars)
     for k, s in pieces:
-        if not k or s.is_zero:
-            continue
-        if s.arr is not None:
-            contribution = abs(k) * s.stats[1]
-            if total + contribution < _LIMIT_INT:
-                total += contribution
-                parts.append((k, s))
-                continue
-        for e, c in s.to_terms().items():
-            v = out.get(e, 0) + k * c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    if parts:
-        lo = tuple(min(s.stats[2][i] for _, s in parts) for i in range(nvars))
-        hi = tuple(max(s.stats[3][i] for _, s in parts) for i in range(nvars))
-        stride = _stride(lo, hi)
-        merged = _sum_lines(lo, hi, stride,
-                            ((_lin(s.stats[2], stride), _line(s, stride) * k)
-                             for k, s in parts))
-        if not out:
-            return merged
-        for e, c in merged.to_terms().items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return Slot.wrap(out, nvars)
+        acc.add(k, s)
+    return acc.result()

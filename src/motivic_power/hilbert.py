@@ -35,6 +35,7 @@ from .rings import (
     Polynomial,
     RingDescriptor,
     RingMismatchError,
+    _json_int,
 )
 from .series import Series
 
@@ -134,11 +135,7 @@ class LocalHilbertData:
         for key in ("dimension", "series"):
             if key not in obj:
                 raise ValueError("local data is missing the %r key" % key)
-        try:
-            dimension = int(obj["dimension"])
-        except (TypeError, ValueError):
-            raise ValueError("local data 'dimension' must be an integer, got %r"
-                             % (obj["dimension"],)) from None
+        dimension = _json_int(obj["dimension"], "local data 'dimension'")
         try:
             series = Series.from_json(obj["series"])
         except (KeyError, TypeError, AttributeError) as exc:

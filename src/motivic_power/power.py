@@ -17,14 +17,17 @@ the logarithmic-derivative recurrence of the product,
     n f_n = sum_{m=1..n} g_m f_{n-m},   g_m = sum_{i | m} i * b_i(u^(m/i)),
 
 solved forwards (exponents to series) or backwards (series to exponents)
-over every ring.  The sum of each step runs through
-:class:`gridops.SlotAccumulator` before the exact division by n: as
-plain integers over Z, on int64 arrays when every value is certified
-below 2^62, on Kronecker-packed Python integers otherwise, and as dict
-sums in three or more variables.  User-supplied kernels get explicit
-peeling and block products instead; the dict recurrence
-``_monomial_base_exact`` stays as the reference the tests compare the
-built-in kernel with.
+over every ring.  Each step is one exact integer combination of
+products (g_m f_{n-m}) and scaled polynomials (n f_n, i b_i(u^(n/i))),
+and every such sum runs through :class:`gridops.SlotAccumulator` before
+the exact division by n: as plain integers over Z, on int64 arrays when
+every value is certified below 2^62, on Kronecker-packed Python integers
+otherwise, and as dict sums in three or more variables.  The forward
+recurrence forms each g_n as it goes; the reverse one reads each g_n
+off one accumulator and recovers b_n from it in the same loop.
+User-supplied kernels get explicit peeling and block products instead;
+the dict recurrence ``_monomial_base_exact`` stays as the reference the
+tests compare the built-in kernel with.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .rings import (
     RingDescriptor,
     RingMismatchError,
     _accumulate_product,
+    _json_int,
 )
 from .series import Series
 
@@ -97,59 +101,50 @@ def _monomial_base(a: Polynomial, order: int) -> Series:
 
 def _assemble_slots(ring: RingDescriptor, order: int, b: List[Slot]) -> Series:
     """Multiply out prod_{i=1..N} (1-t^i)^{-b_i} by the forward recurrence."""
-    g = _g_from_exponents(b, order, ring.nvars)
-    f = _solve_forward(g, order, ring.nvars)
+    f = _solve_forward(b, order, ring.nvars)
     return Series._raw(ring, order, [x.to_polynomial(ring) for x in f])
 
 
-def _solve_forward(g: List[Optional[Slot]], order: int, nvars: int) -> List[Slot]:
-    """Solve n f_n = sum_{m=1..n} g_m f_{n-m} for f, with f_0 = 1."""
+def _solve_forward(b: List[Slot], order: int, nvars: int) -> List[Slot]:
+    """Coefficients f_0..f_N of prod_i (1-t^i)^{-b_i}, from the exponents.
+
+    Step n forms g_n = sum_{i | n} i b_i(u^(n/i)), then solves
+    n f_n = sum_{m=1..n} g_m f_{n-m}, with f_0 = 1.
+    """
     f = [Slot.one(nvars)]
+    g: List[Optional[Slot]] = [None]
     for n in range(1, order + 1):
+        g.append(gridops.slot_linear(
+            [(i, b[i - 1].scale_exponents(n // i)) for i in _divisors(n)],
+            nvars))
         acc = gridops.SlotAccumulator(nvars)
         for m in range(1, n + 1):
-            gm = g[m]
-            if gm is not None and not gm.is_zero:
-                acc.add_pair(gm, f[n - m])
+            if not g[m].is_zero:
+                acc.add_pair(g[m], f[n - m])
         f.append(acc.result().divide_exact(n))
     return f
 
 
-def _solve_reverse(f: List[Slot], order: int, nvars: int) -> List[Optional[Slot]]:
-    """Recover g from f in the same recurrence (g_n = n f_n - partial sum)."""
+def _solve_reverse(neg: List[Slot], order: int, nvars: int) -> List[Slot]:
+    """Exponents b_1..b_N of f = prod_i (1-t^i)^{-b_i}, given ``neg`` = -f.
+
+    Step n reads g_n = n f_n - sum_{m<n} g_m f_{n-m} off one accumulator
+    (on -f every product enters with a plus sign), then divides
+    g_n - sum_{i | n, i < n} i b_i(u^(n/i)) by n for b_n.
+    """
     g: List[Optional[Slot]] = [None]
+    b: List[Optional[Slot]] = [None]
     for n in range(1, order + 1):
         acc = gridops.SlotAccumulator(nvars)
         for m in range(1, n):
-            gm = g[m]
-            if gm is not None and not gm.is_zero:
-                acc.add_pair(gm, f[n - m])
-        g.append(gridops.slot_linear(
-            [(n, f[n]), (-1, acc.result())], nvars))
-    return g
-
-
-def _exponents_from_g(g: List[Optional[Slot]], order: int, nvars: int) -> List[Slot]:
-    b: List[Optional[Slot]] = [None]
-    for n in range(1, order + 1):
+            if not g[m].is_zero:
+                acc.add_pair(g[m], neg[n - m])
+        acc.add(-n, neg[n])
+        g.append(acc.result())
         pieces = [(1, g[n])]
-        for i in _divisors(n):
-            if i < n and not b[i].is_zero:
-                pieces.append((-i, b[i].scale_exponents(n // i)))
+        pieces += [(-i, b[i].scale_exponents(n // i)) for i in _divisors(n)[:-1]]
         b.append(gridops.slot_linear(pieces, nvars).divide_exact(n))
     return b[1:]
-
-
-def _g_from_exponents(b: List[Slot], order: int, nvars: int) -> List[Optional[Slot]]:
-    g: List[Optional[Slot]] = [None]
-    for m in range(1, order + 1):
-        pieces = []
-        for i in _divisors(m):
-            bi = b[i - 1]
-            if not bi.is_zero:
-                pieces.append((i, bi.scale_exponents(m // i)))
-        g.append(gridops.slot_linear(pieces, nvars))
-    return g
 
 
 class Kernel:
@@ -278,7 +273,7 @@ class EulerProduct:
     @classmethod
     def from_json(cls, obj: Mapping,
                   ring: Optional[RingDescriptor] = None) -> "EulerProduct":
-        order = int(obj["order"])
+        order = _json_int(obj["order"], "product 'order'")
         exps = [Polynomial.from_json(b) for b in obj["exponents"]]
         if ring is None:
             if not exps:
@@ -312,10 +307,10 @@ def _factor_peeling(A: Series, kernel: Kernel) -> List[Polynomial]:
 
 def _factor_fast(A: Series) -> List[Polynomial]:
     ring = A.ring
-    f = [Slot.wrap(c._terms, ring.nvars) for c in A.coefficients]
-    g = _solve_reverse(f, A.order, ring.nvars)
-    b = _exponents_from_g(g, A.order, ring.nvars)
-    return [x.to_polynomial(ring) for x in b]
+    neg = [Slot.wrap({e: -c for e, c in p._terms.items()}, ring.nvars)
+           for p in A.coefficients]
+    return [x.to_polynomial(ring)
+            for x in _solve_reverse(neg, A.order, ring.nvars)]
 
 
 def factor(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> EulerProduct:

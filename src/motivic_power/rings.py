@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import re
 from operator import add
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -20,6 +21,22 @@ Exponents = Tuple[int, ...]
 
 class RingMismatchError(ValueError):
     """Raised when operands live in different rings."""
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _json_int(value, what: str, decimal: bool = False) -> int:
+    """A JSON integer (not a bool), or with ``decimal`` a decimal string.
+
+    Anything else, a float or a bool included, raises ValueError naming
+    ``what``, so a malformed file is refused instead of rounded.
+    """
+    if type(value) is int:
+        return value
+    if decimal and isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
 class RingDescriptor:
@@ -76,7 +93,13 @@ class RingDescriptor:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RingDescriptor":
-        return cls(tuple(obj["vars"]), bool(obj["laurent"]))
+        names, laurent = obj["vars"], obj["laurent"]
+        if not isinstance(names, list):
+            raise ValueError("ring 'vars' must be a list, got %r" % (names,))
+        if not isinstance(laurent, bool):
+            raise ValueError("ring 'laurent' must be true or false, got %r"
+                             % (laurent,))
+        return cls(tuple(names), laurent)
 
 
 INTEGERS = RingDescriptor()
@@ -374,8 +397,11 @@ class Polynomial:
         ring = RingDescriptor.from_json(obj["ring"])
         terms = {}
         for entry in obj["terms"]:
-            exps = tuple(int(e) for e in entry["exp"])
-            coef = int(entry["coef"])
+            exps = entry["exp"]
+            if not isinstance(exps, list):
+                raise ValueError("term 'exp' must be a list, got %r" % (exps,))
+            exps = tuple(_json_int(e, "term exponent") for e in exps)
+            coef = _json_int(entry["coef"], "term 'coef'", decimal=True)
             if exps in terms:
                 raise ValueError("duplicate exponent vector %r" % (exps,))
             terms[exps] = coef

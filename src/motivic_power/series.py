@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, List, Mapping, Sequence, Union
 
 from .gridops import Slot, SlotAccumulator
-from .rings import Polynomial, RingDescriptor, RingMismatchError
+from .rings import Polynomial, RingDescriptor, RingMismatchError, _json_int
 
 
 class Series:
@@ -206,7 +206,7 @@ class Series:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Series":
-        order = int(obj["order"])
+        order = _json_int(obj["order"], "series 'order'")
         coeffs = [Polynomial.from_json(c) for c in obj["coeffs"]]
         if not coeffs:
             raise ValueError("series JSON needs at least the constant coefficient")

@@ -133,12 +133,17 @@ class TestReadmeCommands:
         assert any(printed for _, printed in README_COMMANDS)
 
     @pytest.mark.parametrize("argv,printed", [
-        pytest.param(argv, printed, id=" ".join(argv), marks=(
-            [pytest.mark.skip(reason="punctual_d3.json is not shipped")]
-            if "punctual_d3.json" in argv else []))
+        pytest.param(argv, printed, id=" ".join(argv))
         for argv, printed in README_COMMANDS
     ])
-    def test_command_runs(self, capsys, argv, printed):
+    def test_command_runs(self, capsys, monkeypatch, tmp_path, argv, printed):
+        # the README's --local-data file, in the working directory
+        L = Polynomial.variable(MOTIVIC_RING, "L")
+        series = Series(MOTIVIC_RING, 2, [1, 1, 1 + L + L ** 2])
+        (tmp_path / "punctual_d3.json").write_text(json.dumps(
+            LocalHilbertData(3, series).to_json(source="Hilb^2_0(A^3) = P^2")),
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         if printed:
@@ -210,6 +215,66 @@ class TestChecksAndExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "'dimension'" in err
+
+    @staticmethod
+    def write_d3(path, order, top=None):
+        """A dimension-3 local data file 1, 1, 1+L+L^2, 1+L^3, ..., 1+L^order."""
+        L = Polynomial.variable(MOTIVIC_RING, "L")
+        coeffs = [1, 1, 1 + L + L ** 2] + [1 + L ** k for k in range(3, order + 1)]
+        payload = LocalHilbertData(3, Series(MOTIVIC_RING, order, coeffs[:order + 1])
+                                   ).to_json(source="unit test")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return payload
+
+    @pytest.mark.parametrize("keys,value", [
+        (("dimension",), 3.9),
+        (("dimension",), True),
+        (("series", "order"), 2.2),
+        (("series", "coeffs", 2, "terms", 1, "exp"), [1.9]),
+        (("series", "coeffs", 2, "terms", 1, "exp"), [True]),
+        (("series", "coeffs", 2, "terms", 1, "exp"), "1"),
+        (("series", "coeffs", 2, "terms", 1, "coef"), 2.7),
+        (("series", "coeffs", 2, "terms", 1, "coef"), "2.7"),
+        (("series", "coeffs", 2, "terms", 1, "coef"), True),
+        (("series", "coeffs", 2, "ring", "laurent"), "false"),
+        (("series", "coeffs", 2, "ring", "vars"), "L"),
+    ])
+    def test_local_data_with_a_non_integer_exits_one(self, capsys, tmp_path,
+                                                     keys, value):
+        path = tmp_path / "d3.json"
+        payload = self.write_d3(path, 2)
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "hilbert", "--dim", "3", "--class", "L^3",
+                             "--truncate", "2", "--local-data", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_local_data_parses_only_the_requested_prefix(
+            self, capsys, monkeypatch, tmp_path):
+        argv = ["hilbert", "--dim", "3", "--class", "L^3", "--truncate", "5",
+                "--local-data"]
+        short, long = tmp_path / "order5.json", tmp_path / "order200.json"
+        self.write_d3(short, 5)
+        self.write_d3(long, 200)
+        parse = Polynomial.from_json.__func__
+        parsed = []
+
+        def counted(cls, obj):
+            parsed.append(obj)
+            return parse(cls, obj)
+
+        monkeypatch.setattr(Polynomial, "from_json", classmethod(counted))
+        code, out, _ = run(capsys, *argv, str(long))
+        assert code == 0 and len(parsed) == 6
+        assert run(capsys, *argv, str(short)) == (0, out, "")
+        # a file declaring an order below --truncate is still refused
+        self.write_d3(short, 4)
+        code, out, err = run(capsys, *argv, str(short))
+        assert code == 1 and out == "" and "only reaches order 4" in err
 
     @pytest.mark.parametrize("option,template", [
         ("--class", "%s1%s"),

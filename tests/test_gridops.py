@@ -30,7 +30,7 @@ def exact_conv_terms(a, b, nvars):
         return {}
     assert a.arr is not None and b.arr is not None
     (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
-    return _packed_sum([(a, b)], nvars, min(na, nb) * ma * mb)
+    return _packed_sum([(a, b)], [], nvars, min(na, nb) * ma * mb)
 
 
 def random_terms(rng, ring, bound, degree=3):

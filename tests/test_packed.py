@@ -35,7 +35,6 @@ from motivic_power.power import (
     _factor_peeling,
     _monomial_base,
     _monomial_base_exact,
-    _solve_forward,
 )
 from motivic_power.rings import (
     INTEGERS,
@@ -105,7 +104,7 @@ def test_sum_of_products_matches_dict(data):
     # Z and in three variables never pack, checked through the accumulator
     live = [(a, b) for a, b in slots if not a.is_zero and not b.is_zero]
     if live and 0 < nvars <= 2:
-        assert _packed_sum(live, nvars, acc.bound) == want
+        assert _packed_sum(live, [], nvars, acc.bound) == want
     if nvars > 2:
         assert all(a.arr is None and b.arr is None for a, b in slots)
 
@@ -130,7 +129,7 @@ def test_exact_conv_of_grids_matches_dict(data):
     else:
         assert a.arr is not None and b.arr is not None
         (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
-        assert _packed_sum([(a, b)], ring.nvars, min(na, nb) * ma * mb) == want
+        assert _packed_sum([(a, b)], [], ring.nvars, min(na, nb) * ma * mb) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,14 +148,14 @@ def test_frobenius_spread_operand_matches_dict(data):
     if not a.is_zero and not b.is_zero:
         na, ma, _, _ = a.stats
         nb, mb, _, _ = b.stats
-        assert _packed_sum([(a, b)], nvars, min(na, nb) * ma * mb) == want
+        assert _packed_sum([(a, b)], [], nvars, min(na, nb) * ma * mb) == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_slot_linear_matches_dict(data):
     # values on both sides of 2^62 put some slots on int64 lines and send
-    # others, or a line sum that would pass 2^62, to the term-map sum
+    # others, or a sum whose exact bound passes 2^62, to packed integers
     ring = data.draw(st.sampled_from(EVERY_RING))
     nvars = ring.nvars
     near = st.builds(lambda base, d, sign: sign * (base + d),
@@ -179,6 +178,46 @@ def test_slot_linear_matches_dict(data):
     assert combo.to_terms() == want
     if not 0 < nvars <= 2:
         assert combo.arr is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairs_and_scaled_slots_match_dict(data):
+    # products and scaled slots in one accumulator; a sum of scaled slots
+    # alone can pass 2^62 with every slot on int64 lines, and must then
+    # leave the int64 route (its float certification starts from the
+    # scaled slots' exact share)
+    ring = data.draw(st.sampled_from(EVERY_RING))
+    nvars = ring.nvars
+    near = st.builds(lambda base, d, sign: sign * (base + d),
+                     st.sampled_from([2 ** 62 - 4, 2 ** 62, 2 ** 200]),
+                     st.integers(0, 3), st.sampled_from([1, -1]))
+    values = st.one_of(st.integers(-5, 5), near).filter(bool)
+    lo = -2 if ring.laurent else 0
+    maps = st.dictionaries(st.tuples(*[st.integers(lo, 2)] * nvars), values,
+                           max_size=4)
+    scaled_only = data.draw(st.booleans())
+    pairs = [] if scaled_only else data.draw(
+        st.lists(st.tuples(maps, maps), max_size=3))
+    scaled = data.draw(st.lists(st.tuples(st.integers(-3, 3), maps),
+                                min_size=1, max_size=4))
+    want = dict_sum(pairs, nvars)
+    for k, terms in scaled:
+        for e, c in terms.items():
+            want[e] = want.get(e, 0) + k * c
+    acc = SlotAccumulator(nvars)
+    for ta, tb in pairs:
+        acc.add_pair(Slot.wrap(ta, nvars), Slot.wrap(tb, nvars))
+    for k, terms in scaled:
+        acc.add(k, Slot.wrap(terms, nvars))
+    want = {e: c for e, c in want.items() if c}
+    got = acc.result()
+    assert got.to_terms() == want
+    if got.arr is not None:
+        assert all(abs(c) < 2 ** 62 for c in got.to_terms().values())
+    if acc.bound and 0 < nvars <= 2:
+        # the packed route itself, whatever the size of the values
+        assert _packed_sum(acc.pairs, acc.scaled, nvars, acc.bound) == want
 
 
 def test_sparse_operand_is_applied_term_by_term():
@@ -234,14 +273,15 @@ def test_digit_width_grows_mid_solve():
 
 
 def test_inexact_division_raises():
+    # integral exponents always divide exactly, so the step sum
+    # 2 f_2 = g_1 f_1 (with g_1 = f_1 and g_2 = 0) is built and divided here
     for nvars in (0, 1, 2, 3):
-        g = [None, Slot.wrap({(0,) * nvars: 2 ** 100 + 1}, nvars),
-             Slot.zero(nvars)]
+        odd = Slot.wrap({(0,) * nvars: 2 ** 100 + 1}, nvars)
         with pytest.raises(ArithmeticError):
-            _solve_forward(g, 2, nvars)
-        g[1] = Slot.wrap({(0,) * nvars: 2 ** 100}, nvars)
-        f = _solve_forward(g, 2, nvars)
-        assert f[2].to_terms() == {(0,) * nvars: 2 ** 199}
+            slot_product(odd, odd, nvars).divide_exact(2)
+        even = Slot.wrap({(0,) * nvars: 2 ** 100}, nvars)
+        f2 = slot_product(even, even, nvars).divide_exact(2)
+        assert f2.to_terms() == {(0,) * nvars: 2 ** 199}
 
 
 def unital_series(ring, order):
@@ -316,9 +356,9 @@ def test_global_series_past_the_int64_crossing(monkeypatch):
     local = mp.local_series(2, order)
     packed_sums = []
 
-    def counted(pairs, nvars, bound):
+    def counted(pairs, scaled, nvars, bound):
         packed_sums.append(bound)
-        return _packed_sum(pairs, nvars, bound)
+        return _packed_sum(pairs, scaled, nvars, bound)
 
     monkeypatch.setattr(gridops, "_packed_sum", counted)
     series = mp.global_series(X, local, order)
