@@ -9,11 +9,13 @@ failure, 2 on bad usage.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .axioms import run_axiom_suite
@@ -35,8 +37,8 @@ from .hilbert import (
     local_series,
 )
 from .localdata import MOTIVIC_RING
-from .power import EulerProduct, assemble, factor, pow_series
-from .rings import Polynomial, RingDescriptor
+from .power import EulerProduct, exp_map, factor, pow_series
+from .rings import RingDescriptor
 from .series import Series
 
 HODGE_RING = RingDescriptor(("u", "v"))
@@ -231,24 +233,44 @@ def _ring(args, default: Optional[RingDescriptor] = None) -> RingDescriptor:
     return RingDescriptor((), args.laurent)
 
 
+@contextmanager
+def _digit_limit():
+    """Name Python's limit on printed integers when a result passes it.
+
+    ``str`` refuses an integer of more decimal digits than the limit
+    with a ValueError.  The cost bound does not price printing, so such
+    a result is refused here rather than the limit lifted.
+    """
+    try:
+        yield
+    except ValueError:
+        raise ValueError(
+            "the result has a coefficient of more than %d decimal digits, "
+            "the most that can be printed" % sys.get_int_max_str_digits()
+        ) from None
+
+
 def _print_series(S: Series, fmt: str, out):
-    if fmt == "json":
-        json.dump(S.to_json(), out)
-        out.write("\n")
-        return
-    for k, c in enumerate(S.coefficients):
-        out.write("t^%d: %s\n" % (k, c))
+    with _digit_limit():
+        if fmt == "json":
+            json.dump(S.to_json(), out)
+            out.write("\n")
+            return
+        for k, c in enumerate(S.coefficients):
+            out.write("t^%d: %s\n" % (k, c))
 
 
 def _print_exponents(exponents, order: int, fmt: str, out):
-    if fmt == "json":
-        payload = EulerProduct(exponents[0].ring, order, list(exponents)).to_json() \
-            if exponents else {"order": order, "exponents": []}
-        json.dump(payload, out)
-        out.write("\n")
-        return
-    for i, b in enumerate(exponents, start=1):
-        out.write("b_%d: %s\n" % (i, b))
+    with _digit_limit():
+        if fmt == "json":
+            payload = EulerProduct(exponents[0].ring, order,
+                                   list(exponents)).to_json() \
+                if exponents else {"order": order, "exponents": []}
+            json.dump(payload, out)
+            out.write("\n")
+            return
+        for i, b in enumerate(exponents, start=1):
+            out.write("b_%d: %s\n" % (i, b))
 
 
 def _series_size(src: str, ring: RingDescriptor) -> Size:
@@ -288,10 +310,8 @@ def _cmd_assemble(args, out) -> int:
     for src in args.exponents:
         _check_cost(_solve_cost(args.truncate, expression_size(src, ring)))
     exponents = [parse_polynomial(src, ring) for src in args.exponents]
-    product = EulerProduct(ring, args.truncate,
-                           (exponents + [Polynomial.zero(ring)] * args.truncate
-                            )[: args.truncate])
-    _print_series(assemble(product), args.format, out)
+    _print_series(exp_map(exponents, order=args.truncate, ring=ring),
+                  args.format, out)
     return 0
 
 
@@ -459,11 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the whole output is rendered before any of it is written, so a
+    # command that fails leaves stdout empty
+    out = io.StringIO()
     try:
-        return args.handler(args, sys.stdout)
+        status = args.handler(args, out)
     except (ParseError, ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return status
 
 
 if __name__ == "__main__":

@@ -8,32 +8,28 @@ Every polynomial of such a pipeline is a :class:`Slot`: in one or two
 variables, a dense int64 array when all its coefficients are below 2**62
 in magnitude, and a term map otherwise.  :class:`SlotAccumulator`
 collects the products and scaled slots of one sum and computes the whole
-sum by one of two exact routes, chosen once from the exact integer bound
+sum on one of three exact routes, chosen from two exact facts, the
+number of variables and the integer bound
 
     B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|
       + sum over scaled slots of |k| * max|s|,
 
 which no coefficient of the sum can exceed in magnitude:
 
-* **int64 arrays** when every operand is an array and the sum is
-  certified below 2**62: by B itself, or failing that by float64
-  convolutions of absolute values, padded far beyond their own rounding
-  slop, added to the exact share of the scaled slots.  x -> z^S, y -> z
-  lays every array of the sum on one line, with the stride S taken from
-  the exponent box of the sum, so each product is one C-level
-  convolution and each scaled slot one scaled line, added into one line.
+* **term maps** in no variables or in three or more: dict sums of
+  term-by-term products.
+* **int64 lines** when every operand is an array and B < 2**62.
+  x -> z^S, y -> z lays every array of the sum on one line, with the
+  stride S taken from the exponent box of the sum, so each product is
+  one C-level convolution and each scaled slot one scaled line, added
+  into one line.
 * **packed integers** otherwise (Kronecker substitution): the same
   x -> z^S, y -> z followed by z -> 2^W turns each polynomial into one
-  Python integer.  The digit width W comes from B plus a sign bit, an
-  exact integer.  The products of all pairs and the scaled slots are
-  added as integers and the sum is unpacked once.  An operand with few
-  terms (a Frobenius-spread g_m, say) is applied as shifted scalar
-  multiples of the other operand instead of a full multiply.
-
-The line layout covers at most two variables.  A slot in no variables
-is always a term map ``{(): c}``, and sums of such constants are plain
-Python integer sums.  A slot in three or more variables is always a term
-map too, and their sums are dict sums of term-by-term products.
+  Python integer.  The digit width W comes from B plus a sign bit.  The
+  products of all pairs and the scaled slots are added as integers and
+  the sum is unpacked once.  An operand with few terms (a
+  Frobenius-spread g_m, say) is applied as shifted scalar multiples of
+  the other operand instead of a full multiply.
 """
 
 from __future__ import annotations
@@ -45,12 +41,8 @@ import numpy as np
 
 from .rings import Polynomial, RingDescriptor, _accumulate_product
 
-# Certified values stay below 2**62.  The float bounds compared against
-# this are deliberate over-estimates padded by (1 + 1e-9), which dwarfs
-# the float64 rounding slop of the estimates themselves, so the
-# remaining 2x headroom to the int64 ceiling is genuine.
-_LIMIT = float(2 ** 62)
-_LIMIT_INT = 2 ** 62
+# Array values and int64 line sums stay below this, half the int64 ceiling.
+_INT64_LIMIT = 2 ** 62
 
 # A packed digit holds at least one int64 (arrays pack eight bytes at a time).
 _MIN_WIDTH = 64
@@ -107,34 +99,20 @@ def _corners(pairs, scaled, nvars: int) -> Tuple[Exps, Exps]:
                   for i in range(nvars)))
 
 
-# -- int64 route: certified convolutions -----------------------------------
+# -- int64 route: convolutions of lines ----------------------------------
 
 def _conv_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two int64 lines; the caller has certified its values."""
+    """Product of two int64 lines; the caller's bound keeps it below 2**62."""
     return np.convolve(a, b)
 
 
+# Nothing calls this float64 bound any more: it stays, like _conv_limbs
+# below, only so that perfbench/tracer.py still resolves it by name.
 def _abs_bound_max(a: np.ndarray, b: np.ndarray) -> float:
     """Float64 upper bound on the largest sum of |products| in a*b."""
     worst = float(np.convolve(np.abs(a).astype(np.float64),
                               np.abs(b).astype(np.float64)).max())
     return worst * (1.0 + 1e-9) + 1.0
-
-
-def _float_certified(lines, share: int) -> bool:
-    """Do ``share``, the exact bound of the scaled slots, and the float64
-    bounds of all line pairs sum below the int64 limit?
-
-    The exact bound works from maxima alone; this one convolves the
-    absolute values, so it also certifies sums whose large coefficients
-    never meet.  It gives up as soon as the running total fails.
-    """
-    total = float(share) * (1.0 + 1e-9)
-    for _, a, b in lines:
-        if total >= _LIMIT:
-            return False
-        total += _abs_bound_max(a, b)
-    return total < _LIMIT
 
 
 def _sum_lines(lo: Exps, hi: Exps, stride: int, placed) -> "Slot":
@@ -294,16 +272,14 @@ class Slot:
         if not terms or not 0 < nvars <= 2:
             return cls(nvars, terms=dict(terms))
         for c in terms.values():
-            if c >= _LIMIT_INT or -c >= _LIMIT_INT:
+            if c >= _INT64_LIMIT or -c >= _INT64_LIMIT:
                 return cls(nvars, terms=dict(terms))
-        lo, hi = _hull(list(terms), nvars)
-        arr = np.zeros(tuple(h - o + 1 for o, h in zip(lo, hi)), dtype=np.int64)
-        if nvars == 1:
-            for (e0,), c in terms.items():
-                arr[e0 - lo[0]] = c
-        else:
-            for (e0, e1), c in terms.items():
-                arr[e0 - lo[0], e1 - lo[1]] = c
+        axes = list(zip(*terms))
+        lo = tuple(map(min, axes))
+        arr = np.zeros(tuple(max(x) - o + 1 for x, o in zip(axes, lo)),
+                       dtype=np.int64)
+        arr[tuple(np.subtract(x, o) for x, o in zip(axes, lo))] = \
+            list(terms.values())
         return cls.dense(lo, arr)
 
     @classmethod
@@ -339,12 +315,8 @@ class Slot:
             return self.terms
         arr, lo = self.arr, self.stats[2]
         nz = np.nonzero(arr)
-        values = arr[nz].tolist()
-        if self.nvars == 1:
-            keys = ((e,) for e in (nz[0] + lo[0]).tolist())
-        else:
-            keys = zip((nz[0] + lo[0]).tolist(), (nz[1] + lo[1]).tolist())
-        return dict(zip(keys, values))
+        keys = zip(*[(x + o).tolist() for x, o in zip(nz, lo)])
+        return dict(zip(keys, arr[nz].tolist()))
 
     def to_polynomial(self, ring: RingDescriptor) -> Polynomial:
         if self.arr is not None:
@@ -352,19 +324,16 @@ class Slot:
         return Polynomial._raw(ring, dict(self.terms))
 
     def scale_exponents(self, j: int) -> "Slot":
-        if j == 1 or self.is_zero or self.nvars == 0:
-            return self
+        """The slot at u -> u^j: every exponent vector times j."""
+        _, _, lo, hi = self.stats
+        if j == 1 or self.is_zero or not any(lo + hi):
+            return self  # a constant has only the exponent 0
         if self.arr is not None:
             arr = self.arr
-            if self.nvars == 1:
-                out = np.zeros((arr.shape[0] - 1) * j + 1, dtype=np.int64)
-                out[::j] = arr
-            else:
-                r, c = arr.shape
-                out = np.zeros(((r - 1) * j + 1, (c - 1) * j + 1),
-                               dtype=np.int64)
-                out[::j, ::j] = arr
-            return Slot.dense(tuple(o * j for o in self.stats[2]), out)
+            out = np.zeros(tuple((n - 1) * j + 1 for n in arr.shape),
+                           dtype=np.int64)
+            out[(slice(None, None, j),) * arr.ndim] = arr
+            return Slot.dense(tuple(o * j for o in lo), out)
         return Slot(self.nvars, terms={
             tuple(e * j for e in exps): c for exps, c in self.terms.items()
         })
@@ -391,13 +360,11 @@ class SlotAccumulator:
     route when read.
 
     ``add_pair(a, b)`` records a*b and ``add(k, s)`` records k*s; each
-    only adds its share of the exact bound.  ``result`` runs the whole
-    sum on int64 arrays when it is certified there, and on packed
-    integers otherwise; scaled slots are added as scaled lines or
-    integers and never convolved.  Constants (no variables) are summed
-    as Python integers, which is exact at any size and skips the
-    per-pair packing work; term maps in three or more variables are
-    summed term by term into one dict.
+    only adds its share of the exact bound B.  ``result`` sums term maps
+    (no variables, or three or more) term by term into one dict, runs
+    the whole sum on int64 lines when every operand is an array and
+    B < 2**62, and on packed integers otherwise.  Scaled slots are added
+    as scaled lines, shifted integers or scaled terms, never convolved.
     """
 
     def __init__(self, nvars: int):
@@ -423,31 +390,25 @@ class SlotAccumulator:
         pairs, scaled, nvars = self.pairs, self.scaled, self.nvars
         if not pairs and not scaled:
             return Slot.zero(nvars)
-        if nvars == 0:
-            # recorded slots are nonzero, so each holds its constant term
-            total = (sum(a.terms[()] * b.terms[()] for a, b in pairs)
-                     + sum(k * s.terms[()] for k, s in scaled))
-            return Slot(0, terms={(): total} if total else {})
-        if nvars > 2:
+        if not 0 < nvars <= 2:
             acc: Terms = {}
             for a, b in pairs:
                 _accumulate_product(acc, a.terms, b.terms, nvars)
             for k, s in scaled:
                 _accumulate_product(acc, {(0,) * nvars: k}, s.terms, nvars)
             return Slot(nvars, terms={e: c for e, c in acc.items() if c})
-        if (all(a.arr is not None and b.arr is not None for a, b in pairs)
+        if (self.bound < _INT64_LIMIT
+                and all(a.arr is not None and b.arr is not None
+                        for a, b in pairs)
                 and all(s.arr is not None for _, s in scaled)):
             lo, hi = _corners(pairs, scaled, nvars)
             stride = _stride(lo, hi)
-            lines = [(_lin(a.stats[2], stride) + _lin(b.stats[2], stride),
-                      _line(a, stride), _line(b, stride))
-                     for a, b in pairs]
-            if self.bound < _LIMIT_INT or _float_certified(
-                    lines, sum(abs(k) * s.stats[1] for k, s in scaled)):
-                return _sum_lines(lo, hi, stride, chain(
-                    ((at, _conv_arrays(x, y)) for at, x, y in lines),
-                    ((_lin(s.stats[2], stride), _line(s, stride) * k)
-                     for k, s in scaled)))
+            return _sum_lines(lo, hi, stride, chain(
+                ((_lin(a.stats[2], stride) + _lin(b.stats[2], stride),
+                  _conv_arrays(_line(a, stride), _line(b, stride)))
+                 for a, b in pairs),
+                ((_lin(s.stats[2], stride), _line(s, stride) * k)
+                 for k, s in scaled)))
         return Slot.wrap(_packed_sum(pairs, scaled, nvars, self.bound), nvars)
 
 

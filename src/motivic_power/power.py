@@ -20,9 +20,9 @@ solved forwards (exponents to series) or backwards (series to exponents)
 over every ring.  Each step is one exact integer combination of
 products (g_m f_{n-m}) and scaled polynomials (n f_n, i b_i(u^(n/i))),
 and every such sum runs through :class:`gridops.SlotAccumulator` before
-the exact division by n: as plain integers over Z, on int64 arrays when
-every value is certified below 2^62, on Kronecker-packed Python integers
-otherwise, and as dict sums in three or more variables.  The forward
+the exact division by n: as dict sums over Z and in three or more
+variables, on int64 lines when its exact bound is below 2^62, and on
+Kronecker-packed Python integers otherwise.  The forward
 recurrence forms each g_n as it goes; the reverse one reads each g_n
 off one accumulator and recovers b_n from it in the same loop.
 User-supplied kernels get explicit peeling and block products instead;
@@ -206,9 +206,6 @@ class Kernel:
                     % (self.name, a, b, ring)
                 )
 
-    def base(self, a: Polynomial, order: int) -> Series:
-        return self.rule(a, order)
-
     def __repr__(self):
         return "<Kernel %s>" % self.name
 
@@ -221,7 +218,7 @@ MONOMIAL_KERNEL = Kernel("monomial", _monomial_base)
 def base_series(a: Polynomial, order: int,
                 kernel: Kernel = MONOMIAL_KERNEL) -> Series:
     """The kernel series (1-t)^{-a} truncated at the given order."""
-    return kernel.base(a, order)
+    return kernel.rule(a, order)
 
 
 class EulerProduct:
@@ -284,7 +281,7 @@ class EulerProduct:
 
 def _block(b: Polynomial, i: int, order: int, kernel: Kernel) -> Series:
     """(1 - t^i)^{-b} truncated at ``order``."""
-    inner = kernel.base(b, order // i)
+    inner = kernel.rule(b, order // i)
     zero = Polynomial.zero(b.ring)
     out = [zero] * (order + 1)
     for j, c in enumerate(inner.coefficients):
@@ -305,14 +302,6 @@ def _factor_peeling(A: Series, kernel: Kernel) -> List[Polynomial]:
     return exponents
 
 
-def _factor_fast(A: Series) -> List[Polynomial]:
-    ring = A.ring
-    neg = [Slot.wrap({e: -c for e, c in p._terms.items()}, ring.nvars)
-           for p in A.coefficients]
-    return [x.to_polynomial(ring)
-            for x in _solve_reverse(neg, A.order, ring.nvars)]
-
-
 def factor(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> EulerProduct:
     """Unique factorization of a unital series into prod (1-t^i)^{-b_i}.
 
@@ -327,7 +316,11 @@ def factor(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> EulerProduct:
     if not A.is_unital():
         raise ValueError("only unital series (constant term 1) factor uniquely")
     if kernel is MONOMIAL_KERNEL:
-        exponents = _factor_fast(A)
+        ring = A.ring
+        neg = [Slot.wrap({e: -c for e, c in p._terms.items()}, ring.nvars)
+               for p in A.coefficients]
+        exponents = [x.to_polynomial(ring)
+                     for x in _solve_reverse(neg, A.order, ring.nvars)]
     else:
         exponents = _factor_peeling(A, kernel)
     result = EulerProduct(A.ring, A.order, exponents)
@@ -344,28 +337,14 @@ def _assemble_blocks(ring: RingDescriptor, order: int,
     return result
 
 
-def _assemble_fast(ring: RingDescriptor, order: int,
-                   exponents: Sequence[Polynomial]) -> Series:
-    return _assemble_slots(ring, order,
-                           [Slot.wrap(p._terms, ring.nvars) for p in exponents])
-
-
 def assemble(product: EulerProduct,
              kernel: Kernel = MONOMIAL_KERNEL) -> Series:
     """Multiply out prod_{i=1..N} (1-t^i)^{-b_i}, truncated at N."""
+    ring = product.ring
     if kernel is MONOMIAL_KERNEL:
-        return _assemble_fast(product.ring, product.order, product.exponents)
-    return _assemble_blocks(product.ring, product.order, product.exponents,
-                            kernel)
-
-
-def _pow_fast(A: Series, m: Polynomial) -> Series:
-    """Factor, scale exponents by m and reassemble, all on slots."""
-    nvars = A.ring.nvars
-    ms = Slot.wrap(m._terms, nvars)
-    scaled = [gridops.slot_product(Slot.wrap(b._terms, nvars), ms, nvars)
-              for b in factor(A, MONOMIAL_KERNEL).exponents]
-    return _assemble_slots(A.ring, A.order, scaled)
+        return _assemble_slots(ring, product.order, [
+            Slot.wrap(p._terms, ring.nvars) for p in product.exponents])
+    return _assemble_blocks(ring, product.order, product.exponents, kernel)
 
 
 def pow_series(A: Series, m: Polynomial,
@@ -380,7 +359,12 @@ def pow_series(A: Series, m: Polynomial,
     if not A.is_unital():
         raise ValueError("only unital series (constant term 1) can be powered")
     if kernel is MONOMIAL_KERNEL:
-        return _pow_fast(A, m)
+        # factor, scale every exponent by m and reassemble, all on slots
+        nvars = A.ring.nvars
+        ms = Slot.wrap(m._terms, nvars)
+        return _assemble_slots(A.ring, A.order, [
+            gridops.slot_product(Slot.wrap(b._terms, nvars), ms, nvars)
+            for b in factor(A, MONOMIAL_KERNEL).exponents])
     scaled = [b * m for b in factor(A, kernel).exponents]
     return _assemble_blocks(A.ring, A.order, scaled, kernel)
 

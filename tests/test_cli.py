@@ -1,9 +1,13 @@
+import io
 import json
 import shlex
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic_power.cli import MAX_LOCAL_DATA_BYTES, main
 from motivic_power.hilbert import LocalHilbertData
@@ -290,6 +294,17 @@ class TestChecksAndExitCodes:
         assert err.startswith("error: ") and "nest deeper" in err
         assert "line 1, column" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unprintable_result_prints_nothing(self, capsys, fmt):
+        # the t^2 coefficient 2^18000 has more digits than Python prints;
+        # t^0 and t^1 must not be written before that is found
+        code, out, err = run(capsys, "pow", "--series", "1+2^9000*t",
+                             "--exponent", "2", "--truncate", "2",
+                             "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "decimal digits" in err
+        assert "set_int_max_str_digits" not in err
+
     def test_long_flat_chains_still_parse(self, capsys):
         code, out, _ = run(capsys, "zeta", "--class", "+".join(["1"] * 3000),
                            "--truncate", "1")
@@ -486,3 +501,60 @@ class TestCostBound:
             main(argv)
         assert exc.value.code == 2
         assert "error: argument --" in capsys.readouterr().err
+
+
+def json_nodes(node, path=()):
+    """Every node of a JSON document, as its path of keys and indices."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_nodes(child, path + (key,))
+
+
+VALID_D3 = LocalHilbertData(3, Series(MOTIVIC_RING, 2, [
+    1, 1, 1 + Polynomial.variable(MOTIVIC_RING, "L") ** 2])).to_json(
+        source="fuzz seed")
+D3_NODES = list(json_nodes(VALID_D3))[1:]
+hostile = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-3, 4),
+              st.text("01-Lx.e ", max_size=4),
+              st.sampled_from([10 ** 30, -(10 ** 30), "7" * 5000])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["exp", "coef", "ring", "vars",
+                                         "laurent", "terms", "order"]),
+                        inner, max_size=3)),
+    max_leaves=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(D3_NODES),
+                          st.one_of(st.just("delete"), hostile)),
+                min_size=1, max_size=2))
+def test_mutated_local_data_exits_cleanly(tmp_path_factory, mutations):
+    # one or two nodes of a valid document replaced or deleted: the run
+    # succeeds or ends in one "error: ..." line, never a traceback
+    doc = json.loads(json.dumps(VALID_D3))
+    for path, value in mutations:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced the node
+    path = tmp_path_factory.getbasetemp() / "mutated_d3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["hilbert", "--dim", "3", "--class", "L^3",
+                     "--truncate", "2", "--local-data", str(path)])
+    assert code in (0, 1)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()

@@ -30,8 +30,6 @@ from motivic_power.gridops import (
 from motivic_power.power import (
     Kernel,
     _assemble_blocks,
-    _assemble_fast,
-    _factor_fast,
     _factor_peeling,
     _monomial_base,
     _monomial_base_exact,
@@ -85,6 +83,23 @@ def dict_series_products():
         yield
     finally:
         Series.__mul__, Series.inverse = saved
+
+
+@contextmanager
+def packed_sums():
+    """Count the sums that run on packed integers while the block runs."""
+    calls = []
+    real = gridops._packed_sum
+
+    def counted(pairs, scaled, nvars, bound):
+        calls.append(bound)
+        return real(pairs, scaled, nvars, bound)
+
+    gridops._packed_sum = counted
+    try:
+        yield calls
+    finally:
+        gridops._packed_sum = real
 
 
 @settings(max_examples=80, deadline=None)
@@ -185,8 +200,7 @@ def test_slot_linear_matches_dict(data):
 def test_pairs_and_scaled_slots_match_dict(data):
     # products and scaled slots in one accumulator; a sum of scaled slots
     # alone can pass 2^62 with every slot on int64 lines, and must then
-    # leave the int64 route (its float certification starts from the
-    # scaled slots' exact share)
+    # leave the int64 route: the exact bound B alone picks it
     ring = data.draw(st.sampled_from(EVERY_RING))
     nvars = ring.nvars
     near = st.builds(lambda base, d, sign: sign * (base + d),
@@ -211,13 +225,34 @@ def test_pairs_and_scaled_slots_match_dict(data):
     for k, terms in scaled:
         acc.add(k, Slot.wrap(terms, nvars))
     want = {e: c for e, c in want.items() if c}
-    got = acc.result()
+    with packed_sums() as packed:
+        got = acc.result()
     assert got.to_terms() == want
+    operands = [s for pair in acc.pairs for s in pair]
+    operands += [s for _, s in acc.scaled]
+    on_lines = (acc.bound < 2 ** 62
+                and all(s.arr is not None for s in operands))
+    assert len(packed) == (bool(operands) and 0 < nvars <= 2 and not on_lines)
     if got.arr is not None:
         assert all(abs(c) < 2 ** 62 for c in got.to_terms().values())
     if acc.bound and 0 < nvars <= 2:
         # the packed route itself, whatever the size of the values
         assert _packed_sum(acc.pairs, acc.scaled, nvars, acc.bound) == want
+
+
+@pytest.mark.parametrize("top,route", [(2 ** 31, "packed"),
+                                       (2 ** 31 - 1, "lines")])
+def test_exact_bound_alone_picks_the_route(top, route):
+    # B = 2 * 2^30 * top: at top = 2^31 it reaches 2^62 although no
+    # coefficient passes 2^61, and the sum must still pack
+    ta, tb = {(0,): 2 ** 30, (1,): 2 ** 30}, {(0,): top, (5,): 1}
+    acc = SlotAccumulator(1)
+    acc.add_pair(Slot.wrap(ta, 1), Slot.wrap(tb, 1))
+    with packed_sums() as packed:
+        got = acc.result()
+    assert got.to_terms() == dict_sum([(ta, tb)], 1)
+    assert max(got.to_terms().values()) <= 2 ** 61
+    assert len(packed) == (route == "packed")
 
 
 def test_sparse_operand_is_applied_term_by_term():
@@ -308,8 +343,8 @@ def test_recurrences_match_dict_references(data):
     with dict_series_products():
         factored = _factor_peeling(A, DICT_KERNEL)
         assembled = _assemble_blocks(ring, order, exps, DICT_KERNEL)
-    assert _factor_fast(A) == factored
-    assert _assemble_fast(ring, order, exps) == assembled
+    assert mp.log_map(A) == factored
+    assert mp.exp_map(exps, ring=ring) == assembled
 
 
 def goettsche_motivic(cls, order):
@@ -347,21 +382,15 @@ def goettsche_motivic(cls, order):
     return out
 
 
-def test_global_series_past_the_int64_crossing(monkeypatch):
-    # [X] = L^2 + 3L + 1: from about n = 80 on, the recurrence sums are no
-    # longer certified below 2^62 and run on packed integers
+def test_global_series_past_the_int64_crossing():
+    # [X] = L^2 + 3L + 1: from about n = 80 on, the exact bounds of the
+    # recurrence sums reach 2^62 and the sums run on packed integers
     order = 90
     L = Polynomial.variable(mp.MOTIVIC_RING, "L")
     X = mp.VarietyClass(L ** 2 + 3 * L + 1, 2)
     local = mp.local_series(2, order)
-    packed_sums = []
-
-    def counted(pairs, scaled, nvars, bound):
-        packed_sums.append(bound)
-        return _packed_sum(pairs, scaled, nvars, bound)
-
-    monkeypatch.setattr(gridops, "_packed_sum", counted)
-    series = mp.global_series(X, local, order)
+    with packed_sums() as packed:
+        series = mp.global_series(X, local, order)
     want = goettsche_motivic([(0, 1), (1, 3), (2, 1)], order)
     assert [c.terms for c in series.coefficients] == want
-    assert packed_sums and min(packed_sums) >= 2 ** 62
+    assert packed and min(packed) >= 2 ** 62
