@@ -52,34 +52,29 @@ MAX_ORDER = 200
 # coefficients of hundreds of bits), depending on the route it takes.
 MAX_COST = 2e10
 
+# A class whose top coefficient's exponent box has more cells than this
+# is refused before any work: the routes hold such a coefficient densely,
+# and at orders 0 and 1 the cost is linear in the cells, so MAX_COST
+# alone would admit a box too large to allocate.  A box of 25M cells ran
+# at about 30 bytes per cell, so the bound is about 2 GB.
+MAX_CELLS = 2 ** 26
+
 # A --local-data file is priced once parsed, so its size is bounded before
 # it is read.  A punctual series to MAX_ORDER with 3n+1 terms of 60-digit
 # coefficients in degree n is 5 MB, read and checked in 0.2 s on that VM.
 MAX_LOCAL_DATA_BYTES = 8 * 2 ** 20
 
 
-def request_cost(terms: float, bits: float, widths: Sequence[int],
-                 order: int) -> float:
+def request_cost(bits: float, widths: Sequence[int], order: int) -> float:
     """Estimated word products of one recurrence solve to ``order``.
 
-    The class has at most ``terms`` terms, an L1 norm of ``bits`` bits
-    and an exponent box ``widths`` wide in each variable.  Step n of
-    ``n f_n = sum_m g_m f_(n-m)`` multiplies g_m, counted as every cell
-    of its box (m * width + 1 per variable, as a dense grid holds it),
-    by f_(n-m), counted as at most min(terms^k, cells) terms.  A
-    coefficient of f_k has about k * bits bits, and a product of a- and
-    b-word integers counts a * b.  The estimate leans high: sparse
-    classes and big integers run faster than it counts.
+    Step n of ``n f_n = sum_m g_m f_(n-m)`` convolves the dense boxes of
+    g_m and f_(n-m), as the int64 route does.  Degree k spans k * w + 1
+    cells per class width w in ``widths``, each of 1 + k * bits / 64 words.
     """
-    cells = [math.prod(k * w + 1 for w in widths) for k in range(order + 1)]
-    words = [1 + k * bits / 64 for k in range(order + 1)]
-    g = [c * w for c, w in zip(cells, words)]
-    f = []
-    power = 1.0  # terms^k, which overflows to inf rather than raising
-    for c, w in zip(cells, words):
-        f.append(min(power, c) * w)
-        power *= terms
-    return sum(g[m] * f[n - m] for n in range(1, order + 1)
+    size = [math.prod(k * w + 1 for w in widths) * (1 + k * bits / 64)
+            for k in range(order + 1)]
+    return sum(size[m] * size[n - m] for n in range(1, order + 1)
                for m in range(1, n + 1))
 
 
@@ -102,13 +97,15 @@ def _solve_cost(order: int, *sizes: Size, spread: int = 0) -> float:
 
     The class is the product of ``sizes``; ``spread`` widens it by what
     the punctual series adds to every exponent in the Hilbert commands.
+    A top coefficient of more than MAX_CELLS cells is refused here.
     """
-    terms = math.prod(size.terms for size in sizes) + spread
-    bits = sum(size.bits for size in sizes)
     widths = [sum(hi - lo for lo, hi in axis) + spread
               for axis in zip(*(size.box for size in sizes))]
-    return sum(size.work for size in sizes) + request_cost(terms, bits, widths,
-                                                          order)
+    if math.prod(max(order, 1) * w + 1 for w in widths) > MAX_CELLS:
+        raise ValueError("request too large: the top coefficient spans more "
+                         "than %d exponent cells" % MAX_CELLS)
+    bits = sum(size.bits for size in sizes)
+    return sum(size.work for size in sizes) + request_cost(bits, widths, order)
 
 
 def _check_cost(cost: float):
@@ -164,7 +161,7 @@ def _sweep_cost(points: int, weight: int, size: int, order: int) -> float:
         for k in range(part, order + 1):
             vectors[k] += vectors[k - part]
     bits = math.log2((1 + size * weight) * (1 + points))
-    cost = runs * (2 * (SOLVE_OVERHEAD + request_cost(1, bits, [], order))
+    cost = runs * (2 * (SOLVE_OVERHEAD + request_cost(bits, [], order))
                    + VECTOR_COST * sum(vectors[1:]) + CANDIDATE_COST * weight)
     if cost > MAX_COST:
         return cost
@@ -331,6 +328,12 @@ def _load_local_data(path: str, order: int) -> LocalHilbertData:
         payload = json.loads(raw)
     except RecursionError:
         raise ValueError("local data file %s nests too deeply" % path) from None
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:  # int() refused a JSON integer past the digit limit
+        raise ValueError("local data file %s has an integer of more than the "
+                         "%d decimal digits allowed"
+                         % (path, sys.get_int_max_str_digits())) from None
     series = payload.get("series") if isinstance(payload, dict) else None
     if isinstance(series, dict):
         declared, coeffs = series.get("order"), series.get("coeffs")

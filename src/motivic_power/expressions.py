@@ -1,15 +1,16 @@
 """Parsing of polynomial and series expressions for the command line.
 
-The grammar covers integer literals, variables, + - * ^ and parentheses;
-exponents are integer literals, negative only on variables of Laurent
-rings (``L^-1``).  Parsing an expression printed in canonical form gives
-back the same polynomial, and printing after parsing normalizes
-whitespace.
+The grammar covers integer literals (ASCII digits), variables, + - * ^
+and parentheses; exponents are integer literals, negative only on
+variables of Laurent rings (``L^-1``).  Parsing an expression printed
+in canonical form gives back the same polynomial, and printing after
+parsing normalizes whitespace.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
@@ -49,10 +50,17 @@ def _tokenize(src: str) -> List[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
+            try:
+                int(src[i:j])  # the parser's conversion, checked here
+            except ValueError:
+                raise ParseError(
+                    "integer literal of %d digits, more than the %d allowed"
+                    % (j - i, sys.get_int_max_str_digits()), line, col,
+                ) from None
             tokens.append(Token("int", src[i:j], line, col))
             col += j - i
             i = j
@@ -327,19 +335,16 @@ def parse_polynomial(src: str, ring: RingDescriptor) -> Polynomial:
     return _evaluate(parse_ast(src), ring)
 
 
-def parse_series(src: str, ring: RingDescriptor, order: int,
-                 variable: str = "t") -> Series:
-    """Parse an expression with the series variable into a truncated series.
+def parse_series(src: str, ring: RingDescriptor, order: int) -> Series:
+    """Parse an expression in the series variable ``t`` into a series.
 
-    Terms of degree beyond ``order`` in the series variable are dropped,
-    consistent with truncated arithmetic.  The series variable must not
-    clash with a ring variable and cannot carry negative exponents.
+    Terms of degree beyond ``order`` in ``t`` are dropped, consistent
+    with truncated arithmetic.  ``t`` must not clash with a ring variable
+    and cannot carry negative exponents.
     """
-    if variable in ring.variables:
-        raise ValueError(
-            "ring variable %r clashes with the series variable" % variable
-        )
-    extended = RingDescriptor(ring.variables + (variable,), ring.laurent)
+    if "t" in ring.variables:
+        raise ValueError("ring variable 't' clashes with the series variable")
+    extended = RingDescriptor(ring.variables + ("t",), ring.laurent)
     poly = parse_polynomial(src, extended)
     t_index = extended.nvars - 1
     zero = Polynomial.zero(ring)
@@ -348,8 +353,7 @@ def parse_series(src: str, ring: RingDescriptor, order: int,
         degree = exps[t_index]
         if degree < 0:
             raise ValueError(
-                "negative powers of %r are not allowed in a series" % variable
-            )
+                "negative powers of 't' are not allowed in a series")
         if degree <= order:
             coeffs[degree][exps[:t_index]] = coef
     return Series(ring, order,

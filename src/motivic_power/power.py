@@ -150,22 +150,21 @@ def _solve_reverse(neg: List[Slot], order: int, nvars: int) -> List[Slot]:
 class Kernel:
     """A named rule a -> (1-t)^{-a} defining a power structure.
 
-    On construction the rule is checked on small samples over each of
-    ``sample_rings``: it must send 0 to 1 and 1 to the geometric series,
-    must be additive (the product rule for exponents), and must start
-    1 + a*t + ..., which is what the peeling factorization relies on.
+    On construction the rule is checked to order 5 on small samples over
+    each of ``sample_rings``: it must send 0 to 1 and 1 to the geometric
+    series, must be additive (the product rule for exponents), and must
+    start 1 + a*t + ..., which is what the peeling factorization relies on.
     """
 
     __slots__ = ("name", "rule")
 
     def __init__(self, name: str,
                  rule: Callable[[Polynomial, int], Series],
-                 sample_rings: Sequence[RingDescriptor] = (),
-                 check_order: int = 5):
+                 sample_rings: Sequence[RingDescriptor] = ()):
         self.name = name
         self.rule = rule
         for ring in sample_rings:
-            self._validate(ring, check_order)
+            self._validate(ring, 5)
 
     def _samples(self, ring: RingDescriptor) -> List[Polynomial]:
         samples = [Polynomial.constant(ring, c) for c in (0, 1, -1, 2)]

@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import re
+import sys
 from operator import add
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -35,7 +36,11 @@ def _json_int(value, what: str, decimal: bool = False) -> int:
     if type(value) is int:
         return value
     if decimal and isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError("%s has more than the %d decimal digits allowed"
+                             % (what, sys.get_int_max_str_digits())) from None
     raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
@@ -115,10 +120,11 @@ def _check_ring(a: "Polynomial", b: "Polynomial"):
 def _accumulate_product(acc: Dict[Exponents, int], pterms, qterms, nvars: int):
     """Add the expanded product of two term maps into ``acc``.
 
-    Hot path: series multiplication funnels every coefficient
-    convolution through here, so the exponent addition is unrolled for
-    the small arities that actually occur (r <= 2 covers Z, Z[L] and
-    Z[u,v]).
+    The dict product: ``Polynomial.__mul__``, the term-map route of
+    ``gridops.SlotAccumulator`` (Z and three or more variables), the
+    reference recurrence ``power._monomial_base_exact`` and the tests'
+    references run through here.  The exponent addition is unrolled for
+    zero, one and two variables (Z, Z[L] and Z[u,v]).
     """
     if len(pterms) > len(qterms):
         pterms, qterms = qterms, pterms

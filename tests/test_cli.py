@@ -1,6 +1,7 @@
 import io
 import json
 import shlex
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -211,6 +212,19 @@ class TestChecksAndExitCodes:
         assert code == 1
         assert "unknown variable" in err
 
+    @pytest.mark.parametrize("src,message", [
+        ("2\u00b2+x", "unexpected character '\u00b2' (line 1, column 2)"),
+        ("1+x^\u0663", "unexpected character '\u0663' (line 1, column 5)"),
+        ("1+" + "7" * 5000 + "*x", "5000 digits"),
+        ("1+x^" + "7" * 5000, "5000 digits"),
+    ], ids=["superscript", "arabic-indic", "long-literal", "long-exponent"])
+    def test_bad_literal_exits_one(self, capsys, src, message):
+        code, out, err = run(capsys, "zeta", "--class", src, "--vars", "x")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "line 1, column" in err
+        assert "set_int_max_str_digits" not in err
+
     def test_local_data_without_dimension_exits_one(self, capsys, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"source": "x"}), encoding="utf-8")
@@ -242,6 +256,11 @@ class TestChecksAndExitCodes:
         (("series", "coeffs", 2, "terms", 1, "coef"), True),
         (("series", "coeffs", 2, "ring", "laurent"), "false"),
         (("series", "coeffs", 2, "ring", "vars"), "L"),
+        # past Python's limit on decimal digits, as a string and as JSON
+        pytest.param(("series", "coeffs", 2, "terms", 1, "coef"), "7" * 5000,
+                     id="coef-string-5000-digits"),
+        pytest.param(("series", "coeffs", 2, "terms", 1, "coef"),
+                     7 * 10 ** 4999, id="coef-integer-5000-digits"),
     ])
     def test_local_data_with_a_non_integer_exits_one(self, capsys, tmp_path,
                                                      keys, value):
@@ -251,11 +270,18 @@ class TestChecksAndExitCodes:
         for key in keys[:-1]:
             target = target[key]
         target[keys[-1]] = value
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # only to write the file
+        try:
+            text = json.dumps(payload)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "hilbert", "--dim", "3", "--class", "L^3",
                              "--truncate", "2", "--local-data", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "set_int_max_str_digits" not in err
 
     def test_local_data_parses_only_the_requested_prefix(
             self, capsys, monkeypatch, tmp_path):
@@ -369,6 +395,13 @@ class TestCostBound:
         ["oracle-check", "--max-points", "40", "--max-weight", "40"],
         ["oracle-check", "--max-weight", "1000000000", "--max-size", "0"],
         ["oracle-check", "--truncate", "60"],
+        # sparse but wide: priced by its dense boxes (it ran for 17.7 s
+        # when f was priced by its term count)
+        ["pow", "--series", "1+(1+x^20000)*t", "--exponent", "2", "--vars",
+         "x", "--truncate", "6"],
+        # a 74.5 GiB box at order 1, where the cost is linear in the cells
+        ["zeta", "--class", "x^100000*y^100000+1", "--vars", "x", "y",
+         "--truncate", "1"],
     ])
     def test_oversized_requests_are_refused_at_once(self, capsys, argv):
         import time
@@ -558,3 +591,4 @@ def test_mutated_local_data_exits_cleanly(tmp_path_factory, mutations):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert "Traceback" not in err.getvalue()
+        assert "set_int_max_str_digits" not in err.getvalue()
