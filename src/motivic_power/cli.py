@@ -52,11 +52,12 @@ MAX_ORDER = 200
 # coefficients of hundreds of bits), depending on the route it takes.
 MAX_COST = 2e10
 
-# A class whose top coefficient's exponent box has more cells than this
-# is refused before any work: the routes hold such a coefficient densely,
-# and at orders 0 and 1 the cost is linear in the cells, so MAX_COST
-# alone would admit a box too large to allocate.  A box of 25M cells ran
-# at about 30 bytes per cell, so the bound is about 2 GB.
+# A class of one or two variables whose top coefficient's exponent box
+# has more cells than this is refused before any work: those routes hold
+# such a coefficient densely, and at orders 0 and 1 the cost is linear in
+# the cells, so MAX_COST alone would admit a box too large to allocate.
+# A box of 25M cells ran at about 30 bytes per cell, so the bound is
+# about 2 GB.  Past two variables coefficients are term maps.
 MAX_CELLS = 2 ** 26
 
 # A --local-data file is priced once parsed, so its size is bounded before
@@ -65,16 +66,23 @@ MAX_CELLS = 2 ** 26
 MAX_LOCAL_DATA_BYTES = 8 * 2 ** 20
 
 
-def request_cost(bits: float, widths: Sequence[int], order: int) -> float:
+def request_cost(bits: float, widths: Sequence[int], order: int,
+                 terms: float = math.inf) -> float:
     """Estimated word products of one recurrence solve to ``order``.
 
-    Step n of ``n f_n = sum_m g_m f_(n-m)`` convolves the dense boxes of
-    g_m and f_(n-m), as the int64 route does.  Degree k spans k * w + 1
-    cells per class width w in ``widths``, each of 1 + k * bits / 64 words.
+    Step n of ``n f_n = sum_m g_m f_(n-m)`` multiplies g_m, counted over
+    its dense box, by f_(n-m).  Degree k spans k * w + 1 cells per class
+    width w in ``widths``, each of 1 + k * bits / 64 words.  f_k is
+    counted as min(terms^k, cells) cells: a class of ``terms`` terms held
+    as term maps, or without ``terms`` a dense box like g_m.
     """
-    size = [math.prod(k * w + 1 for w in widths) * (1 + k * bits / 64)
-            for k in range(order + 1)]
-    return sum(size[m] * size[n - m] for n in range(1, order + 1)
+    g, f, power = [], [], 1.0  # terms^k, which overflows to inf, not raising
+    for k in range(order + 1):
+        words = 1 + k * bits / 64
+        g.append(math.prod(k * w + 1 for w in widths) * words)
+        f.append(min(power * words, g[k]))
+        power *= terms
+    return sum(g[m] * f[n - m] for n in range(1, order + 1)
                for m in range(1, n + 1))
 
 
@@ -97,15 +105,21 @@ def _solve_cost(order: int, *sizes: Size, spread: int = 0) -> float:
 
     The class is the product of ``sizes``; ``spread`` widens it by what
     the punctual series adds to every exponent in the Hilbert commands.
-    A top coefficient of more than MAX_CELLS cells is refused here.
+    In one or two variables the routes hold coefficients as dense boxes,
+    and a top coefficient of more than MAX_CELLS cells is refused here;
+    past two they hold term maps.
     """
     widths = [sum(hi - lo for lo, hi in axis) + spread
               for axis in zip(*(size.box for size in sizes))]
-    if math.prod(max(order, 1) * w + 1 for w in widths) > MAX_CELLS:
-        raise ValueError("request too large: the top coefficient spans more "
-                         "than %d exponent cells" % MAX_CELLS)
+    terms = math.prod(size.terms for size in sizes) + spread
+    if len(widths) <= 2:
+        terms = math.inf
+        if math.prod(max(order, 1) * w + 1 for w in widths) > MAX_CELLS:
+            raise ValueError("request too large: the top coefficient spans "
+                             "more than %d exponent cells" % MAX_CELLS)
     bits = sum(size.bits for size in sizes)
-    return sum(size.work for size in sizes) + request_cost(bits, widths, order)
+    return sum(size.work for size in sizes) + request_cost(bits, widths, order,
+                                                          terms)
 
 
 def _check_cost(cost: float):

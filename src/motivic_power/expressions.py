@@ -54,13 +54,6 @@ def _tokenize(src: str) -> List[Token]:
             j = i
             while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
-            try:
-                int(src[i:j])  # the parser's conversion, checked here
-            except ValueError:
-                raise ParseError(
-                    "integer literal of %d digits, more than the %d allowed"
-                    % (j - i, sys.get_int_max_str_digits()), line, col,
-                ) from None
             tokens.append(Token("int", src[i:j], line, col))
             col += j - i
             i = j
@@ -81,6 +74,17 @@ def _tokenize(src: str) -> List[Token]:
         raise ParseError("unexpected character %r" % ch, line, col)
     tokens.append(Token("end", "", line, col))
     return tokens
+
+
+def _literal(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(
+            "integer literal of %d digits, more than the %d allowed"
+            % (len(tok.text), sys.get_int_max_str_digits()),
+            tok.line, tok.column,
+        ) from None
 
 
 # AST nodes: ("int", value), ("var", name, pos), ("sum", ((sign, term), ...)),
@@ -176,7 +180,7 @@ class _Parser:
             self.take()
             negative = True
         tok = self.expect("int")
-        value = int(tok.text)
+        value = _literal(tok)
         return -value if negative else value
 
     def atom(self) -> Node:
@@ -188,7 +192,7 @@ class _Parser:
             return node
         self.take()
         if tok.kind == "int":
-            return ("int", int(tok.text))
+            return ("int", _literal(tok))
         if tok.kind == "name":
             return ("var", tok.text, (tok.line, tok.column))
         raise ParseError(
