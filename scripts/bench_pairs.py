@@ -1,0 +1,130 @@
+"""Alternating parent/change pairs of the end-to-end benchmark.
+
+Usage (from anywhere inside a checkout):
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10
+
+The parent revision is exported with ``git archive`` into a temporary
+directory, so the run sees only its committed files, as a fresh clone
+would, and the repository's worktree list is never touched.  The change
+side is this checkout's working tree.  For every workload of
+``BENCHMARK.json`` the script runs its command,
+
+    python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
+
+with S its ``run_seconds``, on both sides for pair i = 1..N, one run
+at a time.  The side that runs first alternates from pair to pair, so a
+drift of the machine's speed does not favour either side.  It prints every pair, then, per metric,
+both sides' medians and quartiles and the number of pairs the change
+won, taking "better" from ``BENCHMARK.json``.  The temporary directory
+is removed at the end, also when a run fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+
+def git(root: Path, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(root), *args], check=True,
+                          capture_output=True).stdout
+
+
+def export(root: Path, revision: str, into: Path) -> Path:
+    """The committed files of ``revision`` under ``into``."""
+    data = git(root, "archive", "--format=tar", revision)
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def run_once(tree: Path, bench: dict, workload: str, seed: int) -> dict:
+    """One benchmark run; its metrics as name -> value."""
+    proc = subprocess.run(
+        bench["command"] + ["--workload", workload, "--seed", str(seed),
+                            "--seconds", str(bench["run_seconds"]),
+                            "--trace", "0"],
+        cwd=str(tree), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError("%s seed %d failed in %s (exit %d):\n%s"
+                           % (workload, seed, tree, proc.returncode,
+                              proc.stderr[-2000:]))
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = {k: v["value"] for k, v in last["metrics"].items()}
+    metrics["failed"] = last["failed"]
+    return metrics
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(workload: str, runs: list, better: dict) -> None:
+    print("== %s" % workload)
+    names = [k for k in runs[0][0] if k in better]
+    for i, (parent, change) in enumerate(runs, start=1):
+        print("pair %d: " % i + ", ".join(
+            "%s %.4g/%.4g" % (k, parent[k], change[k]) for k in names)
+            + ", failed %d/%d" % (parent["failed"], change["failed"]))
+    for k in names:
+        p = [pair[0][k] for pair in runs]
+        c = [pair[1][k] for pair in runs]
+        sign = 1 if better[k] == "higher" else -1
+        wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+        (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+        ratio = cm / pm if pm else float("nan")
+        print("%-14s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
+              "x%.3f  change won %d/%d"
+              % (k, pm, p1, p3, cm, c1, c3, ratio, wins, len(runs)))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="revision to compare with")
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args(argv)
+
+    root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel")
+                .decode().strip())
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = [w["name"] for w in bench["workloads"]]
+
+    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        parent = export(root, args.parent, scratch / "parent")
+        print("parent %s, change: the working tree"
+              % git(root, "rev-parse", args.parent).decode().strip(), flush=True)
+        for workload in workloads:
+            runs = []
+            for seed in range(1, args.pairs + 1):
+                order = [(0, parent), (1, root)]
+                if seed % 2 == 0:
+                    order.reverse()
+                pair = [None, None]
+                for side, tree in order:
+                    pair[side] = run_once(tree, bench, workload, seed)
+                runs.append(pair)
+                print("%s pair %d done" % (workload, seed), file=sys.stderr,
+                      flush=True)
+            report(workload, runs, better)
+            sys.stdout.flush()
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

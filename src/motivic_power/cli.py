@@ -398,11 +398,19 @@ def _cmd_oracle_check(args, out) -> int:
     return 1 if failures else 0
 
 
+def _env_seed() -> int:
+    text = os.environ.get("MOTIVIC_POWER_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 40 else "%d characters" % len(text)
+        raise ValueError(
+            "MOTIVIC_POWER_SEED must be a decimal integer of at most %d "
+            "digits, got %s" % (sys.get_int_max_str_digits(), shown)) from None
+
+
 def _cmd_axioms(args, out) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get("MOTIVIC_POWER_SEED", "0"))
+    seed = args.seed if args.seed is not None else _env_seed()
     ring = _ring(args)
     _check_cost(_axioms_cost(ring, args.truncate, args.samples))
     report = run_axiom_suite(ring, args.truncate, args.samples, seed)

@@ -20,21 +20,34 @@ which no coefficient of the sum can exceed in magnitude:
   term-by-term products.
 * **int64 lines** when every operand is an array and B < 2**62.
   x -> z^S, y -> z lays every array of the sum on one line, with the
-  stride S taken from the exponent box of the sum, so each product is
-  one C-level convolution and each scaled slot one scaled line, added
-  into one line.
+  stride S taken from the exponent box of the sum, and everything is
+  added into one line.  Each scaled slot is one scaled line.  A pair
+  whose sparser operand a has nnz_a terms over len_a cells of line (len
+  counted at S) is applied term by term, as nnz_a shifted scalar
+  multiples of the other operand's line, when
+
+      nnz_a * (len_b + C) <= len_a * len_b + (len_a + len_b + C),
+
+  the slice-adds against one C-level convolution and the slice-add of
+  its product; any other pair is convolved.  C = ``_SLICE_CELLS`` is the
+  cost of one numpy slice-add before its first element, counted in
+  convolution cells.
 * **packed integers** otherwise (Kronecker substitution): the same
   x -> z^S, y -> z followed by z -> 2^W turns each polynomial into one
   Python integer.  The digit width W comes from B plus a sign bit.  The
   products of all pairs and the scaled slots are added as integers and
-  the sum is unpacked once.  An operand with few terms (a
-  Frobenius-spread g_m, say) is applied as shifted scalar multiples of
+  the sum is unpacked once.  A pair whose sparser operand fills at most
+  a third of its packed span is applied as shifted scalar multiples of
   the other operand instead of a full multiply.
+
+Both routes thus apply an operand with few terms (a Frobenius-spread
+g_m = sum i b_i(u^(m/i)), say) term by term; :func:`_by_terms` holds
+both rules.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +59,12 @@ _INT64_LIMIT = 2 ** 62
 
 # A packed digit holds at least one int64 (arrays pack eight bytes at a time).
 _MIN_WIDTH = 64
+
+# The cost of one numpy slice-add into an int64 line, in cells of
+# np.convolve: on a 2-vCPU x86-64 VM with numpy 2.4, a scaled slice-add
+# costs 2-3 us before its first element and ~1 ns per element after it,
+# and np.convolve ~1 ns per multiply-add.
+_SLICE_CELLS = 2000
 
 Exps = Tuple[int, ...]
 Terms = Dict[Exps, int]
@@ -70,6 +89,8 @@ def _lin(exps: Exps, stride: int) -> int:
 
 def _flatten(arr: np.ndarray, stride: int) -> np.ndarray:
     rows, cols = arr.shape
+    if cols == stride:
+        return arr.reshape(-1)
     flat = np.zeros(rows * stride, dtype=arr.dtype)
     flat.reshape(rows, stride)[:, :cols] = arr
     return flat[: (rows - 1) * stride + cols]
@@ -84,6 +105,29 @@ def _line(slot: "Slot", stride: int) -> np.ndarray:
 def _stride(lo: Exps, hi: Exps) -> int:
     """Smallest collision-free stride for exponents in the box lo..hi."""
     return hi[1] - lo[1] + 1 if len(lo) == 2 else 0
+
+
+def _by_terms(a: "Slot", b: "Slot", stride: int, lines: bool):
+    """The pair as (sparser, denser) operand, the digit index of its
+    product's low corner, and whether to apply the sparser operand term
+    by term.
+
+    With ``len`` the cells an operand spans at ``stride``: on int64
+    ``lines`` when nnz_a slice-adds of len_b cells cost no more than the
+    convolution's len_a * len_b cells plus the one slice-add of its
+    product; on packed integers when the sparser operand fills at most a
+    third of its span (3 * nnz_a <= len_a).
+    """
+    sa, sb = a.stats, b.stats
+    if sb[0] < sa[0]:
+        a, b, sa, sb = b, a, sb, sa
+    lo_a, lo_b = _lin(sa[2], stride), _lin(sb[2], stride)
+    len_a = _lin(sa[3], stride) - lo_a + 1
+    if not lines:
+        return a, b, lo_a + lo_b, 3 * sa[0] <= len_a
+    len_b = _lin(sb[3], stride) - lo_b + 1
+    return a, b, lo_a + lo_b, (sa[0] * (len_b + _SLICE_CELLS)
+                               <= len_a * len_b + len_a + len_b + _SLICE_CELLS)
 
 
 def _corners(pairs, scaled, nvars: int) -> Tuple[Exps, Exps]:
@@ -115,18 +159,40 @@ def _abs_bound_max(a: np.ndarray, b: np.ndarray) -> float:
     return worst * (1.0 + 1e-9) + 1.0
 
 
-def _sum_lines(lo: Exps, hi: Exps, stride: int, placed) -> "Slot":
-    """Array slot over the box lo..hi of a sum of int64 lines.
+def _add_line(total: np.ndarray, at: int, line: np.ndarray, c: int):
+    """total[at:] += c * line, without a scaled copy when c is 1 or -1."""
+    cells = total[at:at + line.shape[0]]
+    if c == 1:
+        cells += line
+    elif c == -1:
+        cells -= line
+    else:
+        cells += line * c
 
-    ``placed`` yields (digit index of the line's first value, line) at
-    ``stride``, so each line can be computed just before it is added.
+
+def _sum_lines(pairs, scaled, nvars: int) -> "Slot":
+    """Exact sum of the pair products and scaled slots on one int64 line.
+
+    The caller's exact bound must be below 2**62, so no partial sum can
+    overflow.  Each pair is either convolved or, by :func:`_by_terms`,
+    applied term by term as shifted scalar multiples of its denser line.
     """
+    lo, hi = _corners(pairs, scaled, nvars)
+    stride = _stride(lo, hi)
     base = _lin(lo, stride)
     total = np.zeros(_lin(hi, stride) - base + 1, dtype=np.int64)
-    for at, line in placed:
+    for a, b in pairs:
+        a, b, at, by_terms = _by_terms(a, b, stride, True)
         at -= base
-        total[at:at + line.shape[0]] += line
-    return Slot.dense(lo, total.reshape(-1, stride) if len(lo) == 2 else total)
+        line = _line(b, stride)
+        if by_terms:
+            for k, c in a.spread(stride):
+                _add_line(total, at + k, line, c)
+        else:
+            _add_line(total, at, _conv_arrays(_line(a, stride), line), 1)
+    for k, s in scaled:
+        _add_line(total, _lin(s.stats[2], stride) - base, _line(s, stride), k)
+    return Slot.dense(lo, total.reshape(-1, stride) if nvars == 2 else total)
 
 
 # -- packed route: Kronecker substitution into Python integers -------------
@@ -188,9 +254,8 @@ def _packed_sum(pairs, scaled, nvars: int, bound: int) -> Terms:
     """Exact sum of the pair products and scaled slots on packed integers.
 
     ``bound`` must be the exact bound B of the sum; the digit width is
-    its bit length plus a sign bit, in whole bytes.  A pair whose sparser
-    operand fills at most a third of its packed span is applied term by
-    term; any other pair is one integer multiply.
+    its bit length plus a sign bit, in whole bytes.  Each pair is either
+    one integer multiply or, by :func:`_by_terms`, applied term by term.
     """
     origin, top = _corners(pairs, scaled, nvars)
     stride = _stride(origin, top)
@@ -198,13 +263,10 @@ def _packed_sum(pairs, scaled, nvars: int, bound: int) -> Terms:
     base = _lin(origin, stride)
     acc = 0
     for a, b in pairs:
-        sa, sb = a.stats, b.stats
-        if sb[0] < sa[0]:
-            a, b, sa, sb = b, a, sb, sa
-        lo_a, lo_b = _lin(sa[2], stride), _lin(sb[2], stride)
-        if 3 * sa[0] <= _lin(sa[3], stride) - lo_a + 1:
+        a, b, at, by_terms = _by_terms(a, b, stride, False)
+        at -= base
+        if by_terms:
             packed = b.packed(width, stride)
-            at = lo_b - base
             for k, c in a.spread(stride):
                 if c == 1:
                     acc += packed << (width * (k + at))
@@ -214,7 +276,7 @@ def _packed_sum(pairs, scaled, nvars: int, bound: int) -> Terms:
                     acc += (packed * c) << (width * (k + at))
         else:
             acc += (a.packed(width, stride) * b.packed(width, stride)) \
-                << (width * (lo_a + lo_b - base))
+                << (width * at)
     for k, s in scaled:
         acc += (s.packed(width, stride) * k) \
             << (width * (_lin(s.stats[2], stride) - base))
@@ -228,6 +290,26 @@ _conv_limbs = _packed_sum
 
 
 # -- slots: an int64 array when it fits, a term map when it does not -------
+
+# (low corner, width, one exponent tuple per cell of a box in row-major order)
+ExponentTable = Tuple[Exps, int, List[Exps]]
+
+
+def exponent_table(slots: Sequence["Slot"]) -> Optional[ExponentTable]:
+    """One exponent tuple per cell of the union box of two-variable slots,
+    or None when the slots hold fewer terms than the box has cells, so a
+    table never holds more tuples than the polynomials would."""
+    live = [s.stats for s in slots if not s.is_zero]
+    if not live:
+        return None
+    lo = tuple(min(st[2][i] for st in live) for i in (0, 1))
+    hi = tuple(max(st[3][i] for st in live) for i in (0, 1))
+    width = hi[1] - lo[1] + 1
+    if sum(st[0] for st in live) < (hi[0] - lo[0] + 1) * width:
+        return None
+    return lo, width, list(product(range(lo[0], hi[0] + 1),
+                                   range(lo[1], hi[1] + 1)))
+
 
 class Slot:
     """One polynomial travelling through a solver pipeline.
@@ -250,7 +332,8 @@ class Slot:
         self.terms = terms
         if arr is not None:
             nnz = int(np.count_nonzero(arr))
-            self.stats = (nnz, int(np.abs(arr).max()) if nnz else 0, lo,
+            top = int(max(arr.max(), -arr.min())) if nnz else 0
+            self.stats = (nnz, top, lo,
                           tuple(o + n - 1 for o, n in zip(lo, arr.shape)))
         elif terms:
             self.stats = (len(terms), max(abs(c) for c in terms.values()),
@@ -302,11 +385,23 @@ class Slot:
         return p[2]
 
     def spread(self, stride: int) -> List[Tuple[int, int]]:
-        """(digit index, coefficient) of every term at this stride (cached)."""
+        """(digit index past the low corner, coefficient) of every term at
+        this stride (cached)."""
         s = self._spread
         if s is None or s[0] != stride:
-            s = self._spread = (stride, [(_lin(e, stride), c)
-                                         for e, c in self.to_terms().items()])
+            if self.arr is not None:
+                arr = self.arr
+                nz = np.flatnonzero(arr)
+                values = arr.ravel()[nz].tolist()
+                if arr.ndim == 2:  # row-major index -> index on the line
+                    rows, cols = np.divmod(nz, arr.shape[1])
+                    nz = rows * stride + cols
+                terms = list(zip(nz.tolist(), values))
+            else:
+                base = _lin(self.stats[2], stride)
+                terms = [(_lin(e, stride) - base, c)
+                         for e, c in self.terms.items()]
+            s = self._spread = (stride, terms)
         return s[1]
 
     def to_terms(self) -> Terms:
@@ -318,7 +413,24 @@ class Slot:
         keys = zip(*[(x + o).tolist() for x, o in zip(nz, lo)])
         return dict(zip(keys, arr[nz].tolist()))
 
-    def to_polynomial(self, ring: RingDescriptor) -> Polynomial:
+    def to_polynomial(self, ring: RingDescriptor,
+                      table: Optional[ExponentTable] = None) -> Polynomial:
+        """The slot as a polynomial; with a ``table`` (two variables only),
+        its exponent tuples are the table's."""
+        if table is not None:
+            (o0, o1), width, keys = table
+            if self.arr is not None:
+                arr = self.arr
+                rows, cols = np.nonzero(arr)
+                values = arr[rows, cols].tolist()
+                r0, c0 = self.stats[2]
+                cells = ((rows + (r0 - o0)) * width
+                         + (cols + (c0 - o1))).tolist()
+            else:
+                values = list(self.terms.values())
+                cells = [(e0 - o0) * width + e1 - o1 for e0, e1 in self.terms]
+            return Polynomial._raw(ring, dict(zip(map(keys.__getitem__, cells),
+                                                  values)))
         if self.arr is not None:
             return Polynomial._raw(ring, self.to_terms())
         return Polynomial._raw(ring, dict(self.terms))
@@ -342,10 +454,9 @@ class Slot:
         if n == 1 or self.is_zero:
             return self
         if self.arr is not None:
-            q, r = np.divmod(self.arr, n)
-            if r.any():
+            if (self.arr % n).any():
                 raise ArithmeticError("expected an exact division by %d" % n)
-            return Slot.dense(self.stats[2], q)
+            return Slot.dense(self.stats[2], self.arr // n)
         out = {}
         for e, c in self.terms.items():
             q, r = divmod(c, n)
@@ -401,14 +512,7 @@ class SlotAccumulator:
                 and all(a.arr is not None and b.arr is not None
                         for a, b in pairs)
                 and all(s.arr is not None for _, s in scaled)):
-            lo, hi = _corners(pairs, scaled, nvars)
-            stride = _stride(lo, hi)
-            return _sum_lines(lo, hi, stride, chain(
-                ((_lin(a.stats[2], stride) + _lin(b.stats[2], stride),
-                  _conv_arrays(_line(a, stride), _line(b, stride)))
-                 for a, b in pairs),
-                ((_lin(s.stats[2], stride), _line(s, stride) * k)
-                 for k, s in scaled)))
+            return _sum_lines(pairs, scaled, nvars)
         return Slot.wrap(_packed_sum(pairs, scaled, nvars, self.bound), nvars)
 
 

@@ -100,9 +100,15 @@ def _monomial_base(a: Polynomial, order: int) -> Series:
 
 
 def _assemble_slots(ring: RingDescriptor, order: int, b: List[Slot]) -> Series:
-    """Multiply out prod_{i=1..N} (1-t^i)^{-b_i} by the forward recurrence."""
+    """Multiply out prod_{i=1..N} (1-t^i)^{-b_i} by the forward recurrence.
+
+    In two variables the coefficients share one tuple per exponent vector
+    (:func:`gridops.exponent_table`) when they have at least as many terms
+    as their union box has cells.
+    """
     f = _solve_forward(b, order, ring.nvars)
-    return Series._raw(ring, order, [x.to_polynomial(ring) for x in f])
+    table = gridops.exponent_table(f) if ring.nvars == 2 else None
+    return Series._raw(ring, order, [x.to_polynomial(ring, table) for x in f])
 
 
 def _solve_forward(b: List[Slot], order: int, nvars: int) -> List[Slot]:

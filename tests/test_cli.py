@@ -188,11 +188,18 @@ class TestChecksAndExitCodes:
         assert out1 == out2
         assert "result: PASS" in out1
 
-    def test_axioms_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOTIVIC_POWER_SEED", "31")
-        code, out, _ = run(capsys, "axioms", "--samples", "2", "--truncate", "4")
-        assert code == 0
-        assert "seed=31" in out
+    @pytest.mark.parametrize("value", ["31", "abc", "", "7" * 5000],
+                             ids=["valid", "letters", "empty", "long"])
+    def test_axioms_env_seed(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MOTIVIC_POWER_SEED", value)
+        code, out, err = run(capsys, "axioms", "--samples", "2", "--truncate", "4")
+        if value == "31":
+            assert code == 0
+            assert "seed=31" in out
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: MOTIVIC_POWER_SEED ")
+            assert "set_int_max_str_digits" not in err
 
     def test_axioms_over_polynomial_ring(self, capsys):
         code, out, _ = run(capsys, "axioms", "--seed", "3", "--samples", "2",

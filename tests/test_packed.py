@@ -13,6 +13,7 @@ divisions.
 """
 
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,23 @@ def packed_sums():
         gridops._packed_sum = real
 
 
+@contextmanager
+def convolutions():
+    """Count the int64 convolutions made while the block runs."""
+    calls = []
+    real = gridops._conv_arrays
+
+    def counted(a, b):
+        calls.append((a.shape[0], b.shape[0]))
+        return real(a, b)
+
+    gridops._conv_arrays = counted
+    try:
+        yield calls
+    finally:
+        gridops._conv_arrays = real
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_sum_of_products_matches_dict(data):
@@ -164,6 +182,71 @@ def test_frobenius_spread_operand_matches_dict(data):
         na, ma, _, _ = a.stats
         nb, mb, _, _ = b.stats
         assert _packed_sum([(a, b)], [], nvars, min(na, nb) * ma * mb) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frobenius_spread_pairs_on_lines_match_dict(data):
+    # g(u^j, v^j) against a wider operand: with small values the exact
+    # bound stays below 2^62 and the int64 route applies the spread
+    # operand term by term or convolves, by the cost rule; values near
+    # 2^30 and 2^31 put the bound on both sides of 2^62
+    ring = data.draw(st.sampled_from([LAURENT_L, UV, LAURENT_UV]))
+    nvars = ring.nvars
+    near = st.builds(lambda base, d, sign: sign * (base + d),
+                     st.sampled_from([2 ** 30, 2 ** 31]), st.integers(0, 3),
+                     st.sampled_from([1, -1]))
+    values = st.one_of(st.integers(-5, 5), near).filter(bool)
+
+    def maps(degree, size):
+        lo = -degree if ring.laurent else 0
+        exps = st.tuples(*[st.integers(lo, degree)] * nvars)
+        return st.dictionaries(exps, values, max_size=size)
+
+    wide = 60 if nvars == 1 else 8
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        j = data.draw(st.integers(2, 8))
+        ta, tb = data.draw(maps(4, 3)), data.draw(maps(wide, 12))
+        spread = {tuple(x * j for x in e): c for e, c in ta.items()}
+        pairs.append((spread, tb, Slot.wrap(ta, nvars).scale_exponents(j),
+                      Slot.wrap(tb, nvars)))
+    acc = SlotAccumulator(nvars)
+    for _, _, a, b in pairs:
+        acc.add_pair(a, b)
+    with packed_sums() as packed:
+        got = acc.result().to_terms()
+    assert got == dict_sum([(ta, tb) for ta, tb, _, _ in pairs], nvars)
+    assert len(packed) == (acc.bound >= 2 ** 62)
+
+
+def test_spread_two_variable_operand_is_not_convolved():
+    # step 30 of a Hodge-Deligne solve: g = 6 b(u^5, v^5) with b the
+    # K3 exponent (uv)^5 e(K3), against a dense 40x40 coefficient
+    e = {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1}
+    tb = {(x + 5, y + 5): 6 * c for (x, y), c in e.items()}
+    tf = {(x, y): (x * 7 + y) % 11 - 5 or 1 for x in range(40) for y in range(40)}
+    g = Slot.wrap(tb, 2).scale_exponents(5)
+    with convolutions() as convolved, packed_sums() as packed:
+        got = slot_product(g, Slot.wrap(tf, 2), 2).to_terms()
+    spread = {(5 * x, 5 * y): c for (x, y), c in tb.items()}
+    assert got == dict_sum([(spread, tf)], 2)
+    assert convolved == [] and packed == []
+
+
+def test_short_one_variable_pair_is_convolved():
+    # step 120 of a Hilbert solve, [X] = L^2 + 3L + 1: g_40 = sum over
+    # i | 40 of i b_i(L^(40/i)), b_i = L^(i-1) [X], against f_80
+    g = {}
+    for i in (1, 2, 4, 5, 8, 10, 20, 40):
+        j = 40 // i
+        for e, c in ((i + 1, 1), (i, 3), (i - 1, 1)):
+            g[(e * j,)] = g.get((e * j,), 0) + i * c
+    tf = {(k,): 1 + k % 5 for k in range(161)}
+    with convolutions() as convolved:
+        got = slot_product(Slot.wrap(g, 1), Slot.wrap(tf, 1), 1).to_terms()
+    assert got == dict_sum([(g, tf)], 1)
+    assert convolved == [(81, 161)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,7 +338,8 @@ def test_exact_bound_alone_picks_the_route(top, route):
     assert len(packed) == (route == "packed")
 
 
-def test_sparse_operand_is_applied_term_by_term():
+@pytest.mark.parametrize("route", ["packed", "int64"])
+def test_sparse_operand_is_applied_term_by_term(route):
     for ring in (LAURENT_L, UV, LAURENT_UV):
         nvars = ring.nvars
         e = (-1 if ring.laurent else 1,) * nvars
@@ -263,13 +347,24 @@ def test_sparse_operand_is_applied_term_by_term():
         def at(k):
             return tuple(k * x for x in e)
 
-        ta = {at(k): c for k, c in enumerate([2 ** 200 + 1, -3, -1, 1])}
-        tb = {at(k): c for k, c in enumerate([5, -(2 ** 63), 7, -1, 2 ** 62])}
+        if route == "packed":
+            ta = {at(k): c for k, c in enumerate([2 ** 200 + 1, -3, -1, 1])}
+            tb = {at(k): c for k, c in enumerate([5, -(2 ** 63), 7, -1, 2 ** 62])}
+        else:
+            # the denser operand long enough for slice-adds to beat a
+            # convolution: 2,000 cells of line in one variable, 20x20 in two
+            ta = {at(k): c for k, c in enumerate([2 ** 30 + 1, -3, -1, 1])}
+            side = range(2000) if nvars == 1 else range(20)
+            tb = {tuple(s * x for s, x in zip(k, e)): sum(k) % 9 - 4 or 2 ** 20
+                  for k in product(side, repeat=nvars)}
         a = Slot.wrap(ta, nvars).scale_exponents(5)
         b = Slot.wrap(tb, nvars)
         spread = {tuple(x * 5 for x in k): c for k, c in ta.items()}
-        assert slot_product(a, b, nvars).to_terms() == dict_sum([(spread, tb)], nvars)
+        with convolutions() as convolved, packed_sums() as packed:
+            got = slot_product(a, b, nvars).to_terms()
+        assert got == dict_sum([(spread, tb)], nvars)
         assert a._spread is not None and a._packed is None
+        assert convolved == [] and len(packed) == (route == "packed")
 
 
 def test_zero_and_constant_slots():

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import motivic_power as mp
+from motivic_power import gridops
 from motivic_power.axioms import (
     random_polynomial,
     random_unital_series,
@@ -393,3 +395,37 @@ class TestThreeVariables:
         assert pow_series(A, 3) == A * A * A
         assert pow_series(A, -1) * A == Series.one(UVW, 4)
         assert dict_route == []
+
+
+class TestSharedExponentKeys:
+    def test_coefficients_share_exponent_tuples(self):
+        # the K3 diamond: e = 1 + u^2 + v^2 + 20uv + u^2 v^2
+        u, v = (Polynomial.variable(UV, x) for x in ("u", "v"))
+        e = 1 + u ** 2 + v ** 2 + 20 * u * v + u ** 2 * v ** 2
+        series = mp.hodge_deligne_series(mp.VarietyClass(e, 2), 8)
+        first = {}
+        shared = 0
+        for c in series.coefficients:
+            for key in c.terms:
+                if key in first:
+                    assert key is first[key]
+                    shared += 1
+                else:
+                    first[key] = key
+        assert shared
+
+    def test_wide_sparse_box_builds_no_table(self, monkeypatch):
+        # a 10001 x 10001 box holding three terms: a table would hold
+        # 10^8 tuples, against the five the polynomials hold
+        tables = []
+        real = gridops.exponent_table
+
+        def recorded(slots):
+            tables.append(real(slots))
+            return tables[-1]
+
+        monkeypatch.setattr(gridops, "exponent_table", recorded)
+        u, v = (Polynomial.variable(UV, x) for x in ("u", "v"))
+        a = u ** 5000 * v ** 5000 + 1
+        assert base_series(a, 2) == _monomial_base_exact(a, 2)
+        assert tables == [None]
