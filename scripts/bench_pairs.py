@@ -2,13 +2,15 @@
 
 Usage (from anywhere inside a checkout):
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 \
+        [--workloads hilbert-motivic ...]
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, so the run sees only its committed files, as a fresh clone
 would, and the repository's worktree list is never touched.  The change
 side is this checkout's working tree.  For every workload of
-``BENCHMARK.json`` the script runs its command,
+``BENCHMARK.json`` (or only those named by ``--workloads``) the script
+runs its command,
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
@@ -94,6 +96,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="revision to compare with")
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--workloads", nargs="+", metavar="NAME",
+                   help="run only these workloads (default: all of them)")
     args = p.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel")
@@ -101,6 +105,12 @@ def main(argv=None) -> int:
     bench = json.loads((root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
+    if args.workloads:
+        unknown = sorted(set(args.workloads) - set(workloads))
+        if unknown:
+            p.error("unknown workload(s) %s; BENCHMARK.json has %s"
+                    % (", ".join(unknown), ", ".join(workloads)))
+        workloads = [w for w in workloads if w in args.workloads]
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:

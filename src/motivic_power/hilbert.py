@@ -136,11 +136,7 @@ class LocalHilbertData:
             if key not in obj:
                 raise ValueError("local data is missing the %r key" % key)
         dimension = _json_int(obj["dimension"], "local data 'dimension'")
-        try:
-            series = Series.from_json(obj["series"])
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError("malformed 'series' in local data: %r" % exc) from exc
-        return cls(dimension, series)
+        return cls(dimension, Series.from_json(obj["series"]))
 
 
 def _surface_series(order: int) -> Series:

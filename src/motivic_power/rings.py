@@ -27,6 +27,14 @@ class RingMismatchError(ValueError):
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
+def _shown(value) -> str:
+    """A JSON value as an error message shows it, cut to 40 characters."""
+    if type(value) is int and value.bit_length() > 128:
+        return "an integer of %d bits" % value.bit_length()
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _json_int(value, what: str, decimal: bool = False) -> int:
     """A JSON integer (not a bool), or with ``decimal`` a decimal string.
 
@@ -41,7 +49,26 @@ def _json_int(value, what: str, decimal: bool = False) -> int:
         except ValueError:
             raise ValueError("%s has more than the %d decimal digits allowed"
                              % (what, sys.get_int_max_str_digits())) from None
-    raise ValueError("%s must be an integer, got %r" % (what, value))
+    raise ValueError("%s must be an integer, got %s" % (what, _shown(value)))
+
+
+def _json_get(obj, key: str, path: str):
+    """``obj[key]`` of the JSON object at ``path``; a ValueError naming the
+    path when ``obj`` is not an object or has no such key."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("%s must be a JSON object, got %s" % (path, _shown(obj)))
+    if key not in obj:
+        raise ValueError("%s.%s is missing" % (path, key))
+    return obj[key]
+
+
+def _json_list(obj, key: str, path: str) -> list:
+    """``obj[key]`` as :func:`_json_get` reads it, which must be a list."""
+    value = _json_get(obj, key, path)
+    if not isinstance(value, list):
+        raise ValueError("%s.%s must be a list, got %s"
+                         % (path, key, _shown(value)))
+    return value
 
 
 class RingDescriptor:
@@ -97,14 +124,17 @@ class RingDescriptor:
         return {"vars": list(self.variables), "laurent": self.laurent}
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "RingDescriptor":
-        names, laurent = obj["vars"], obj["laurent"]
-        if not isinstance(names, list):
-            raise ValueError("ring 'vars' must be a list, got %r" % (names,))
+    def from_json(cls, obj: Mapping, path: str = "ring") -> "RingDescriptor":
+        """The ring of a JSON object; errors name the JSON ``path``."""
+        names = _json_list(obj, "vars", path)
+        laurent = _json_get(obj, "laurent", path)
         if not isinstance(laurent, bool):
-            raise ValueError("ring 'laurent' must be true or false, got %r"
-                             % (laurent,))
-        return cls(tuple(names), laurent)
+            raise ValueError("%s.laurent must be true or false, got %s"
+                             % (path, _shown(laurent)))
+        try:
+            return cls(tuple(names), laurent)
+        except ValueError as exc:
+            raise ValueError("%s.vars: %s" % (path, exc)) from None
 
 
 INTEGERS = RingDescriptor()
@@ -399,19 +429,26 @@ class Polynomial:
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "Polynomial":
-        ring = RingDescriptor.from_json(obj["ring"])
+    def from_json(cls, obj: Mapping, path: str = "polynomial") -> "Polynomial":
+        """The polynomial of a JSON object; errors name the JSON ``path``,
+        such as ``series.coeffs[3].terms[0].exp``."""
+        ring = RingDescriptor.from_json(_json_get(obj, "ring", path),
+                                        path + ".ring")
         terms = {}
-        for entry in obj["terms"]:
-            exps = entry["exp"]
-            if not isinstance(exps, list):
-                raise ValueError("term 'exp' must be a list, got %r" % (exps,))
-            exps = tuple(_json_int(e, "term exponent") for e in exps)
-            coef = _json_int(entry["coef"], "term 'coef'", decimal=True)
+        for j, entry in enumerate(_json_list(obj, "terms", path)):
+            at = "%s.terms[%d]" % (path, j)
+            exps = tuple(_json_int(e, "%s.exp[%d]" % (at, k))
+                         for k, e in enumerate(_json_list(entry, "exp", at)))
+            coef = _json_int(_json_get(entry, "coef", at), at + ".coef",
+                             decimal=True)
             if exps in terms:
-                raise ValueError("duplicate exponent vector %r" % (exps,))
+                raise ValueError("%s.exp: duplicate exponent vector %r"
+                                 % (at, exps))
             terms[exps] = coef
-        return cls(ring, terms)
+        try:
+            return cls(ring, terms)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
 
 
 class MonomialMap:

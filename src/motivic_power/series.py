@@ -13,7 +13,14 @@ from __future__ import annotations
 from typing import Callable, List, Mapping, Sequence, Union
 
 from .gridops import Slot, SlotAccumulator
-from .rings import Polynomial, RingDescriptor, RingMismatchError, _json_int
+from .rings import (
+    Polynomial,
+    RingDescriptor,
+    RingMismatchError,
+    _json_get,
+    _json_int,
+    _json_list,
+)
 
 
 class Series:
@@ -205,9 +212,16 @@ class Series:
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "Series":
-        order = _json_int(obj["order"], "series 'order'")
-        coeffs = [Polynomial.from_json(c) for c in obj["coeffs"]]
+    def from_json(cls, obj: Mapping, path: str = "series") -> "Series":
+        """The series of a JSON object; errors name the JSON ``path``,
+        such as ``series.coeffs[1].ring``."""
+        order = _json_int(_json_get(obj, "order", path), path + ".order")
+        coeffs = [Polynomial.from_json(c, "%s.coeffs[%d]" % (path, k))
+                  for k, c in enumerate(_json_list(obj, "coeffs", path))]
         if not coeffs:
-            raise ValueError("series JSON needs at least the constant coefficient")
-        return cls(coeffs[0].ring, order, coeffs)
+            raise ValueError("%s.coeffs needs at least the constant coefficient"
+                             % path)
+        try:
+            return cls(coeffs[0].ring, order, coeffs)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None

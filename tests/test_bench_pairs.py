@@ -1,0 +1,63 @@
+"""``scripts/bench_pairs.py``'s statistics, on synthetic runs only.
+
+Nothing here launches the benchmark: ``quartiles`` and ``report`` are
+fed made-up metrics, and ``main`` is stopped at its argument check.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_script()
+
+
+def test_quartiles():
+    assert bench_pairs.quartiles([5.0]) == (5.0, 5.0, 5.0)
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+
+
+def test_report_counts_wins_in_each_metric_direction(capsys):
+    better = {"solves_per_s": "higher", "solve_s_p50": "lower"}
+    runs = []
+    for i in range(10):
+        # the change is faster in pairs 0-6, equal in pair 7, slower after
+        rate = 2.0 if i < 7 else (1.0 if i == 7 else 0.5)
+        parent = {"solves_per_s": 1.0, "solve_s_p50": 1.0, "failed": 0}
+        change = {"solves_per_s": rate, "solve_s_p50": 1.0 / rate,
+                  "failed": 1 if i == 9 else 0}
+        runs.append((parent, change))
+    bench_pairs.report("synthetic", runs, better)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "== synthetic"
+    assert len([line for line in out if line.startswith("pair ")]) == 10
+    assert out[10].endswith("failed 0/1")
+    summary = {line.split()[0]: line for line in out[11:]}
+    assert summary.keys() == better.keys()
+    for name in better:
+        assert summary[name].endswith("change won 7/10")
+    assert "parent 1 [1, 1]" in summary["solves_per_s"]
+    assert "change 2 [1.25, 2]" in summary["solves_per_s"]
+    assert "x2.000" in summary["solves_per_s"]
+
+
+def test_unknown_workload_is_refused_before_any_run(capsys, monkeypatch):
+    root = str(SCRIPT.parents[1]).encode()
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: root)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail(
+        "a benchmark run started"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--workloads", "no-such-load"])
+    assert exc.value.code == 2
+    assert "unknown workload(s) no-such-load" in capsys.readouterr().err

@@ -287,6 +287,36 @@ class TestChecksAndExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("keys,value,message", [
+        pytest.param(("series", "coeffs", 1, "ring"), None,
+                     "series.coeffs[1].ring is missing", id="missing-key"),
+        pytest.param(("series", "coeffs", 3, "terms", 0, "exp"), "1",
+                     "series.coeffs[3].terms[0].exp must be a list, got '1'",
+                     id="wrong-type"),
+        pytest.param(("series", "coeffs"), {"0": 1},
+                     "series.coeffs must be a list", id="coeffs-not-a-list"),
+        pytest.param(("series", "coeffs", 2, "terms"), "L",
+                     "series.coeffs[2].terms must be a list, got 'L'",
+                     id="terms-not-a-list"),
+    ])
+    def test_local_data_errors_name_the_json_path(self, capsys, tmp_path,
+                                                  keys, value, message):
+        path = tmp_path / "d3.json"
+        payload = self.write_d3(path, 3)
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        if value is None:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "hilbert", "--dim", "3", "--class", "L^3",
+                             "--truncate", "3", "--local-data", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_local_data_parses_only_the_requested_prefix(
             self, capsys, monkeypatch, tmp_path):
         argv = ["hilbert", "--dim", "3", "--class", "L^3", "--truncate", "5",
@@ -297,9 +327,9 @@ class TestChecksAndExitCodes:
         parse = Polynomial.from_json.__func__
         parsed = []
 
-        def counted(cls, obj):
+        def counted(cls, obj, path):
             parsed.append(obj)
-            return parse(cls, obj)
+            return parse(cls, obj, path)
 
         monkeypatch.setattr(Polynomial, "from_json", classmethod(counted))
         code, out, _ = run(capsys, *argv, str(long))

@@ -2,9 +2,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motivic_power as mp
-from motivic_power import gridops
+from motivic_power import gridops, power
 from motivic_power.axioms import (
     random_polynomial,
     random_unital_series,
@@ -18,7 +19,11 @@ from motivic_power.power import (
     _assemble_blocks,
     _factor_peeling,
     _monomial_base,
+    _digit_width,
+    _euler_product,
     _monomial_base_exact,
+    _multiplies_out,
+    _solve_forward,
     assemble,
     base_series,
     exp_map,
@@ -429,3 +434,142 @@ class TestSharedExponentKeys:
         a = u ** 5000 * v ** 5000 + 1
         assert base_series(a, 2) == _monomial_base_exact(a, 2)
         assert tables == [None]
+
+
+def recurrence_terms(b, order, nvars):
+    """The forward recurrence's f_0..f_N for the exponent term maps b."""
+    slots = [gridops.Slot.wrap(t, nvars) for t in b]
+    return [x.to_terms() for x in _solve_forward(slots, order, nvars)]
+
+
+class TestEulerProductPath:
+    """The factor-by-factor product is == to the forward recurrence.
+
+    Both are called directly, on the same exponent term maps.
+    """
+
+    def same(self, b, order, nvars):
+        got = _euler_product(b, order, nvars)
+        assert got == recurrence_terms(b, order, nvars)
+        return got
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_random_signed_exponents(self, data):
+        nvars = data.draw(st.integers(0, 1))
+        order = data.draw(st.integers(0, 9))
+        exps = st.tuples(st.integers(-3, 3)) if nvars else st.just(())
+        coefs = (st.integers(-4, 4) | st.integers(-2 ** 40, 2 ** 40)).filter(bool)
+        b = data.draw(st.lists(st.dictionaries(exps, coefs, max_size=3),
+                               min_size=order, max_size=order))
+        self.same(b, order, nvars)
+
+    def test_laurent_offsets(self):
+        # lower rate min(-3, floor(-5/2), floor(-1/3)) = -3
+        b = [{(-3,): 2, (1,): -1}, {(-5,): 1, (0,): 3}, {(-1,): -2}, {},
+             {(4,): 1}, {(-7,): -1}, {}, {(2,): 2}]
+        got = self.same(b, 8, 1)
+        assert min(e for e, in got[8]) == -24
+        assert max(e for e, in got[8]) <= 8  # the upper rate is 1/1
+
+    def test_binomial_branch(self):
+        # every factor has |c| > N/i: 7 and -9 at i = 1, -5 at i = 3,
+        # 2 at i = 4
+        b = [{(0,): 7, (2,): -9}, {}, {(1,): -5}, {(-1,): 2}, {}, {}]
+        self.same(b, 6, 1)
+        self.same([{(): 7}, {(): -9}, {(): -5}, {(): 2}, {}, {}], 6, 0)
+
+    @pytest.mark.parametrize("b,width", [
+        ([{(0,): 2 ** 30}, {}], 64),
+        ([{(1,): 2 ** 32 + 1, (-1,): -(2 ** 31)}, {(0,): 5}], 72),
+        ([{(0,): 2 ** 63 - 1}], 64),
+        ([{(0,): -(2 ** 63)}], 72),  # 64 bits of magnitude need the sign bit
+    ])
+    def test_widths_and_the_int64_edge(self, b, width):
+        order = len(b)
+        assert _digit_width(b, order) == width
+        got = self.same(b, order, 1)
+        top = max(abs(c) for t in got for c in t.values())
+        assert (top < 2 ** 62) == (order == 2 and width == 64)
+
+    def test_hilbert_shape_past_int64(self):
+        order = 120
+        b = [{(i - 1,): 1, (i,): 3, (i + 1,): 1} for i in range(1, order + 1)]
+        assert _digit_width(b, order) >= 72
+        got = self.same(b, order, 1)
+        assert max(abs(c) for t in got for c in t.values()) > 2 ** 62
+
+    @pytest.mark.parametrize("nvars", [0, 1])
+    def test_orders_zero_and_one(self, nvars):
+        one = (0,) * nvars
+        assert self.same([], 0, nvars) == [{one: 1}]
+        assert self.same([{one: 3}], 1, nvars) == [{one: 1}, {one: 3}]
+        if nvars:
+            assert self.same([{(-2,): -1}], 1, 1) == [{(0,): 1}, {(-2,): -1}]
+
+    @pytest.mark.parametrize("nvars", [0, 1])
+    def test_all_zero_exponents(self, nvars):
+        assert self.same([{}] * 5, 5, nvars) == [{(0,) * nvars: 1}] + [{}] * 5
+
+
+def hilbert_exponents(a, order):
+    """b_i = L^(i-1) (L^2 + a L + 1): the Hilbert-scheme series' exponents."""
+    return [{(i - 1,): 1, (i,): a, (i + 1,): 1} for i in range(1, order + 1)]
+
+
+def surface_exponents(e, order):
+    """b_i = (uv)^(i-1) e: the exponents of a Hodge-Deligne series."""
+    return [{(x + i - 1, y + i - 1): c for (x, y), c in e.items()}
+            for i in range(1, order + 1)]
+
+
+class TestProductRouting:
+    def test_hilbert_shapes_take_the_product(self):
+        for order in (40, 80, 160):
+            # the punctual surface series, and [X] = L^2 + L + 1
+            assert _multiplies_out(
+                [{(i - 1,): 1} for i in range(1, order + 1)], order, 1)
+            assert _multiplies_out(hilbert_exponents(1, order), order, 1)
+        for a in (2, 3):  # rows/rec 0.26 and 0.30 at the benchmark's order
+            assert _multiplies_out(hilbert_exponents(a, 160), 160, 1)
+
+    def test_hilbert_series_runs_no_recurrence(self, monkeypatch):
+        L = Polynomial.variable(LAURENT_L, "L")
+        X = mp.VarietyClass(L ** 2 + L + 1, 2)
+        want = mp.global_series(X, mp.local_series(2, 40), 40)
+        monkeypatch.setattr(power, "_solve_forward", lambda *args: pytest.fail(
+            "the forward recurrence ran"))
+        assert mp.global_series(X, mp.local_series(2, 40), 40) == want
+
+    def test_two_variables_stay_on_the_recurrence(self):
+        p2 = {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+        k3 = {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1}
+        for e in (p2, k3):
+            assert not _multiplies_out(surface_exponents(e, 40), 40, 2)
+        assert not _multiplies_out([{(0, 0): 1}, {}, {}, {}], 4, 2)
+        assert not _multiplies_out([{}] * 4, 4, 2)
+
+    @pytest.mark.parametrize("ring", [INTEGERS, LAURENT_L], ids=["Z", "Z[L~]"])
+    def test_axioms_shaped_samples_stay_on_the_recurrence(self, ring, monkeypatch):
+        # the axioms-small shapes: A and m with coefficients in [-3, 3]
+        # on exponents of degree <= 2, at order 10
+        rng = random.Random(23)
+        nvars = ring.nvars
+        for _ in range(20):
+            A = random_unital_series(rng, ring, 10)
+            m = random_polynomial(rng, ring)
+            if not m.terms:
+                continue
+            b = [(p * m).terms for p in factor(A).exponents]
+            assert not _multiplies_out(b, 10, nvars)
+        # the recurrence gets int64 arrays in one variable, as before
+        seen = []
+        real = power._solve_forward
+
+        def recorded(b, order, nvars):
+            seen.extend(b)
+            return real(b, order, nvars)
+
+        monkeypatch.setattr(power, "_solve_forward", recorded)
+        pow_series(A, m)
+        assert seen and all(s.arr is not None for s in seen if nvars)

@@ -173,6 +173,18 @@ class TestCanonicalForms:
         assert obj["terms"][0]["coef"] == str(10 ** 30)
         assert Polynomial.from_json(obj) == p
 
+    def test_json_errors_name_the_path(self):
+        obj = Polynomial(UV, {(1, 1): 2}).to_json()
+        del obj["terms"][0]["coef"]
+        with pytest.raises(ValueError, match=r"^polynomial\.terms\[0\]\.coef is missing$"):
+            Polynomial.from_json(obj)
+        obj["terms"][0].update(coef=2, exp=[1, 1, 1])
+        with pytest.raises(ValueError, match=r"^p\.q: exponent vector"):
+            Polynomial.from_json(obj, "p.q")
+        obj["ring"]["vars"] = ["u", 7]
+        with pytest.raises(ValueError, match=r"^polynomial\.ring\.vars: "):
+            Polynomial.from_json(obj)
+
     def test_json_rejects_duplicate_exponents(self):
         p = Polynomial(UV, {(1, 1): 1})
         obj = p.to_json()
