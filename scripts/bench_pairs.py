@@ -17,9 +17,18 @@ runs its command,
 with S its ``run_seconds``, on both sides for pair i = 1..N, one run
 at a time.  The side that runs first alternates from pair to pair, so a
 drift of the machine's speed does not favour either side.  It prints every pair, then, per metric,
-both sides' medians and quartiles and the number of pairs the change
-won, taking "better" from ``BENCHMARK.json``.  The temporary directory
-is removed at the end, also when a run fails.
+both sides' medians and quartiles, a verdict against the metric's
+``bound`` and the number of pairs the change won, taking "better" and
+"bound" from ``BENCHMARK.json``.  The verdict is
+
+* ``unresolved`` when the parent's quartile spread, relative to its
+  median, is wider than the bound and not every change run reads better
+  than every parent run: the runs cannot tell a move within the bound;
+* ``worse by x% (bound y%)`` when the change's median is worse than the
+  parent's by more than the bound;
+* ``within bound`` otherwise.
+
+The temporary directory is removed at the end, also when a run fails.
 """
 
 from __future__ import annotations
@@ -73,7 +82,22 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def report(workload: str, runs: list, better: dict) -> None:
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """One metric's verdict on its runs, against its relative ``bound``."""
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    if better == "higher":
+        worse, clear = pm - cm, min(change) > max(parent)
+    else:
+        worse, clear = cm - pm, max(change) < min(parent)
+    if p3 - p1 > bound * abs(pm) and not clear:
+        return "unresolved"
+    if worse > bound * abs(pm):
+        return "worse by %.1f%% (bound %.0f%%)" % (
+            100 * worse / abs(pm) if pm else float("inf"), 100 * bound)
+    return "within bound"
+
+
+def report(workload: str, runs: list, better: dict, bounds: dict) -> None:
     print("== %s" % workload)
     names = [k for k in runs[0][0] if k in better]
     for i, (parent, change) in enumerate(runs, start=1):
@@ -88,8 +112,9 @@ def report(workload: str, runs: list, better: dict) -> None:
         (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
         ratio = cm / pm if pm else float("nan")
         print("%-14s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
-              "x%.3f  change won %d/%d"
-              % (k, pm, p1, p3, cm, c1, c3, ratio, wins, len(runs)))
+              "x%.3f  %s  change won %d/%d"
+              % (k, pm, p1, p3, cm, c1, c3, ratio,
+                 verdict(p, c, better[k], bounds[k]), wins, len(runs)))
 
 
 def main(argv=None) -> int:
@@ -104,6 +129,7 @@ def main(argv=None) -> int:
                 .decode().strip())
     bench = json.loads((root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
     if args.workloads:
         unknown = sorted(set(args.workloads) - set(workloads))
@@ -129,7 +155,7 @@ def main(argv=None) -> int:
                 runs.append(pair)
                 print("%s pair %d done" % (workload, seed), file=sys.stderr,
                       flush=True)
-            report(workload, runs, better)
+            report(workload, runs, better, bounds)
             sys.stdout.flush()
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

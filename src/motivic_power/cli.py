@@ -53,11 +53,12 @@ MAX_ORDER = 200
 MAX_COST = 2e10
 
 # A class of one or two variables whose top coefficient's exponent box
-# has more cells than this is refused before any work: those routes hold
-# such a coefficient densely, and at orders 0 and 1 the cost is linear in
-# the cells, so MAX_COST alone would admit a box too large to allocate.
-# A box of 25M cells ran at about 30 bytes per cell, so the bound is
-# about 2 GB.  Past two variables coefficients are term maps.
+# has more cells than this is refused before any work: the estimate
+# prices such a coefficient as its dense box, and at orders 0 and 1 that
+# price is linear in the cells, so MAX_COST alone would admit a box that
+# a dense coefficient could not fill.  A box of 25M cells held densely ran
+# at about 30 bytes per cell, so the bound is about 2 GB.  Past two
+# variables the estimate counts terms instead.
 MAX_CELLS = 2 ** 26
 
 # A --local-data file is priced once parsed, so its size is bounded before
@@ -105,9 +106,9 @@ def _solve_cost(order: int, *sizes: Size, spread: int = 0) -> float:
 
     The class is the product of ``sizes``; ``spread`` widens it by what
     the punctual series adds to every exponent in the Hilbert commands.
-    In one or two variables the routes hold coefficients as dense boxes,
-    and a top coefficient of more than MAX_CELLS cells is refused here;
-    past two they hold term maps.
+    In one or two variables coefficients are priced as dense boxes, and
+    a top coefficient of more than MAX_CELLS cells is refused here; past
+    two they are priced by their term counts.
     """
     widths = [sum(hi - lo for lo, hi in axis) + spread
               for axis in zip(*(size.box for size in sizes))]

@@ -1,54 +1,37 @@
-"""Exact sums of polynomial products and scaled polynomials.
+"""Exact sums of polynomial products and scaled polynomials, on one line.
 
 The series pipelines spend their time in sums such as
 ``sum_m g_m f_(n-m) - n f_n`` in the log-derivative recurrences and
-``sum_i a_i b_(k-i)`` in series products: integer combinations of
-products of two polynomials and of polynomials scaled by an integer.
-Every polynomial of such a pipeline is a :class:`Slot`: in one or two
-variables, a dense int64 array when all its coefficients are below 2**62
-in magnitude, and a term map otherwise.  :class:`SlotAccumulator`
-collects the products and scaled slots of one sum and computes the whole
-sum on one of three exact routes, chosen from two exact facts, the
-number of variables and the integer bound
+``sum_i a_i b_(k-i)`` in series products.  Each solve folds its ring
+into one variable z once (:class:`Fold`, a Kronecker substitution), so
+every polynomial of it is a :class:`Slot` in z: a dense int64 array when
+it is dense enough for one (:func:`_lined`) and its coefficients are
+below 2**62 in magnitude, a term map otherwise.  :class:`SlotAccumulator`
+computes each sum on one of three exact routes, chosen from its density
+and the bound B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|
+plus sum over scaled slots of |k| * max|s|, which no coefficient of the
+sum can exceed in magnitude:
 
-    B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|
-      + sum over scaled slots of |k| * max|s|,
-
-which no coefficient of the sum can exceed in magnitude:
-
-* **term maps** in no variables or in three or more: dict sums of
-  term-by-term products.
-* **int64 lines** when every operand is an array and B < 2**62.
-  x -> z^S, y -> z lays every array of the sum on one line, with the
-  stride S taken from the exponent box of the sum, and everything is
-  added into one line.  Each scaled slot is one scaled line.  A pair
-  whose sparser operand a has nnz_a terms over len_a cells of line (len
-  counted at S) is applied term by term, as nnz_a shifted scalar
-  multiples of the other operand's line, when
-
-      nnz_a * (len_b + C) <= len_a * len_b + (len_a + len_b + C),
-
-  the slice-adds against one C-level convolution and the slice-add of
-  its product; any other pair is convolved.  C = ``_SLICE_CELLS`` is the
-  cost of one numpy slice-add before its first element, counted in
-  convolution cells.
-* **packed integers** otherwise (Kronecker substitution): the same
-  x -> z^S, y -> z followed by z -> 2^W turns each polynomial into one
-  Python integer.  The digit width W comes from B plus a sign bit.  The
-  products of all pairs and the scaled slots are added as integers and
-  the sum is unpacked once.  A pair whose sparser operand fills at most
-  a third of its packed span is applied as shifted scalar multiples of
-  the other operand instead of a full multiply.
-
-Both routes thus apply an operand with few terms (a Frobenius-spread
-g_m = sum i b_i(u^(m/i)), say) term by term; :func:`_by_terms` holds
-both rules.
+* **term maps** when :func:`_lined` finds the sum too sparse for a line
+  (always over Z, where every sum is one cell wide): dict sums.
+* **int64 lines** when B < 2**62.  A pair whose sparser operand a has
+  nnz_a terms over len_a cells is applied term by term, as shifted
+  scalar multiples of the other operand's line, when
+  nnz_a * (len_b + C) <= len_a * len_b + (len_a + len_b + C), else
+  convolved; C = ``_SLICE_CELLS`` is the cost of one numpy slice-add
+  before its first element, in convolution cells.
+* **packed integers** otherwise: z -> 2^W makes each slot one Python
+  integer, W the bit length of B plus a sign bit, and the sum is added
+  as integers and unpacked once; a pair whose sparser operand fills at
+  most a third of its packed span is applied term by term.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from math import prod
+from operator import add, itemgetter, mul
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,81 +49,131 @@ _MIN_WIDTH = 64
 # and np.convolve ~1 ns per multiply-add.
 _SLICE_CELLS = 2000
 
+# The cost of one term product of a dict sum, in the same cells: on that
+# VM with Python 3.11, multiplying two terms and adding the product into
+# a dict took 180-210 ns per pair (10 to 100 terms a side), against
+# 1.0-1.1 ns per np.convolve multiply-add.
+_TERM_CELLS = 200
+
 Exps = Tuple[int, ...]
 Terms = Dict[Exps, int]
 
 
-def _hull(exps: Sequence[Exps], nvars: int) -> Tuple[Exps, Exps]:
-    return (tuple(min(e[i] for e in exps) for i in range(nvars)),
-            tuple(max(e[i] for e in exps) for i in range(nvars)))
+def _lined(nnz: int, span: int, ops: int = 0) -> bool:
+    """Whether a line of ``span`` cells and ``ops`` numpy calls (one per
+    pair or scaled slot of a sum, none for a slot) costs no more than
+    ``nnz`` term products (of a sum) or terms (of a slot) in Python."""
+    return span + ops * _SLICE_CELLS <= _TERM_CELLS * nnz
 
 
-# -- lines: x -> z^stride, y -> z, shared by both routes ------------------
-#
-# With the stride taken from the exponent box of the whole sum, every
-# product and the sum itself become one-variable and collision-free.
+# -- the fold: one variable per solve --------------------------------------
 
-def _lin(exps: Exps, stride: int) -> int:
-    """Digit index of an exponent vector under x -> z^stride, y -> z."""
-    if len(exps) == 2:
-        return exps[0] * stride + exps[1]
-    return exps[0]
+def _ends(xs: Sequence[Terms], axis: int) -> List[Optional[Tuple[int, int]]]:
+    """The least and greatest exponent on ``axis`` of each term map."""
+    values = [list(map(itemgetter(axis), x)) for x in xs]
+    return [(min(v), max(v)) if v else None for v in values]
 
 
-def _flatten(arr: np.ndarray, stride: int) -> np.ndarray:
-    rows, cols = arr.shape
-    if cols == stride:
-        return arr.reshape(-1)
-    flat = np.zeros(rows * stride, dtype=arr.dtype)
-    flat.reshape(rows, stride)[:, :cols] = arr
-    return flat[: (rows - 1) * stride + cols]
+class Fold:
+    """The Kronecker map u^a v^b ... w^c -> z^(a S_u + b S_v + ... + c) of
+    one solve, a ring homomorphism, and its inverse on a window.
 
-
-def _line(slot: "Slot", stride: int) -> np.ndarray:
-    """The array slot's values in digit order at this stride."""
-    arr = slot.arr
-    return _flatten(arr, stride) if arr.ndim == 2 else arr
-
-
-def _stride(lo: Exps, hi: Exps) -> int:
-    """Smallest collision-free stride for exponents in the box lo..hi."""
-    return hi[1] - lo[1] + 1 if len(lo) == 2 else 0
-
-
-def _by_terms(a: "Slot", b: "Slot", stride: int, lines: bool):
-    """The pair as (sparser, denser) operand, the digit index of its
-    product's low corner, and whether to apply the sparser operand term
-    by term.
-
-    With ``len`` the cells an operand spans at ``stride``: on int64
-    ``lines`` when nnz_a slice-adds of len_b cells cost no more than the
-    convolution's len_a * len_b cells plus the one slice-add of its
-    product; on packed integers when the sparser operand fills at most a
-    third of its span (3 * nnz_a <= len_a).
+    The strides are mixed-radix over the window ``low``..``high`` of the
+    axes after the first (the last axis has stride 1), so the map is
+    one-to-one on the window whatever the first axis' range.  In one
+    variable it is the identity; over Z it sends () to 0.
     """
-    sa, sb = a.stats, b.stats
-    if sb[0] < sa[0]:
-        a, b, sa, sb = b, a, sb, sa
-    lo_a, lo_b = _lin(sa[2], stride), _lin(sb[2], stride)
-    len_a = _lin(sa[3], stride) - lo_a + 1
-    if not lines:
-        return a, b, lo_a + lo_b, 3 * sa[0] <= len_a
-    len_b = _lin(sb[3], stride) - lo_b + 1
-    return a, b, lo_a + lo_b, (sa[0] * (len_b + _SLICE_CELLS)
-                               <= len_a * len_b + len_a + len_b + _SLICE_CELLS)
 
+    __slots__ = ("strides", "_low", "_offset", "_exps")
 
-def _corners(pairs, scaled, nvars: int) -> Tuple[Exps, Exps]:
-    """Low and high corners bounding the exponents of a sum of products
-    and scaled slots (each scaled slot counts as a product with 1)."""
-    stats = [(a.stats, b.stats) for a, b in pairs]
-    if scaled:
-        one = (1, 1, (0,) * nvars, (0,) * nvars)
-        stats += [(s.stats, one) for _, s in scaled]
-    return (tuple(min(sa[2][i] + sb[2][i] for sa, sb in stats)
-                  for i in range(nvars)),
-            tuple(max(sa[3][i] + sb[3][i] for sa, sb in stats)
-                  for i in range(nvars)))
+    def __init__(self, nvars: int, low: Exps = (), high: Exps = ()):
+        widths = [hi - lo + 1 for lo, hi in zip(low, high)]
+        self.strides = tuple(prod(widths[i:]) for i in range(nvars))
+        self._low = tuple(low)
+        self._offset = sum(map(mul, low, self.strides[1:]))
+        self._exps: Dict[int, Exps] = {}  # one tuple per decoded vector
+
+    @classmethod
+    def graded(cls, nvars: int, order: int, xs: Sequence[Terms],
+               times: Terms = None) -> "Fold":
+        """The fold of a recurrence whose inputs x_1..x_N are ``xs``, or
+        the products x_i * m with ``times`` = m (ends add).
+
+        Per axis, o = min(0, min_i floor(lo(x_i)/i)) and h = max(0, max_i
+        ceil(hi(x_i)/i)) put every x_i in i*[o, h], so every f_n, g_n and
+        b_n (or inverse coefficient) in n*[o, h], and all in [N*o, N*h].
+        """
+        low, high = [], []
+        for axis in range(1, nvars):
+            lo_m, hi_m = _ends([times or {}], axis)[0] or (0, 0)
+            ends = [(i, e) for i, e in enumerate(_ends(xs, axis), 1) if e]
+            low.append(order * min([0] + [(e[0] + lo_m) // i
+                                          for i, e in ends]))
+            high.append(order * max([0] + [-(-(e[1] + hi_m) // i)
+                                           for i, e in ends]))
+        return cls(nvars, low, high)
+
+    @classmethod
+    def product(cls, nvars: int, order: int, xs: Sequence[Terms],
+                ys: Sequence[Terms]) -> "Fold":
+        """The fold of the product of two series with coefficients ``xs``
+        and ``ys``, truncated at ``order``: per axis, the window runs from
+        the least lo(x_i) + lo(y_j) to the greatest hi(x_i) + hi(y_j) over
+        i + j <= N."""
+        low, high = [], []
+        for axis in range(1, nvars):
+            ends_y = _ends(ys, axis)
+            sums = [(a[0] + b[0], a[1] + b[1])
+                    for i, a in enumerate(_ends(xs, axis)) if a
+                    for b in ends_y[:order - i + 1] if b] or [(0, 0)]
+            low.append(min(sums)[0])
+            high.append(max(e[1] for e in sums))
+        return cls(nvars, low, high)
+
+    def _indices(self, terms: Terms) -> List[int]:
+        """The index of every exponent vector of ``terms``, in order."""
+        columns = list(zip(*terms))  # none over Z: every index is 0
+        index = columns.pop() if columns else repeat(0, len(terms))
+        for column, s in zip(columns, self.strides):
+            index = map(add, index, map(mul, column, repeat(s)))
+        return list(index)
+
+    def slot(self, terms: Terms) -> "Slot":
+        """The slot of the term map's image in z."""
+        if self.strides == (1,):
+            return Slot.wrap(terms)
+        return Slot.wrap(dict(zip(zip(self._indices(terms)), terms.values())))
+
+    def _vectors(self, ks: List[int]) -> List[Exps]:
+        """The exponent vectors in the window with the indices ``ks``."""
+        strides = self.strides
+        if not strides:
+            return [()] * len(ks)
+        rest = np.array(ks)
+        if rest.dtype == object or max(strides[0], abs(self._offset),
+                                       rest.max(), -rest.min()) >= _INT64_LIMIT:
+            rest = np.array(ks, dtype=object)  # Python integers, any size
+        rest = rest - self._offset
+        columns = []
+        for s, lo in zip(strides, (0,) + self._low):
+            digit = rest // s
+            rest -= digit * s
+            columns.append((digit + lo).tolist())
+        return list(zip(*columns))
+
+    def polynomial(self, ring: RingDescriptor,
+                   x: Union["Slot", Terms]) -> Polynomial:
+        """The polynomial whose image in z is the slot or term map ``x``,
+        whose exponents must lie in the window."""
+        is_map = isinstance(x, dict)
+        if self.strides == (1,):
+            return Polynomial._raw(ring, x if is_map else x.to_terms())
+        ks, cs = ([k for k, in x], list(x.values())) if is_map else x.items()
+        exps = self._exps
+        new = list(set(ks).difference(exps))
+        if new:
+            exps.update(zip(new, self._vectors(new)))
+        return Polynomial._raw(ring, dict(zip(map(exps.__getitem__, ks), cs)))
 
 
 # -- int64 route: convolutions of lines ----------------------------------
@@ -170,38 +203,65 @@ def _add_line(total: np.ndarray, at: int, line: np.ndarray, c: int):
         cells += line * c
 
 
-def _sum_lines(pairs, scaled, nvars: int) -> "Slot":
-    """Exact sum of the pair products and scaled slots on one int64 line.
+def _by_terms(a: "Slot", b: "Slot", lines: bool):
+    """The pair as (sparser, denser) operand, the index of its product's
+    low end, and whether to apply the sparser operand term by term: by
+    the slice-add rule on int64 ``lines``, else when 3 * nnz_a <= len_a.
+    """
+    sa, sb = a.stats, b.stats
+    if sb[0] < sa[0]:
+        a, b, sa, sb = b, a, sb, sa
+    lo_a, lo_b = sa[2][0], sb[2][0]
+    len_a = sa[3][0] - lo_a + 1
+    if not lines:
+        return a, b, lo_a + lo_b, 3 * sa[0] <= len_a
+    len_b = sb[3][0] - lo_b + 1
+    return a, b, lo_a + lo_b, (sa[0] * (len_b + _SLICE_CELLS)
+                               <= len_a * len_b + len_a + len_b + _SLICE_CELLS)
+
+
+def _sum_lines(pairs, scaled, lo: int, hi: int) -> "Slot":
+    """Exact sum of the pair products and scaled slots on one int64 line
+    over the indices lo..hi.
 
     The caller's exact bound must be below 2**62, so no partial sum can
     overflow.  Each pair is either convolved or, by :func:`_by_terms`,
     applied term by term as shifted scalar multiples of its denser line.
     """
-    lo, hi = _corners(pairs, scaled, nvars)
-    stride = _stride(lo, hi)
-    base = _lin(lo, stride)
-    total = np.zeros(_lin(hi, stride) - base + 1, dtype=np.int64)
+    total = np.zeros(hi - lo + 1, dtype=np.int64)
     for a, b in pairs:
-        a, b, at, by_terms = _by_terms(a, b, stride, True)
-        at -= base
-        line = _line(b, stride)
+        a, b, at, by_terms = _by_terms(a, b, True)
+        at -= lo
+        line = b.line()
         if by_terms:
-            for k, c in a.spread(stride):
+            for k, c in a.spread():
                 _add_line(total, at + k, line, c)
         else:
-            _add_line(total, at, _conv_arrays(_line(a, stride), line), 1)
+            _add_line(total, at, _conv_arrays(a.line(), line), 1)
     for k, s in scaled:
-        _add_line(total, _lin(s.stats[2], stride) - base, _line(s, stride), k)
-    return Slot.dense(lo, total.reshape(-1, stride) if nvars == 2 else total)
+        _add_line(total, s.stats[2][0] - lo, s.line(), k)
+    return Slot(arr=total, lo=lo)
+
+
+# -- term-map route: dict sums -------------------------------------------
+
+def _sum_terms(pairs, scaled) -> "Slot":
+    """Exact sum of the pair products and scaled slots, term by term."""
+    acc: Terms = {}
+    for a, b in pairs:
+        _accumulate_product(acc, a.to_terms(), b.to_terms(), 1)
+    for k, s in scaled:
+        _accumulate_product(acc, {(0,): k}, s.to_terms(), 1)
+    return Slot(terms={e: c for e, c in acc.items() if c})
 
 
 # -- packed route: Kronecker substitution into Python integers -------------
 
-def _pack(slot: "Slot", width: int, stride: int) -> int:
-    """The slot as sum c * 2^(width * (lin(e) - lin(lo))), signed digits."""
+def _pack(slot: "Slot", width: int) -> int:
+    """The slot as sum c * 2^(width * (k - lo)), signed digits."""
     w = width >> 3
     if slot.arr is not None:
-        flat = _line(slot, stride)
+        flat = slot.arr
         buf = np.zeros((flat.shape[0], w), dtype=np.uint8)
         buf[:, :8] = np.maximum(flat, 0).astype("<u8").view(np.uint8) \
             .reshape(-1, 8)
@@ -209,13 +269,12 @@ def _pack(slot: "Slot", width: int, stride: int) -> int:
         buf[:, :8] = np.maximum(-flat, 0).astype("<u8").view(np.uint8) \
             .reshape(-1, 8)
         return pos - int.from_bytes(buf.tobytes(), "little")
-    _, _, lo, hi = slot.stats
-    base = _lin(lo, stride)
-    size = (_lin(hi, stride) - base + 1) * w
+    _, _, (lo,), (hi,) = slot.stats
+    size = (hi - lo + 1) * w
     pos = bytearray(size)
     neg = bytearray(size)
-    for e, c in slot.terms.items():
-        k = (_lin(e, stride) - base) * w
+    for (k,), c in slot.terms.items():
+        k = (k - lo) * w
         if c > 0:
             pos[k:k + w] = c.to_bytes(w, "little")
         else:
@@ -223,14 +282,11 @@ def _pack(slot: "Slot", width: int, stride: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(value: int, digits: int, width: int, origin: Exps,
-            stride: int) -> Terms:
-    """Inverse of packing: signed width-bit digits back to a term map.
-
-    Adding 2^(width-1) to every digit makes them all positive without
-    carries (each digit is below 2^(width-1) in magnitude), so the
-    digits can be read off the bytes directly.
-    """
+def _unpack(value: int, digits: int, width: int, origin: int) -> Terms:
+    """Inverse of packing: signed width-bit digits back to a term map
+    whose first digit is the index ``origin``.  Adding 2^(width-1) to
+    every digit makes them all positive without carries, so the digits
+    can be read off the bytes directly."""
     w = width >> 3
     half = 1 << (width - 1)
     biased = value + int.from_bytes(half.to_bytes(w, "little") * digits,
@@ -240,34 +296,26 @@ def _unpack(value: int, digits: int, width: int, origin: Exps,
     nonzero = np.flatnonzero((rows[:, -1] != 0x80)
                              | rows[:, :-1].any(axis=1)).tolist()
     from_bytes = int.from_bytes
-    if len(origin) == 2:
-        o0, o1 = origin
-        return {(o0 + k // stride, o1 + k % stride):
-                from_bytes(data[k * w:(k + 1) * w], "little") - half
-                for k in nonzero}
-    o0 = origin[0]
-    return {(o0 + k,): from_bytes(data[k * w:(k + 1) * w], "little") - half
+    return {(origin + k,): from_bytes(data[k * w:(k + 1) * w], "little") - half
             for k in nonzero}
 
 
-def _packed_sum(pairs, scaled, nvars: int, bound: int) -> Terms:
+def _packed_sum(pairs, scaled, bound: int) -> Terms:
     """Exact sum of the pair products and scaled slots on packed integers.
 
     ``bound`` must be the exact bound B of the sum; the digit width is
     its bit length plus a sign bit, in whole bytes.  Each pair is either
     one integer multiply or, by :func:`_by_terms`, applied term by term.
     """
-    origin, top = _corners(pairs, scaled, nvars)
-    stride = _stride(origin, top)
+    origin, top = _corners(pairs, scaled)
     width = max(_MIN_WIDTH, (bound.bit_length() + 1 + 7) // 8 * 8)
-    base = _lin(origin, stride)
     acc = 0
     for a, b in pairs:
-        a, b, at, by_terms = _by_terms(a, b, stride, False)
-        at -= base
+        a, b, at, by_terms = _by_terms(a, b, False)
+        at -= origin
         if by_terms:
-            packed = b.packed(width, stride)
-            for k, c in a.spread(stride):
+            packed = b.packed(width)
+            for k, c in a.spread():
                 if c == 1:
                     acc += packed << (width * (k + at))
                 elif c == -1:
@@ -275,12 +323,10 @@ def _packed_sum(pairs, scaled, nvars: int, bound: int) -> Terms:
                 else:
                     acc += (packed * c) << (width * (k + at))
         else:
-            acc += (a.packed(width, stride) * b.packed(width, stride)) \
-                << (width * at)
+            acc += (a.packed(width) * b.packed(width)) << (width * at)
     for k, s in scaled:
-        acc += (s.packed(width, stride) * k) \
-            << (width * (_lin(s.stats[2], stride) - base))
-    return _unpack(acc, _lin(top, stride) - base + 1, width, origin, stride)
+        acc += (s.packed(width) * k) << (width * (s.stats[2][0] - origin))
+    return _unpack(acc, top - origin + 1, width, origin)
 
 
 # The packed route keeps the name of the limb route it replaced, so that
@@ -289,200 +335,157 @@ def _packed_sum(pairs, scaled, nvars: int, bound: int) -> Terms:
 _conv_limbs = _packed_sum
 
 
+def _corners(pairs, scaled) -> Tuple[int, int]:
+    """Lowest and highest index of a sum of products and scaled slots."""
+    ends = [(a.stats[2][0] + b.stats[2][0], a.stats[3][0] + b.stats[3][0])
+            for a, b in pairs] + [(s.stats[2][0], s.stats[3][0]) for _, s in scaled]
+    return min(e[0] for e in ends), max(e[1] for e in ends)
+
+
 # -- slots: an int64 array when it fits, a term map when it does not -------
 
-# (low corner, width, one exponent tuple per cell of a box in row-major order)
-ExponentTable = Tuple[Exps, int, List[Exps]]
-
-
-def exponent_table(slots: Sequence["Slot"]) -> Optional[ExponentTable]:
-    """One exponent tuple per cell of the union box of two-variable slots,
-    or None when the slots hold fewer terms than the box has cells, so a
-    table never holds more tuples than the polynomials would."""
-    live = [s.stats for s in slots if not s.is_zero]
-    if not live:
-        return None
-    lo = tuple(min(st[2][i] for st in live) for i in (0, 1))
-    hi = tuple(max(st[3][i] for st in live) for i in (0, 1))
-    width = hi[1] - lo[1] + 1
-    if sum(st[0] for st in live) < (hi[0] - lo[0] + 1) * width:
-        return None
-    return lo, width, list(product(range(lo[0], hi[0] + 1),
-                                   range(lo[1], hi[1] + 1)))
-
-
 class Slot:
-    """One polynomial travelling through a solver pipeline.
+    """One polynomial in z travelling through a solver pipeline.
 
-    Exactly one of ``arr`` and ``terms`` is set.  ``arr`` is a dense
-    int64 array, every value below 2**62 in magnitude, indexed by
-    exponent minus the low corner (zeros allowed).  ``terms`` is a term
-    map of any magnitude; a slot in no variables, or in more than two, is
-    always one.  ``stats`` is (nnz, max |coefficient|, low corner, high
-    corner), where the corners bound the exponents: the array's box, or
-    the term map's exact hull.
+    ``arr`` is a dense int64 array, every value below 2**62 in magnitude,
+    indexed by exponent minus the low end (zeros allowed), or None for a
+    term-map slot; ``lined`` says which, and a slot wrapped from terms
+    builds its array on first use.  ``terms`` is the term map: a term-map
+    slot's own, of any magnitude and density, or an array slot's once
+    read.
+    ``stats`` is (nnz, max |coefficient|, low end, high end), where the
+    ends, one-tuples like the exponents, bound the exponents: the array's
+    range, or the term map's exact hull.
     """
 
-    __slots__ = ("nvars", "arr", "terms", "stats", "_packed", "_spread")
+    __slots__ = ("lined", "terms", "stats", "_arr", "_packed", "_spread")
 
-    def __init__(self, nvars: int, terms: Optional[Terms] = None,
-                 arr: Optional[np.ndarray] = None, lo: Exps = ()):
-        self.nvars = nvars
-        self.arr = arr
+    def __init__(self, terms: Optional[Terms] = None,
+                 arr: Optional[np.ndarray] = None, lo: int = 0):
+        self._arr = arr
+        self.lined = arr is not None
         self.terms = terms
         if arr is not None:
             nnz = int(np.count_nonzero(arr))
             top = int(max(arr.max(), -arr.min())) if nnz else 0
-            self.stats = (nnz, top, lo,
-                          tuple(o + n - 1 for o, n in zip(lo, arr.shape)))
+            self.stats = (nnz, top, (lo,), (lo + arr.shape[0] - 1,))
         elif terms:
-            self.stats = (len(terms), max(abs(c) for c in terms.values()),
-                          *(_hull(list(terms), nvars) if nvars else ((), ())))
+            self.stats = (len(terms), max(map(abs, terms.values())),
+                          min(terms), max(terms))
         else:
-            self.stats = (0, 0, (0,) * nvars, (0,) * nvars)
+            self.stats = (0, 0, (0,), (0,))
         self._packed = None
         self._spread = None
 
     @classmethod
-    def dense(cls, lo: Exps, arr: np.ndarray) -> "Slot":
-        """Array slot whose index 0 holds the exponent ``lo``."""
-        return cls(len(lo), arr=arr, lo=lo)
-
-    @classmethod
-    def wrap(cls, terms: Terms, nvars: int) -> "Slot":
-        """An int64 array when there are one or two variables and every
+    def wrap(cls, terms: Terms) -> "Slot":
+        """The slot of a term map (shared, not copied): an int64 array when
+        the terms are dense enough for a line (:func:`_lined`) and every
         coefficient is below 2**62, else a term map."""
-        if not terms or not 0 < nvars <= 2:
-            return cls(nvars, terms=dict(terms))
-        for c in terms.values():
-            if c >= _INT64_LIMIT or -c >= _INT64_LIMIT:
-                return cls(nvars, terms=dict(terms))
-        axes = list(zip(*terms))
-        lo = tuple(map(min, axes))
-        arr = np.zeros(tuple(max(x) - o + 1 for x, o in zip(axes, lo)),
-                       dtype=np.int64)
-        arr[tuple(np.subtract(x, o) for x, o in zip(axes, lo))] = \
-            list(terms.values())
-        return cls.dense(lo, arr)
+        slot = cls(terms=terms)
+        nnz, top, (lo,), (hi,) = slot.stats
+        slot.lined = nnz > 0 and top < _INT64_LIMIT and _lined(nnz, hi - lo + 1)
+        return slot
 
     @classmethod
-    def zero(cls, nvars: int) -> "Slot":
-        return cls(nvars, terms={})
+    def zero(cls) -> "Slot":
+        return cls(terms={})
 
     @classmethod
-    def one(cls, nvars: int) -> "Slot":
-        return cls.wrap({(0,) * nvars: 1}, nvars)
+    def one(cls) -> "Slot":
+        return cls.wrap({(0,): 1})
 
     @property
     def is_zero(self) -> bool:
         return self.stats[0] == 0
 
-    def packed(self, width: int, stride: int) -> int:
-        """The slot as one integer at this digit width and stride (cached)."""
-        p = self._packed
-        if p is None or p[0] != width or p[1] != stride:
-            p = self._packed = (width, stride, _pack(self, width, stride))
-        return p[2]
+    @property
+    def arr(self) -> Optional[np.ndarray]:
+        return self.line() if self.lined else None
 
-    def spread(self, stride: int) -> List[Tuple[int, int]]:
-        """(digit index past the low corner, coefficient) of every term at
-        this stride (cached)."""
-        s = self._spread
-        if s is None or s[0] != stride:
-            if self.arr is not None:
-                arr = self.arr
-                nz = np.flatnonzero(arr)
-                values = arr.ravel()[nz].tolist()
-                if arr.ndim == 2:  # row-major index -> index on the line
-                    rows, cols = np.divmod(nz, arr.shape[1])
-                    nz = rows * stride + cols
-                terms = list(zip(nz.tolist(), values))
-            else:
-                base = _lin(self.stats[2], stride)
-                terms = [(_lin(e, stride) - base, c)
-                         for e, c in self.terms.items()]
-            s = self._spread = (stride, terms)
-        return s[1]
+    def line(self) -> np.ndarray:
+        """The slot's values over its range as an int64 line (kept for an
+        array slot)."""
+        if self._arr is not None:
+            return self._arr
+        _, _, (lo,), (hi,) = self.stats
+        line = np.zeros(hi - lo + 1, dtype=np.int64)
+        line[[k - lo for k, in self.terms]] = list(self.terms.values())
+        if self.lined:
+            self._arr = line
+        return line
+
+    def packed(self, width: int) -> int:
+        """The slot as one integer at this digit width (cached)."""
+        p = self._packed
+        if p is None or p[0] != width:
+            p = self._packed = (width, _pack(self, width))
+        return p[1]
+
+    def spread(self) -> List[Tuple[int, int]]:
+        """(index past the low end, coefficient) of every term (cached)."""
+        if self._spread is None:
+            ks, cs = self.items()
+            lo = self.stats[2][0]
+            self._spread = list(zip([k - lo for k in ks], cs))
+        return self._spread
+
+    def items(self) -> Tuple[List[int], List[int]]:
+        """The indices and coefficients of the nonzero terms."""
+        if self.terms is not None:
+            return [k for k, in self.terms], list(self.terms.values())
+        nz = np.flatnonzero(self.arr)
+        return (nz + self.stats[2][0]).tolist(), self.arr[nz].tolist()
 
     def to_terms(self) -> Terms:
-        """The term map (shared, not copied, for a term-map slot)."""
-        if self.terms is not None:
-            return self.terms
-        arr, lo = self.arr, self.stats[2]
-        nz = np.nonzero(arr)
-        keys = zip(*[(x + o).tolist() for x, o in zip(nz, lo)])
-        return dict(zip(keys, arr[nz].tolist()))
+        """The term map (shared, not copied; read once from an array)."""
+        if self.terms is None:
+            ks, cs = self.items()
+            self.terms = dict(zip(zip(ks), cs))
+        return self.terms
 
-    def to_polynomial(self, ring: RingDescriptor,
-                      table: Optional[ExponentTable] = None) -> Polynomial:
-        """The slot as a polynomial; with a ``table`` (two variables only),
-        its exponent tuples are the table's."""
-        if table is not None:
-            (o0, o1), width, keys = table
-            if self.arr is not None:
-                arr = self.arr
-                rows, cols = np.nonzero(arr)
-                values = arr[rows, cols].tolist()
-                r0, c0 = self.stats[2]
-                cells = ((rows + (r0 - o0)) * width
-                         + (cols + (c0 - o1))).tolist()
-            else:
-                values = list(self.terms.values())
-                cells = [(e0 - o0) * width + e1 - o1 for e0, e1 in self.terms]
-            return Polynomial._raw(ring, dict(zip(map(keys.__getitem__, cells),
-                                                  values)))
-        if self.arr is not None:
-            return Polynomial._raw(ring, self.to_terms())
-        return Polynomial._raw(ring, dict(self.terms))
+    def to_polynomial(self, ring: RingDescriptor) -> Polynomial:
+        """The slot as a polynomial of a ring in one variable."""
+        return Polynomial._raw(ring, self.to_terms())
 
     def scale_exponents(self, j: int) -> "Slot":
-        """The slot at u -> u^j: every exponent vector times j."""
-        _, _, lo, hi = self.stats
-        if j == 1 or self.is_zero or not any(lo + hi):
+        """The slot at z -> z^j: every exponent times j.  The spread
+        values stay an array only while they are dense enough for one."""
+        nnz, _, (lo,), (hi,) = self.stats
+        if j == 1 or self.is_zero or lo == hi == 0:
             return self  # a constant has only the exponent 0
-        if self.arr is not None:
-            arr = self.arr
-            out = np.zeros(tuple((n - 1) * j + 1 for n in arr.shape),
-                           dtype=np.int64)
-            out[(slice(None, None, j),) * arr.ndim] = arr
-            return Slot.dense(tuple(o * j for o in lo), out)
-        return Slot(self.nvars, terms={
-            tuple(e * j for e in exps): c for exps, c in self.terms.items()
-        })
+        if self.arr is not None and _lined(nnz, (hi - lo) * j + 1):
+            out = np.zeros((hi - lo) * j + 1, dtype=np.int64)
+            out[::j] = self.arr
+            return Slot(arr=out, lo=lo * j)
+        return Slot(terms={(k * j,): c for (k,), c in self.to_terms().items()})
 
     def divide_exact(self, n: int) -> "Slot":
         if n == 1 or self.is_zero:
             return self
-        if self.arr is not None:
-            if (self.arr % n).any():
-                raise ArithmeticError("expected an exact division by %d" % n)
-            return Slot.dense(self.stats[2], self.arr // n)
-        out = {}
-        for e, c in self.terms.items():
-            q, r = divmod(c, n)
-            if r:
-                raise ArithmeticError("expected an exact division by %d" % n)
-            out[e] = q
-        return Slot(self.nvars, terms=out)
+        arr = self.arr
+        if ((arr % n).any() if arr is not None
+                else any(c % n for c in self.terms.values())):
+            raise ArithmeticError("expected an exact division by %d" % n)
+        if arr is not None:
+            return Slot(arr=arr // n, lo=self.stats[2][0])
+        return Slot(terms={e: c // n for e, c in self.terms.items()})
 
 
 class SlotAccumulator:
     """Sum of products of slot pairs and of scaled slots, computed on one
-    route when read.
+    route when read (see the module docstring).
 
     ``add_pair(a, b)`` records a*b and ``add(k, s)`` records k*s; each
-    only adds its share of the exact bound B.  ``result`` sums term maps
-    (no variables, or three or more) term by term into one dict, runs
-    the whole sum on int64 lines when every operand is an array and
-    B < 2**62, and on packed integers otherwise.  Scaled slots are added
-    as scaled lines, shifted integers or scaled terms, never convolved.
+    only adds its share of the exact bound B and of the count of term
+    products.  Scaled slots are never convolved.
     """
 
-    def __init__(self, nvars: int):
-        self.nvars = nvars
+    def __init__(self):
         self.pairs: List[Tuple[Slot, Slot]] = []
         self.scaled: List[Tuple[int, Slot]] = []
         self.bound = 0
+        self.products = 0
 
     def add_pair(self, a: Slot, b: Slot):
         if a.is_zero or b.is_zero:
@@ -490,41 +493,36 @@ class SlotAccumulator:
         na, ma, _, _ = a.stats
         nb, mb, _, _ = b.stats
         self.bound += (na if na < nb else nb) * ma * mb
+        self.products += na * nb
         self.pairs.append((a, b))
 
     def add(self, k: int, s: Slot):
         if k and not s.is_zero:
             self.bound += abs(k) * s.stats[1]
+            self.products += s.stats[0]
             self.scaled.append((k, s))
 
     def result(self) -> Slot:
-        pairs, scaled, nvars = self.pairs, self.scaled, self.nvars
+        pairs, scaled = self.pairs, self.scaled
         if not pairs and not scaled:
-            return Slot.zero(nvars)
-        if not 0 < nvars <= 2:
-            acc: Terms = {}
-            for a, b in pairs:
-                _accumulate_product(acc, a.terms, b.terms, nvars)
-            for k, s in scaled:
-                _accumulate_product(acc, {(0,) * nvars: k}, s.terms, nvars)
-            return Slot(nvars, terms={e: c for e, c in acc.items() if c})
-        if (self.bound < _INT64_LIMIT
-                and all(a.arr is not None and b.arr is not None
-                        for a, b in pairs)
-                and all(s.arr is not None for _, s in scaled)):
-            return _sum_lines(pairs, scaled, nvars)
-        return Slot.wrap(_packed_sum(pairs, scaled, nvars, self.bound), nvars)
+            return Slot.zero()
+        lo, hi = _corners(pairs, scaled)
+        if not _lined(self.products, hi - lo + 1, len(pairs) + len(scaled)):
+            return _sum_terms(pairs, scaled)
+        if self.bound < _INT64_LIMIT:
+            return _sum_lines(pairs, scaled, lo, hi)
+        return Slot.wrap(_packed_sum(pairs, scaled, self.bound))
 
 
-def slot_product(a: Slot, b: Slot, nvars: int) -> Slot:
-    acc = SlotAccumulator(nvars)
+def slot_product(a: Slot, b: Slot) -> Slot:
+    acc = SlotAccumulator()
     acc.add_pair(a, b)
     return acc.result()
 
 
-def slot_linear(pieces: List[Tuple[int, Slot]], nvars: int) -> Slot:
+def slot_linear(pieces: List[Tuple[int, Slot]]) -> Slot:
     """Integer linear combination sum k*s of slots, on the accumulator."""
-    acc = SlotAccumulator(nvars)
+    acc = SlotAccumulator()
     for k, s in pieces:
         acc.add(k, s)
     return acc.result()

@@ -151,7 +151,7 @@ def _accumulate_product(acc: Dict[Exponents, int], pterms, qterms, nvars: int):
     """Add the expanded product of two term maps into ``acc``.
 
     The dict product: ``Polynomial.__mul__``, the term-map route of
-    ``gridops.SlotAccumulator`` (Z and three or more variables), the
+    ``gridops.SlotAccumulator`` (sums too sparse for a line), the
     reference recurrence ``power._monomial_base_exact`` and the tests'
     references run through here.  The exponent addition is unrolled for
     zero, one and two variables (Z, Z[L] and Z[u,v]).

@@ -4,15 +4,16 @@ A series of order N stores exactly the coefficients of t^0 .. t^N; all
 arithmetic is exact and happens mod t^(N+1).  Operations on two series
 require equal orders (truncate first), and extending a series beyond its
 known order is an error: the missing coefficients are simply not known.
-Products and inverses sum their coefficient products on
-:class:`gridops.SlotAccumulator`, over every ring.
+Products and inverses fold the ring into one variable
+(:class:`gridops.Fold`), sum their coefficient products on
+:class:`gridops.SlotAccumulator` and unfold the results, over every ring.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Mapping, Sequence, Union
 
-from .gridops import Slot, SlotAccumulator
+from .gridops import Fold, Slot, SlotAccumulator
 from .rings import (
     Polynomial,
     RingDescriptor,
@@ -98,16 +99,18 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         ring = self.ring
-        nvars = ring.nvars
-        a = [Slot.wrap(c._terms, nvars) for c in self.coefficients]
-        b = [Slot.wrap(c._terms, nvars) for c in other.coefficients]
+        xs = [c._terms for c in self.coefficients]
+        ys = [c._terms for c in other.coefficients]
+        fold = Fold.product(ring.nvars, self.order, xs, ys)
+        a = [fold.slot(x) for x in xs]
+        b = [fold.slot(y) for y in ys]
         out = []
         for k in range(self.order + 1):
-            acc = SlotAccumulator(nvars)
+            acc = SlotAccumulator()
             for i in range(k + 1):
                 if not a[i].is_zero and not b[k - i].is_zero:
                     acc.add_pair(a[i], b[k - i])
-            out.append(acc.result().to_polynomial(ring))
+            out.append(fold.polynomial(ring, acc.result()))
         return Series._raw(ring, self.order, out)
 
     def __pow__(self, n: int) -> "Series":
@@ -128,16 +131,18 @@ class Series:
         if not self.is_unital():
             raise ValueError("only series with constant term 1 can be inverted")
         ring = self.ring
-        nvars = ring.nvars
-        negated = [Slot.wrap({e: -c for e, c in p._terms.items()}, nvars)
+        fold = Fold.graded(ring.nvars, self.order,
+                           [p._terms for p in self.coefficients[1:]])
+        negated = [fold.slot({e: -c for e, c in p._terms.items()})
                    for p in self.coefficients]
-        inv = [Slot.one(nvars)]
+        inv = [Slot.one()]
         for k in range(1, self.order + 1):
-            acc = SlotAccumulator(nvars)
+            acc = SlotAccumulator()
             for j in range(1, k + 1):
                 acc.add_pair(negated[j], inv[k - j])
             inv.append(acc.result())
-        return Series._raw(ring, self.order, [x.to_polynomial(ring) for x in inv])
+        return Series._raw(ring, self.order,
+                           [fold.polynomial(ring, x) for x in inv])
 
     def rescale(self, k: int) -> "Series":
         """Substitute t -> t^k, truncating at the same order."""

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
+from motivic_power.gridops import Fold
 from motivic_power.rings import (
     INTEGERS,
     Polynomial,
@@ -69,3 +70,12 @@ def polynomials(ring, max_degree=2, coeff_bound=4):
 @pytest.fixture(params=ALL_RINGS, ids=["Z", "Z[L~]", "Z[u,v]"])
 def ring(request):
     return request.param
+
+
+def fold(terms, nvars, reach=8):
+    """``terms`` in one variable, as a solve folds them (Kronecker
+    substitution), with the window [-reach, reach] on every axis after
+    the first.  Products and sums commute with the fold, so a dict
+    reference computed on folded inputs is the fold of the reference."""
+    edge = (reach,) * (nvars - 1)
+    return Fold(nvars, tuple(-x for x in edge), edge).slot(terms).to_terms()

@@ -38,7 +38,8 @@ def test_report_counts_wins_in_each_metric_direction(capsys):
         change = {"solves_per_s": rate, "solve_s_p50": 1.0 / rate,
                   "failed": 1 if i == 9 else 0}
         runs.append((parent, change))
-    bench_pairs.report("synthetic", runs, better)
+    bench_pairs.report("synthetic", runs, better,
+                       {"solves_per_s": 0.24, "solve_s_p50": 0.24})
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "== synthetic"
     assert len([line for line in out if line.startswith("pair ")]) == 10
@@ -50,6 +51,34 @@ def test_report_counts_wins_in_each_metric_direction(capsys):
     assert "parent 1 [1, 1]" in summary["solves_per_s"]
     assert "change 2 [1.25, 2]" in summary["solves_per_s"]
     assert "x2.000" in summary["solves_per_s"]
+    # seven pairs faster, the parent's runs all equal: no spread to hide in
+    assert "within bound" in summary["solves_per_s"]
+
+
+def runs_of(parent, change):
+    return [({"solves_per_s": p, "failed": 0}, {"solves_per_s": c, "failed": 0})
+            for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("parent,change,want", [
+    # medians 10 and 9.5: 5% worse, inside a 24% bound
+    ([9.8, 10.0, 10.2, 10.0, 9.9], [9.5, 9.4, 9.6, 9.5, 9.5], "within bound"),
+    # medians 10 and 7: 30% worse, past the bound, with a tight parent
+    ([9.8, 10.0, 10.2, 10.0, 9.9], [7.0, 6.9, 7.1, 7.0, 7.0],
+     "worse by 30.0% (bound 24%)"),
+    # the parent's quartiles 6..14 span 80% of its median: a 30% drop
+    # cannot be told from its noise
+    ([4.0, 6.0, 10.0, 14.0, 16.0], [7.0, 6.0, 8.0, 7.0, 7.0], "unresolved"),
+    # as wide, but every change run beats every parent run
+    ([4.0, 6.0, 10.0, 14.0, 16.0], [17.0, 18.0, 19.0, 20.0, 21.0],
+     "within bound"),
+])
+def test_report_gives_a_verdict_per_metric(capsys, parent, change, want):
+    bench_pairs.report("synthetic", runs_of(parent, change),
+                       {"solves_per_s": "higher"}, {"solves_per_s": 0.24})
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("solves_per_s")
+    assert "  %s  change won" % want in summary
 
 
 def test_unknown_workload_is_refused_before_any_run(capsys, monkeypatch):

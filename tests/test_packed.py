@@ -9,7 +9,8 @@ places an exact route can go wrong: coefficients on both sides of
 +-2^62 and around +-2^200, mixed signs, negative Laurent offsets in one
 to three variables, zero and constant slots, sparse Frobenius-spread
 operands, digit widths that grow in the middle of a solve, and inexact
-divisions.
+divisions.  Inputs in several variables are folded into one
+(``conftest.fold``) before they reach slots.
 """
 
 from contextlib import contextmanager
@@ -24,6 +25,7 @@ from motivic_power import gridops
 from motivic_power.gridops import (
     Slot,
     SlotAccumulator,
+    _lined,
     _packed_sum,
     slot_linear,
     slot_product,
@@ -43,12 +45,18 @@ from motivic_power.rings import (
 )
 from motivic_power.series import Series
 
-from conftest import LAURENT_L, UV, UVW, dict_inverse, dict_series_product
+from conftest import (
+    LAURENT_L,
+    UV,
+    UVW,
+    dict_inverse,
+    dict_series_product,
+    fold,
+)
 
 LAURENT_UV = RingDescriptor(("u", "v"), laurent=True)
 LAURENT_UVW = RingDescriptor(("u", "v", "w"), laurent=True)
 RINGS = [INTEGERS, LAURENT_L, UV, LAURENT_UV]
-# three variables have no line layout: their slots are term maps
 EVERY_RING = RINGS + [UVW, LAURENT_UVW]
 EDGES = [2 ** 62, 2 ** 200]
 
@@ -92,9 +100,9 @@ def packed_sums():
     calls = []
     real = gridops._packed_sum
 
-    def counted(pairs, scaled, nvars, bound):
+    def counted(pairs, scaled, bound):
         calls.append(bound)
-        return real(pairs, scaled, nvars, bound)
+        return real(pairs, scaled, bound)
 
     gridops._packed_sum = counted
     try:
@@ -124,22 +132,23 @@ def convolutions():
 @given(st.data())
 def test_sum_of_products_matches_dict(data):
     ring = data.draw(st.sampled_from(EVERY_RING))
-    nvars = ring.nvars
     pairs = data.draw(st.lists(st.tuples(term_maps(ring), term_maps(ring)),
                                min_size=1, max_size=4))
-    want = dict_sum(pairs, nvars)
-    slots = [(Slot.wrap(ta, nvars), Slot.wrap(tb, nvars)) for ta, tb in pairs]
-    acc = SlotAccumulator(nvars)
+    pairs = [(fold(ta, ring.nvars), fold(tb, ring.nvars)) for ta, tb in pairs]
+    want = dict_sum(pairs, 1)
+    slots = [(Slot.wrap(ta), Slot.wrap(tb)) for ta, tb in pairs]
+    acc = SlotAccumulator()
     for a, b in slots:
         acc.add_pair(a, b)
     assert acc.result().to_terms() == want
-    # the packed route itself, whatever the size of the values; sums over
-    # Z and in three variables never pack, checked through the accumulator
+    # the packed route itself, whatever the size of the values
     live = [(a, b) for a, b in slots if not a.is_zero and not b.is_zero]
-    if live and 0 < nvars <= 2:
-        assert _packed_sum(live, [], nvars, acc.bound) == want
-    if nvars > 2:
-        assert all(a.arr is None and b.arr is None for a, b in slots)
+    if live:
+        assert _packed_sum(live, [], acc.bound) == want
+    # an array exactly when the terms are small and dense enough for one
+    for s in (s for pair in slots for s in pair if not s.is_zero):
+        nnz, top, (lo,), (hi,) = s.stats
+        assert (s.arr is not None) == (top < 2 ** 62 and _lined(nnz, hi - lo + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,20 +158,17 @@ def test_exact_conv_of_grids_matches_dict(data):
     small = st.integers(-(2 ** 62) + 1, 2 ** 62 - 1)
     lo = -3 if ring.laurent else 0
     exps = st.tuples(*[st.integers(lo, 3)] * ring.nvars)
-    ta, tb = (data.draw(st.dictionaries(exps, small.filter(bool), max_size=5))
+    ta, tb = (fold(data.draw(st.dictionaries(exps, small.filter(bool),
+                                             max_size=5)), ring.nvars)
               for _ in range(2))
-    a, b = Slot.wrap(ta, ring.nvars), Slot.wrap(tb, ring.nvars)
-    want = dict_sum([(ta, tb)], ring.nvars)
+    a, b = Slot.wrap(ta), Slot.wrap(tb)
+    want = dict_sum([(ta, tb)], 1)
     if a.is_zero or b.is_zero:
         assert want == {}
-    elif not ring.nvars:
-        # a slot in no variables is a term map, multiplied as integers
-        assert a.terms is not None and b.terms is not None
-        assert slot_product(a, b, 0).to_terms() == want
     else:
         assert a.arr is not None and b.arr is not None
         (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
-        assert _packed_sum([(a, b)], [], ring.nvars, min(na, nb) * ma * mb) == want
+        assert _packed_sum([(a, b)], [], min(na, nb) * ma * mb) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,17 +177,17 @@ def test_frobenius_spread_operand_matches_dict(data):
     ring = data.draw(st.sampled_from([LAURENT_L, UV, LAURENT_UV]))
     nvars = ring.nvars
     j = data.draw(st.integers(2, 7))
-    ta = data.draw(term_maps(ring, max_size=3))
-    tb = data.draw(term_maps(ring, max_size=8))
+    ta = fold(data.draw(term_maps(ring, max_size=3)), nvars)
+    tb = fold(data.draw(term_maps(ring, max_size=8)), nvars)
     spread = {tuple(x * j for x in e): c for e, c in ta.items()}
-    want = dict_sum([(spread, tb)], nvars)
-    a = Slot.wrap(ta, nvars).scale_exponents(j)
-    b = Slot.wrap(tb, nvars)
-    assert slot_product(a, b, nvars).to_terms() == want
+    want = dict_sum([(spread, tb)], 1)
+    a = Slot.wrap(ta).scale_exponents(j)
+    b = Slot.wrap(tb)
+    assert slot_product(a, b).to_terms() == want
     if not a.is_zero and not b.is_zero:
         na, ma, _, _ = a.stats
         nb, mb, _, _ = b.stats
-        assert _packed_sum([(a, b)], [], nvars, min(na, nb) * ma * mb) == want
+        assert _packed_sum([(a, b)], [], min(na, nb) * ma * mb) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,29 +214,36 @@ def test_frobenius_spread_pairs_on_lines_match_dict(data):
     for _ in range(data.draw(st.integers(1, 3))):
         j = data.draw(st.integers(2, 8))
         ta, tb = data.draw(maps(4, 3)), data.draw(maps(wide, 12))
+        ta, tb = fold(ta, nvars), fold(tb, nvars)
         spread = {tuple(x * j for x in e): c for e, c in ta.items()}
-        pairs.append((spread, tb, Slot.wrap(ta, nvars).scale_exponents(j),
-                      Slot.wrap(tb, nvars)))
-    acc = SlotAccumulator(nvars)
+        pairs.append((spread, tb, Slot.wrap(ta).scale_exponents(j),
+                      Slot.wrap(tb)))
+    acc = SlotAccumulator()
     for _, _, a, b in pairs:
         acc.add_pair(a, b)
     with packed_sums() as packed:
         got = acc.result().to_terms()
-    assert got == dict_sum([(ta, tb) for ta, tb, _, _ in pairs], nvars)
-    assert len(packed) == (acc.bound >= 2 ** 62)
+    assert got == dict_sum([(ta, tb) for ta, tb, _, _ in pairs], 1)
+    # a sum too sparse for a line is a dict sum, whatever its bound
+    if acc.pairs:
+        lo = min(a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs)
+        hi = max(a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs)
+        lined = _lined(acc.products, hi - lo + 1, len(acc.pairs))
+        assert len(packed) == (lined and acc.bound >= 2 ** 62)
 
 
-def test_spread_two_variable_operand_is_not_convolved():
-    # step 30 of a Hodge-Deligne solve: g = 6 b(u^5, v^5) with b the
-    # K3 exponent (uv)^5 e(K3), against a dense 40x40 coefficient
+def test_spread_operand_on_a_folded_line_is_not_convolved():
+    # step 30 of a Hodge-Deligne solve, folded by u -> z^81, v -> z: g =
+    # 6 b(u^5, v^5) with b the K3 exponent (uv)^5 e(K3), against a dense
+    # 40x40 coefficient; g's five terms lie 2,000 cells apart
     e = {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1}
     tb = {(x + 5, y + 5): 6 * c for (x, y), c in e.items()}
     tf = {(x, y): (x * 7 + y) % 11 - 5 or 1 for x in range(40) for y in range(40)}
-    g = Slot.wrap(tb, 2).scale_exponents(5)
+    g = Slot.wrap(fold(tb, 2, 40)).scale_exponents(5)
     with convolutions() as convolved, packed_sums() as packed:
-        got = slot_product(g, Slot.wrap(tf, 2), 2).to_terms()
+        got = slot_product(g, Slot.wrap(fold(tf, 2, 40))).to_terms()
     spread = {(5 * x, 5 * y): c for (x, y), c in tb.items()}
-    assert got == dict_sum([(spread, tf)], 2)
+    assert got == fold(dict_sum([(spread, tf)], 2), 2, 40)
     assert convolved == [] and packed == []
 
 
@@ -244,7 +257,7 @@ def test_short_one_variable_pair_is_convolved():
             g[(e * j,)] = g.get((e * j,), 0) + i * c
     tf = {(k,): 1 + k % 5 for k in range(161)}
     with convolutions() as convolved:
-        got = slot_product(Slot.wrap(g, 1), Slot.wrap(tf, 1), 1).to_terms()
+        got = slot_product(Slot.wrap(g), Slot.wrap(tf)).to_terms()
     assert got == dict_sum([(g, tf)], 1)
     assert convolved == [(81, 161)]
 
@@ -267,15 +280,14 @@ def test_slot_linear_matches_dict(data):
     pieces = data.draw(st.lists(
         st.tuples(scalars, st.dictionaries(exps, values, max_size=5)),
         max_size=5))
+    pieces = [(k, fold(terms, nvars)) for k, terms in pieces]
     want = {}
     for k, terms in pieces:
         for e, c in terms.items():
             want[e] = want.get(e, 0) + k * c
     want = {e: c for e, c in want.items() if c}
-    combo = slot_linear([(k, Slot.wrap(t, nvars)) for k, t in pieces], nvars)
+    combo = slot_linear([(k, Slot.wrap(t)) for k, t in pieces])
     assert combo.to_terms() == want
-    if not 0 < nvars <= 2:
-        assert combo.arr is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,39 +310,46 @@ def test_pairs_and_scaled_slots_match_dict(data):
         st.lists(st.tuples(maps, maps), max_size=3))
     scaled = data.draw(st.lists(st.tuples(st.integers(-3, 3), maps),
                                 min_size=1, max_size=4))
-    want = dict_sum(pairs, nvars)
+    pairs = [(fold(ta, nvars), fold(tb, nvars)) for ta, tb in pairs]
+    scaled = [(k, fold(terms, nvars)) for k, terms in scaled]
+    want = dict_sum(pairs, 1)
     for k, terms in scaled:
         for e, c in terms.items():
             want[e] = want.get(e, 0) + k * c
-    acc = SlotAccumulator(nvars)
+    acc = SlotAccumulator()
     for ta, tb in pairs:
-        acc.add_pair(Slot.wrap(ta, nvars), Slot.wrap(tb, nvars))
+        acc.add_pair(Slot.wrap(ta), Slot.wrap(tb))
     for k, terms in scaled:
-        acc.add(k, Slot.wrap(terms, nvars))
+        acc.add(k, Slot.wrap(terms))
     want = {e: c for e, c in want.items() if c}
     with packed_sums() as packed:
         got = acc.result()
     assert got.to_terms() == want
     operands = [s for pair in acc.pairs for s in pair]
     operands += [s for _, s in acc.scaled]
-    on_lines = (acc.bound < 2 ** 62
-                and all(s.arr is not None for s in operands))
-    assert len(packed) == (bool(operands) and 0 < nvars <= 2 and not on_lines)
+    ends = [a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs]
+    ends += [a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs]
+    ends += [s.stats[i][0] for _, s in acc.scaled for i in (2, 3)]
+    lined = bool(operands) and _lined(acc.products, max(ends) - min(ends) + 1,
+                                      len(acc.pairs) + len(acc.scaled))
+    assert len(packed) == (lined and acc.bound >= 2 ** 62)
     if got.arr is not None:
         assert all(abs(c) < 2 ** 62 for c in got.to_terms().values())
-    if acc.bound and 0 < nvars <= 2:
+    if acc.bound:
         # the packed route itself, whatever the size of the values
-        assert _packed_sum(acc.pairs, acc.scaled, nvars, acc.bound) == want
+        assert _packed_sum(acc.pairs, acc.scaled, acc.bound) == want
 
 
 @pytest.mark.parametrize("top,route", [(2 ** 31, "packed"),
                                        (2 ** 31 - 1, "lines")])
 def test_exact_bound_alone_picks_the_route(top, route):
     # B = 2 * 2^30 * top: at top = 2^31 it reaches 2^62 although no
-    # coefficient passes 2^61, and the sum must still pack
-    ta, tb = {(0,): 2 ** 30, (1,): 2 ** 30}, {(0,): top, (5,): 1}
-    acc = SlotAccumulator(1)
-    acc.add_pair(Slot.wrap(ta, 1), Slot.wrap(tb, 1))
+    # coefficient passes 2^61, and the sum must still pack; tb has twenty
+    # more terms, so that the sum is dense enough for a line or a packing
+    ta = {(0,): 2 ** 30, (1,): 2 ** 30}
+    tb = {(0,): top, **{(2 * k + 5,): 1 for k in range(20)}}
+    acc = SlotAccumulator()
+    acc.add_pair(Slot.wrap(ta), Slot.wrap(tb))
     with packed_sums() as packed:
         got = acc.result()
     assert got.to_terms() == dict_sum([(ta, tb)], 1)
@@ -357,29 +376,31 @@ def test_sparse_operand_is_applied_term_by_term(route):
             side = range(2000) if nvars == 1 else range(20)
             tb = {tuple(s * x for s, x in zip(k, e)): sum(k) % 9 - 4 or 2 ** 20
                   for k in product(side, repeat=nvars)}
-        a = Slot.wrap(ta, nvars).scale_exponents(5)
-        b = Slot.wrap(tb, nvars)
+        ta, tb = fold(ta, nvars, 20), fold(tb, nvars, 20)
+        a = Slot.wrap(ta).scale_exponents(5)
+        b = Slot.wrap(tb)
         spread = {tuple(x * 5 for x in k): c for k, c in ta.items()}
         with convolutions() as convolved, packed_sums() as packed:
-            got = slot_product(a, b, nvars).to_terms()
-        assert got == dict_sum([(spread, tb)], nvars)
+            got = slot_product(a, b).to_terms()
+        assert got == dict_sum([(spread, tb)], 1)
         assert a._spread is not None and a._packed is None
         assert convolved == [] and len(packed) == (route == "packed")
 
 
 def test_zero_and_constant_slots():
     for nvars in (0, 1, 2, 3):
-        zero = Slot.zero(nvars)
-        big = Slot.wrap({(0,) * nvars: -(2 ** 200) - 1}, nvars)
-        assert slot_product(zero, big, nvars).is_zero
-        assert slot_product(big, zero, nvars).is_zero
-        assert SlotAccumulator(nvars).result().is_zero
-    acc = SlotAccumulator(0)
+        zero = Slot.zero()
+        big = Slot.wrap(fold({(0,) * nvars: -(2 ** 200) - 1}, nvars))
+        assert slot_product(zero, big).is_zero
+        assert slot_product(big, zero).is_zero
+        assert SlotAccumulator().result().is_zero
+    acc = SlotAccumulator()
     values = [(2 ** 62, 2 ** 62 - 1), (-(2 ** 200), 3), (7, 0), (1, -1)]
     for x, y in values:
-        acc.add_pair(Slot.wrap({(): x} if x else {}, 0),
-                     Slot.wrap({(): y} if y else {}, 0))
-    assert acc.result().to_terms() == {(): sum(x * y for x, y in values)}
+        acc.add_pair(Slot.wrap(fold({(): x} if x else {}, 0)),
+                     Slot.wrap(fold({(): y} if y else {}, 0)))
+    assert acc.result().to_terms() == fold({(): sum(x * y for x, y in values)},
+                                           0)
 
 
 def test_digit_width_grows_mid_solve():
@@ -390,12 +411,13 @@ def test_digit_width_grows_mid_solve():
         a = Polynomial(ring, {(1,) * nvars: 2 ** 40, (-1,) * nvars: 3,
                               (0,) * nvars: -7})
         assert _monomial_base(a, 9) == _monomial_base_exact(a, 9)
-    s = Slot.wrap({(0,): 2 ** 70, (2,): -5}, 1)
-    small = Slot.wrap({(0,): 3, (1,): 1, (2,): 1}, 1)
-    huge = Slot.wrap({(0,): 2 ** 300, (1,): -1, (2,): 1}, 1)
-    first = slot_product(s, small, 1).to_terms()
+    # twenty terms a side make the products dense enough to pack
+    s = Slot.wrap({(0,): 2 ** 70, (2,): -5})
+    small = Slot.wrap({(k,): 1 + k % 3 for k in range(20)})
+    huge = Slot.wrap({(0,): 2 ** 300, **{(k,): (-1) ** k for k in range(1, 20)}})
+    first = slot_product(s, small).to_terms()
     width = s._packed[0]
-    second = slot_product(s, huge, 1).to_terms()
+    second = slot_product(s, huge).to_terms()
     assert s._packed[0] > width
     ts = s.to_terms()
     assert first == dict_sum([(ts, small.to_terms())], 1)
@@ -406,12 +428,12 @@ def test_inexact_division_raises():
     # integral exponents always divide exactly, so the step sum
     # 2 f_2 = g_1 f_1 (with g_1 = f_1 and g_2 = 0) is built and divided here
     for nvars in (0, 1, 2, 3):
-        odd = Slot.wrap({(0,) * nvars: 2 ** 100 + 1}, nvars)
+        odd = Slot.wrap(fold({(0,) * nvars: 2 ** 100 + 1}, nvars))
         with pytest.raises(ArithmeticError):
-            slot_product(odd, odd, nvars).divide_exact(2)
-        even = Slot.wrap({(0,) * nvars: 2 ** 100}, nvars)
-        f2 = slot_product(even, even, nvars).divide_exact(2)
-        assert f2.to_terms() == {(0,) * nvars: 2 ** 199}
+            slot_product(odd, odd).divide_exact(2)
+        even = Slot.wrap(fold({(0,) * nvars: 2 ** 100}, nvars))
+        f2 = slot_product(even, even).divide_exact(2)
+        assert f2.to_terms() == fold({(0,) * nvars: 2 ** 199}, nvars)
 
 
 def unital_series(ring, order):

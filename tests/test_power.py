@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from motivic_power.power import (
     pow_series,
     transport_check,
 )
+from motivic_power.gridops import Fold
 from motivic_power.rings import (
     INTEGERS,
     MonomialMap,
@@ -419,38 +421,42 @@ class TestSharedExponentKeys:
                     first[key] = key
         assert shared
 
-    def test_wide_sparse_box_builds_no_table(self, monkeypatch):
-        # a 10001 x 10001 box holding three terms: a table would hold
-        # 10^8 tuples, against the five the polynomials hold
-        tables = []
-        real = gridops.exponent_table
 
-        def recorded(slots):
-            tables.append(real(slots))
-            return tables[-1]
+class TestWideSparseClasses:
+    @pytest.mark.parametrize("ring,exps", [
+        (UV, (5000, 5000)), (UVW, (500, 500, 500))], ids=["uv", "xyz"])
+    def test_wide_sparse_classes_stay_small(self, ring, exps):
+        # (1-t)^(-a) for a = 1 + one far monomial: every coefficient has at
+        # most three terms, but a dense box of the first would hold 10001^2
+        # cells (800 MB), and the fold's line of either 5*10^7 or more
+        a = Polynomial(ring, {exps: 1, (0,) * ring.nvars: 1})
+        tracemalloc.start()
+        try:
+            got = base_series(a, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == _monomial_base_exact(a, 2)
+        assert peak < 64 * 2 ** 20
 
-        monkeypatch.setattr(gridops, "exponent_table", recorded)
-        u, v = (Polynomial.variable(UV, x) for x in ("u", "v"))
-        a = u ** 5000 * v ** 5000 + 1
-        assert base_series(a, 2) == _monomial_base_exact(a, 2)
-        assert tables == [None]
 
-
-def recurrence_terms(b, order, nvars):
+def recurrence_terms(b, order):
     """The forward recurrence's f_0..f_N for the exponent term maps b."""
-    slots = [gridops.Slot.wrap(t, nvars) for t in b]
-    return [x.to_terms() for x in _solve_forward(slots, order, nvars)]
+    slots = [gridops.Slot.wrap(t) for t in b]
+    return [x.to_terms() for x in _solve_forward(slots, order)]
 
 
 class TestEulerProductPath:
     """The factor-by-factor product is == to the forward recurrence.
 
-    Both are called directly, on the same exponent term maps.
+    Both are called directly, on the same exponent term maps, in one
+    variable; over Z (``nvars`` 0) every exponent folds to 0.
     """
 
-    def same(self, b, order, nvars):
-        got = _euler_product(b, order, nvars)
-        assert got == recurrence_terms(b, order, nvars)
+    def same(self, b, order, nvars=1):
+        b = [Fold(nvars).slot(t).to_terms() for t in b]
+        got = _euler_product(b, order)
+        assert got == recurrence_terms(b, order)
         return got
 
     @settings(max_examples=120, deadline=None)
@@ -468,7 +474,7 @@ class TestEulerProductPath:
         # lower rate min(-3, floor(-5/2), floor(-1/3)) = -3
         b = [{(-3,): 2, (1,): -1}, {(-5,): 1, (0,): 3}, {(-1,): -2}, {},
              {(4,): 1}, {(-7,): -1}, {}, {(2,): 2}]
-        got = self.same(b, 8, 1)
+        got = self.same(b, 8)
         assert min(e for e, in got[8]) == -24
         assert max(e for e, in got[8]) <= 8  # the upper rate is 1/1
 
@@ -476,7 +482,7 @@ class TestEulerProductPath:
         # every factor has |c| > N/i: 7 and -9 at i = 1, -5 at i = 3,
         # 2 at i = 4
         b = [{(0,): 7, (2,): -9}, {}, {(1,): -5}, {(-1,): 2}, {}, {}]
-        self.same(b, 6, 1)
+        self.same(b, 6)
         self.same([{(): 7}, {(): -9}, {(): -5}, {(): 2}, {}, {}], 6, 0)
 
     @pytest.mark.parametrize("b,width", [
@@ -488,7 +494,7 @@ class TestEulerProductPath:
     def test_widths_and_the_int64_edge(self, b, width):
         order = len(b)
         assert _digit_width(b, order) == width
-        got = self.same(b, order, 1)
+        got = self.same(b, order)
         top = max(abs(c) for t in got for c in t.values())
         assert (top < 2 ** 62) == (order == 2 and width == 64)
 
@@ -496,20 +502,20 @@ class TestEulerProductPath:
         order = 120
         b = [{(i - 1,): 1, (i,): 3, (i + 1,): 1} for i in range(1, order + 1)]
         assert _digit_width(b, order) >= 72
-        got = self.same(b, order, 1)
+        got = self.same(b, order)
         assert max(abs(c) for t in got for c in t.values()) > 2 ** 62
 
     @pytest.mark.parametrize("nvars", [0, 1])
     def test_orders_zero_and_one(self, nvars):
         one = (0,) * nvars
-        assert self.same([], 0, nvars) == [{one: 1}]
-        assert self.same([{one: 3}], 1, nvars) == [{one: 1}, {one: 3}]
+        assert self.same([], 0, nvars) == [{(0,): 1}]
+        assert self.same([{one: 3}], 1, nvars) == [{(0,): 1}, {(0,): 3}]
         if nvars:
-            assert self.same([{(-2,): -1}], 1, 1) == [{(0,): 1}, {(-2,): -1}]
+            assert self.same([{(-2,): -1}], 1) == [{(0,): 1}, {(-2,): -1}]
 
     @pytest.mark.parametrize("nvars", [0, 1])
     def test_all_zero_exponents(self, nvars):
-        assert self.same([{}] * 5, 5, nvars) == [{(0,) * nvars: 1}] + [{}] * 5
+        assert self.same([{}] * 5, 5, nvars) == [{(0,): 1}] + [{}] * 5
 
 
 def hilbert_exponents(a, order):
@@ -523,15 +529,23 @@ def surface_exponents(e, order):
             for i in range(1, order + 1)]
 
 
+def folded(b, order, nvars=1):
+    """The exponent term maps b as slots under their solve's fold."""
+    fold = Fold.graded(nvars, order, b)
+    return [fold.slot(t) for t in b]
+
+
 class TestProductRouting:
     def test_hilbert_shapes_take_the_product(self):
         for order in (40, 80, 160):
             # the punctual surface series, and [X] = L^2 + L + 1
             assert _multiplies_out(
-                [{(i - 1,): 1} for i in range(1, order + 1)], order, 1)
-            assert _multiplies_out(hilbert_exponents(1, order), order, 1)
+                folded([{(i - 1,): 1} for i in range(1, order + 1)], order),
+                order)
+            assert _multiplies_out(folded(hilbert_exponents(1, order), order),
+                                   order)
         for a in (2, 3):  # rows/rec 0.26 and 0.30 at the benchmark's order
-            assert _multiplies_out(hilbert_exponents(a, 160), 160, 1)
+            assert _multiplies_out(folded(hilbert_exponents(a, 160), 160), 160)
 
     def test_hilbert_series_runs_no_recurrence(self, monkeypatch):
         L = Polynomial.variable(LAURENT_L, "L")
@@ -541,35 +555,74 @@ class TestProductRouting:
             "the forward recurrence ran"))
         assert mp.global_series(X, mp.local_series(2, 40), 40) == want
 
-    def test_two_variables_stay_on_the_recurrence(self):
+    def test_folded_surfaces_route_by_the_same_rule(self):
+        # folded by u -> z^81, v -> z, the P^2 diamond's exponents pass
+        # 3 * rows <= rec like a one-variable class; K3's do not
         p2 = {(0, 0): 1, (1, 1): 1, (2, 2): 1}
         k3 = {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1}
-        for e in (p2, k3):
-            assert not _multiplies_out(surface_exponents(e, 40), 40, 2)
-        assert not _multiplies_out([{(0, 0): 1}, {}, {}, {}], 4, 2)
-        assert not _multiplies_out([{}] * 4, 4, 2)
+        assert _multiplies_out(folded(surface_exponents(p2, 40), 40, 2), 40)
+        assert not _multiplies_out(folded(surface_exponents(k3, 40), 40, 2),
+                                   40)
 
-    @pytest.mark.parametrize("ring", [INTEGERS, LAURENT_L], ids=["Z", "Z[L~]"])
-    def test_axioms_shaped_samples_stay_on_the_recurrence(self, ring, monkeypatch):
+    def test_sparse_exponents_stay_on_the_recurrence(self):
+        # 1 + u^5000: rows/rec alone would multiply out, into packed
+        # coefficients 5000 digits apart per step
+        b = [{(0,): 1, (5000,): 1}] + [{}] * 39
+        assert not _multiplies_out(folded(b, 40), 40)
+
+    def test_axioms_shaped_samples_stay_on_the_recurrence(self, monkeypatch):
         # the axioms-small shapes: A and m with coefficients in [-3, 3]
         # on exponents of degree <= 2, at order 10
         rng = random.Random(23)
-        nvars = ring.nvars
+        ring = LAURENT_L
         for _ in range(20):
             A = random_unital_series(rng, ring, 10)
             m = random_polynomial(rng, ring)
             if not m.terms:
                 continue
             b = [(p * m).terms for p in factor(A).exponents]
-            assert not _multiplies_out(b, 10, nvars)
-        # the recurrence gets int64 arrays in one variable, as before
+            assert not _multiplies_out(folded(b, 10), 10)
+        # the recurrence gets int64 arrays, as before
         seen = []
         real = power._solve_forward
 
-        def recorded(b, order, nvars):
+        def recorded(b, order):
             seen.extend(b)
-            return real(b, order, nvars)
+            return real(b, order)
 
         monkeypatch.setattr(power, "_solve_forward", recorded)
         pow_series(A, m)
-        assert seen and all(s.arr is not None for s in seen if nvars)
+        assert seen and all(s.arr is not None for s in seen)
+
+    @pytest.mark.parametrize("order", [10, 40])
+    def test_axioms_shaped_integer_powers_take_the_product(self, order,
+                                                           monkeypatch):
+        # over Z every exponent folds to 0, and the product always runs
+        rng = random.Random(29)
+        seen = []
+        real = power._euler_product
+
+        def recorded(b, order):
+            seen.append(b)
+            return real(b, order)
+
+        monkeypatch.setattr(power, "_euler_product", recorded)
+        monkeypatch.setattr(power, "_solve_forward", lambda *args: pytest.fail(
+            "the forward recurrence ran"))
+        for _ in range(10):
+            A = random_unital_series(rng, INTEGERS, order)
+            m = random_polynomial(rng, INTEGERS)
+            pow_series(A, m)
+        assert len(seen) == 10
+
+    @pytest.mark.parametrize("order", [10, 40])
+    def test_integer_product_matches_the_references(self, order):
+        rng = random.Random(31)
+        for _ in range(10):
+            A = random_unital_series(rng, INTEGERS, order)
+            m = random_polynomial(rng, INTEGERS)
+            b = [Fold(0).slot((p * m).terms).to_terms()
+                 for p in factor(A).exponents]
+            assert _euler_product(b, order) == recurrence_terms(b, order)
+            a = random_polynomial(rng, INTEGERS)
+            assert base_series(a, order) == _monomial_base_exact(a, order)
