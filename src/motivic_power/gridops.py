@@ -7,7 +7,7 @@ into one variable z once (:class:`Fold`, a Kronecker substitution), so
 every polynomial of it is a :class:`Slot` in z: a dense int64 array when
 it is dense enough for one (:func:`_lined`) and its coefficients are
 below 2**62 in magnitude, a term map otherwise.  :class:`SlotAccumulator`
-computes each sum on one of three exact routes, chosen from its density
+computes each sum on one of four exact routes, chosen from its density
 and the bound B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|
 plus sum over scaled slots of |k| * max|s|, which no coefficient of the
 sum can exceed in magnitude:
@@ -20,6 +20,14 @@ sum can exceed in magnitude:
   nnz_a * (len_b + C) <= len_a * len_b + (len_a + len_b + C), else
   convolved; C = ``_SLICE_CELLS`` is the cost of one numpy slice-add
   before its first element, in convolution cells.
+* **int64 limbs** when B >= 2**62 and :func:`_limb_plan` finds a plan:
+  with N the share of B from each product's narrow side (the operand
+  with the smaller max |c|, or a scaled slot's multiplier), every wide
+  operand is split into signed limbs of W = 61 - bitlen(N) bits
+  (``Slot.limbs``), so that each limb's sum is an int64 line sum below
+  2**61, and the sums T_j are recombined once as sum_j T_j 2^(W j).  A
+  sum needing more than ``_MAX_LIMBS`` limbs, or whose line is shorter
+  than ``_LIMB_CELLS``, packs instead.
 * **packed integers** otherwise: z -> 2^W makes each slot one Python
   integer, W the bit length of B plus a sign bit, and the sum is added
   as integers and unpacked once; a pair whose sparser operand fills at
@@ -243,6 +251,117 @@ def _sum_lines(pairs, scaled, lo: int, hi: int) -> "Slot":
     return Slot(arr=total, lo=lo)
 
 
+# -- limb route: the wide side in int64 limbs, each limb on a line ---------
+
+# When the limb route pays, against packed integers.  Timed on a 2-vCPU
+# x86-64 VM with numpy 2.4 and Python 3.11, both routes on the same sums,
+# limbs forced to more than the plan's count by narrowing W (limb time /
+# packed time, from cold caches):
+# * the K3 diamond's 14 big steps at order 40 (4,400-6,600 cells, 27-40
+#   pairs, 2 limbs by the plan) and axioms-small's 16 big sums (2,800-
+#   3,700 cells): 0.24-0.51 at 2 limbs, 0.41-0.64 at 3, 0.38-0.96 at 4,
+#   0.55-1.13 at 6, 0.87-1.71 at 10;
+# * the scaled sums of zeta --class "(1+2*x)^800" (a 1,263-bit wide side,
+#   22 limbs of 60 bits): 1.5-2.3;
+# * 1, 4 or 10 pairs of 70-bit lines (2 limbs) against 3-term operands
+#   applied term by term: 1.4-1.9 at ~100 cells, 1.3-1.4 at ~200,
+#   1.0-1.1 at ~400, 0.85-0.9 at ~800, 0.75-0.85 from 1,500; against
+#   convolved operands of a quarter as many terms: 1.4-1.5 at ~100,
+#   1.0-1.1 at ~200, 0.7-0.9 at ~400, 0.35-0.6 from 800.
+# The most limbs, and the fewest cells of the sum's line.
+_MAX_LIMBS = 4
+_LIMB_CELLS = 400
+
+
+def _limb_plan(pairs, scaled, cells: int) -> Optional[Tuple[int, int]]:
+    """The limb width W and limb count of the limb route for a sum over
+    ``cells`` indices, or None when it should pack.
+
+    The narrow side of a pair is its operand with the smaller max |c|, of
+    a scaled slot its multiplier k.  With N = sum over pairs of
+    min(nnz_a, nnz_b) * max|narrow| plus sum over scaled slots of |k|,
+    limbs of W = 61 - bitlen(N) bits keep every limb sum below
+    N * 2^W < 2^61; the count covers the widest wide side.
+    """
+    if cells < _LIMB_CELLS:
+        return None
+    narrow = wide = 0
+    for a, b in pairs:
+        na, ma, _, _ = a.stats
+        nb, mb, _, _ = b.stats
+        if mb < ma:
+            ma, mb = mb, ma
+        narrow += (na if na < nb else nb) * ma
+        if mb > wide:
+            wide = mb
+    for k, s in scaled:
+        narrow += abs(k)
+        if s.stats[1] > wide:
+            wide = s.stats[1]
+    width = 61 - narrow.bit_length()
+    if width < 1:
+        return None
+    count = -(-wide.bit_length() // width)
+    return (width, count) if count <= _MAX_LIMBS else None
+
+
+def _split(slot: "Slot", width: int, count: int) -> List["Slot"]:
+    """The slot as signed limbs s_0..s_(count-1), s = sum_j s_j 2^(width j)
+    with every |s_j| < 2^width and s_j of the sign of s: lines when the
+    slot is dense enough for one (:func:`_lined`), else term maps."""
+    mask = (1 << width) - 1
+    nnz, _, (lo,), (hi,) = slot.stats
+    if slot.lined:  # int64 magnitudes: numpy shifts past 63 bits give 0
+        line = slot.line()
+        mag, neg, at = np.abs(line), line < 0, None
+    else:
+        ks, cs = slot.items()
+        mag = np.array(list(map(abs, cs)), dtype=object)
+        neg = np.array(cs, dtype=object) < 0
+        at = np.array(ks) - lo
+    dense = slot.lined or _lined(nnz, hi - lo + 1)
+    out = []
+    for j in range(count):
+        limb = ((mag >> (width * j)) & mask).astype(np.int64)
+        np.negative(limb, out=limb, where=neg)
+        if dense:
+            if at is not None:
+                line = np.zeros(hi - lo + 1, dtype=np.int64)
+                line[at] = limb
+                limb = line
+            out.append(Slot(arr=limb, lo=lo))
+        else:
+            nz = np.flatnonzero(limb)
+            out.append(Slot(terms=dict(zip(zip((at[nz] + lo).tolist()),
+                                           limb[nz].tolist()))))
+    return out
+
+
+def _limb_sum(pairs, scaled, lo: int, hi: int, width: int,
+              count: int) -> "Slot":
+    """Exact sum of the pair products and scaled slots on the limb plan
+    (W, count) of :func:`_limb_plan`: one :func:`_sum_lines` pass T_j per
+    limb j of the wide sides, recombined once as sum_j T_j 2^(W j)."""
+    narrow = [(a, b.limbs(width, count)) if a.stats[1] <= b.stats[1]
+              else (b, a.limbs(width, count)) for a, b in pairs]
+    scales = [(k, s.limbs(width, count)) for k, s in scaled]
+    total = None
+    for j in range(count):
+        part = _sum_lines([(a, w[j]) for a, w in narrow if not w[j].is_zero],
+                          [(k, w[j]) for k, w in scales if not w[j].is_zero],
+                          lo, hi)
+        if part.is_zero:
+            continue
+        part = part.arr.astype(object)
+        if j:
+            part <<= width * j
+        total = part if total is None else total + part
+    if total is None:
+        return Slot.zero()
+    nz = np.flatnonzero(total)
+    return Slot.wrap(dict(zip(zip((nz + lo).tolist()), total[nz].tolist())))
+
+
 # -- term-map route: dict sums -------------------------------------------
 
 def _sum_terms(pairs, scaled) -> "Slot":
@@ -358,7 +477,8 @@ class Slot:
     range, or the term map's exact hull.
     """
 
-    __slots__ = ("lined", "terms", "stats", "_arr", "_packed", "_spread")
+    __slots__ = ("lined", "terms", "stats", "_arr", "_packed", "_limbs",
+                 "_spread")
 
     def __init__(self, terms: Optional[Terms] = None,
                  arr: Optional[np.ndarray] = None, lo: int = 0):
@@ -375,6 +495,7 @@ class Slot:
         else:
             self.stats = (0, 0, (0,), (0,))
         self._packed = None
+        self._limbs = None
         self._spread = None
 
     @classmethod
@@ -420,6 +541,13 @@ class Slot:
         p = self._packed
         if p is None or p[0] != width:
             p = self._packed = (width, _pack(self, width))
+        return p[1]
+
+    def limbs(self, width: int, count: int) -> List["Slot"]:
+        """The slot as ``count`` signed limbs of ``width`` bits (cached)."""
+        p = self._limbs
+        if p is None or p[0] != (width, count):
+            p = self._limbs = ((width, count), _split(self, width, count))
         return p[1]
 
     def spread(self) -> List[Tuple[int, int]]:
@@ -474,7 +602,8 @@ class Slot:
 
 class SlotAccumulator:
     """Sum of products of slot pairs and of scaled slots, computed on one
-    route when read (see the module docstring).
+    route when read (see the module docstring): term maps, an int64
+    line, int64 limbs of the wide sides, or packed integers.
 
     ``add_pair(a, b)`` records a*b and ``add(k, s)`` records k*s; each
     only adds its share of the exact bound B and of the count of term
@@ -511,6 +640,9 @@ class SlotAccumulator:
             return _sum_terms(pairs, scaled)
         if self.bound < _INT64_LIMIT:
             return _sum_lines(pairs, scaled, lo, hi)
+        plan = _limb_plan(pairs, scaled, hi - lo + 1)
+        if plan is not None:
+            return _limb_sum(pairs, scaled, lo, hi, *plan)
         return Slot.wrap(_packed_sum(pairs, scaled, self.bound))
 
 

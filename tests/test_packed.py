@@ -1,4 +1,5 @@
-"""Differential tests of the packed-integer route against dict arithmetic.
+"""Differential tests of the big-value routes, int64 limbs and packed
+integers, against dict arithmetic.
 
 Every result is compared with ``==`` against a plain dict reference:
 ``_accumulate_product`` for sums of products, ``_monomial_base_exact``
@@ -25,6 +26,8 @@ from motivic_power import gridops
 from motivic_power.gridops import (
     Slot,
     SlotAccumulator,
+    _corners,
+    _limb_plan,
     _lined,
     _packed_sum,
     slot_linear,
@@ -95,37 +98,54 @@ def dict_series_products():
 
 
 @contextmanager
+def recording(name, record):
+    """Record ``record(*args)`` for every call of ``gridops.<name>`` made
+    while the block runs."""
+    calls = []
+    real = getattr(gridops, name)
+
+    def recorded(*args):
+        calls.append(record(*args))
+        return real(*args)
+
+    setattr(gridops, name, recorded)
+    try:
+        yield calls
+    finally:
+        setattr(gridops, name, real)
+
+
 def packed_sums():
-    """Count the sums that run on packed integers while the block runs."""
-    calls = []
-    real = gridops._packed_sum
-
-    def counted(pairs, scaled, bound):
-        calls.append(bound)
-        return real(pairs, scaled, bound)
-
-    gridops._packed_sum = counted
-    try:
-        yield calls
-    finally:
-        gridops._packed_sum = real
+    """The exact bound of every sum that runs on packed integers."""
+    return recording("_packed_sum", lambda pairs, scaled, bound: bound)
 
 
-@contextmanager
+def limb_sums():
+    """The limb plan (W, count) of every sum that runs on int64 limbs."""
+    return recording("_limb_sum", lambda *args: args[-2:])
+
+
 def convolutions():
-    """Count the int64 convolutions made while the block runs."""
-    calls = []
-    real = gridops._conv_arrays
+    """The operand lengths of every int64 convolution."""
+    return recording("_conv_arrays", lambda a, b: (a.shape[0], b.shape[0]))
 
-    def counted(a, b):
-        calls.append((a.shape[0], b.shape[0]))
-        return real(a, b)
 
-    gridops._conv_arrays = counted
-    try:
-        yield calls
-    finally:
-        gridops._conv_arrays = real
+def line_sum_bounds():
+    """The exact bound of every int64 line sum (the limb route makes one
+    per nonzero limb)."""
+    def bound(pairs, scaled, lo, hi):
+        return (sum(min(a.stats[0], b.stats[0]) * a.stats[1] * b.stats[1]
+                    for a, b in pairs)
+                + sum(abs(k) * s.stats[1] for k, s in scaled))
+    return recording("_sum_lines", bound)
+
+
+def big_route(acc):
+    """The route of a lined sum whose exact bound reaches 2^62: int64
+    limbs when the limb plan finds a width and count, else packed."""
+    lo, hi = _corners(acc.pairs, acc.scaled)
+    plan = _limb_plan(acc.pairs, acc.scaled, hi - lo + 1)
+    return "packed" if plan is None else "limbs"
 
 
 @settings(max_examples=80, deadline=None)
@@ -221,15 +241,18 @@ def test_frobenius_spread_pairs_on_lines_match_dict(data):
     acc = SlotAccumulator()
     for _, _, a, b in pairs:
         acc.add_pair(a, b)
-    with packed_sums() as packed:
+    with packed_sums() as packed, limb_sums() as limbs:
         got = acc.result().to_terms()
     assert got == dict_sum([(ta, tb) for ta, tb, _, _ in pairs], 1)
-    # a sum too sparse for a line is a dict sum, whatever its bound
+    # a sum too sparse for a line is a dict sum, whatever its bound; a
+    # lined one past 2^62 runs on limbs or packs, by the limb plan
     if acc.pairs:
         lo = min(a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs)
         hi = max(a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs)
         lined = _lined(acc.products, hi - lo + 1, len(acc.pairs))
-        assert len(packed) == (lined and acc.bound >= 2 ** 62)
+        big = lined and acc.bound >= 2 ** 62
+        assert len(limbs) == (big and big_route(acc) == "limbs")
+        assert len(packed) == (big and big_route(acc) == "packed")
 
 
 def test_spread_operand_on_a_folded_line_is_not_convolved():
@@ -322,7 +345,7 @@ def test_pairs_and_scaled_slots_match_dict(data):
     for k, terms in scaled:
         acc.add(k, Slot.wrap(terms))
     want = {e: c for e, c in want.items() if c}
-    with packed_sums() as packed:
+    with packed_sums() as packed, limb_sums() as limbs:
         got = acc.result()
     assert got.to_terms() == want
     operands = [s for pair in acc.pairs for s in pair]
@@ -332,7 +355,9 @@ def test_pairs_and_scaled_slots_match_dict(data):
     ends += [s.stats[i][0] for _, s in acc.scaled for i in (2, 3)]
     lined = bool(operands) and _lined(acc.products, max(ends) - min(ends) + 1,
                                       len(acc.pairs) + len(acc.scaled))
-    assert len(packed) == (lined and acc.bound >= 2 ** 62)
+    big = lined and acc.bound >= 2 ** 62
+    assert len(limbs) == (big and big_route(acc) == "limbs")
+    assert len(packed) == (big and big_route(acc) == "packed")
     if got.arr is not None:
         assert all(abs(c) < 2 ** 62 for c in got.to_terms().values())
     if acc.bound:
@@ -340,21 +365,25 @@ def test_pairs_and_scaled_slots_match_dict(data):
         assert _packed_sum(acc.pairs, acc.scaled, acc.bound) == want
 
 
-@pytest.mark.parametrize("top,route", [(2 ** 31, "packed"),
-                                       (2 ** 31 - 1, "lines")])
-def test_exact_bound_alone_picks_the_route(top, route):
+@pytest.mark.parametrize("top,extra,route", [(2 ** 31, 20, "packed"),
+                                             (2 ** 31 - 1, 20, "lines"),
+                                             (2 ** 31, 200, "limbs")])
+def test_exact_bound_alone_picks_the_route(top, extra, route):
     # B = 2 * 2^30 * top: at top = 2^31 it reaches 2^62 although no
-    # coefficient passes 2^61, and the sum must still pack; tb has twenty
-    # more terms, so that the sum is dense enough for a line or a packing
+    # coefficient passes 2^61, and the sum must still leave the int64
+    # line: for two limbs of 29 bits (N = 2 * 2^30) when its line spans
+    # _LIMB_CELLS or more, else for a packing; tb's extra terms make the
+    # sum dense enough for a line, over 45 or 405 cells
     ta = {(0,): 2 ** 30, (1,): 2 ** 30}
-    tb = {(0,): top, **{(2 * k + 5,): 1 for k in range(20)}}
+    tb = {(0,): top, **{(2 * k + 5,): 1 for k in range(extra)}}
     acc = SlotAccumulator()
     acc.add_pair(Slot.wrap(ta), Slot.wrap(tb))
-    with packed_sums() as packed:
+    with packed_sums() as packed, limb_sums() as limbs:
         got = acc.result()
     assert got.to_terms() == dict_sum([(ta, tb)], 1)
     assert max(got.to_terms().values()) <= 2 ** 61
     assert len(packed) == (route == "packed")
+    assert limbs == ([(29, 2)] if route == "limbs" else [])
 
 
 @pytest.mark.parametrize("route", ["packed", "int64"])
@@ -464,13 +493,15 @@ def test_recurrences_match_dict_references(data):
     assert mp.exp_map(exps, ring=ring) == assembled
 
 
-def goettsche_motivic(cls, order):
+def goettsche_motivic(cls, order, step=1):
     """Term maps of prod_k Z_X(L^(k-1) t^k), multiplied out on plain ints.
 
     ``cls`` lists the (exponent, multiplicity) pairs of an effective class
     in L, so Z_X(t) = prod over them of (1 - L^e t)^(-multiplicity), and
     every coefficient is positive: each polynomial in L is one integer
     with a digit per power of L, wide enough that digits never carry.
+    With ``step`` s the twist L^(k-1) is L^(s(k-1)) instead, which is the
+    image of (uv)^(k-1) under the fold u^a v^b -> L^(a(s-1) + b).
     """
     count = sum(m for _, m in cls)
     euler = [1] + [0] * order
@@ -478,24 +509,22 @@ def goettsche_motivic(cls, order):
         for _ in range(count):
             for n in range(k, order + 1):
                 euler[n] += euler[n - k]
-    width = max(euler).bit_length() + 1
+    w = (max(euler).bit_length() + 8) // 8
+    width = 8 * w
     f = [1] + [0] * order
     for k in range(1, order + 1):
         for e, m in cls:
-            shift = (e + k - 1) * width
+            shift = (e + step * (k - 1)) * width
             for _ in range(m):
                 for n in range(k, order + 1):
                     f[n] += f[n - k] << shift
-    mask = (1 << width) - 1
     out = []
     for value in f:
-        terms, e = {}, 0
-        while value:
-            if value & mask:
-                terms[(e,)] = value & mask
-            value >>= width
-            e += 1
-        out.append(terms)
+        data = value.to_bytes((value.bit_length() + width - 1) // width * w,
+                              "little")
+        digits = (int.from_bytes(data[i:i + w], "little")
+                  for i in range(0, len(data), w))
+        out.append({(e,): c for e, c in enumerate(digits) if c})
     return out
 
 
@@ -511,3 +540,134 @@ def test_global_series_past_the_int64_crossing():
     want = goettsche_motivic([(0, 1), (1, 3), (2, 1)], order)
     assert [c.terms for c in series.coefficients] == want
     assert packed and min(packed) >= 2 ** 62
+
+
+# -- the limb route ----------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_limb_route_matches_dict(data):
+    # narrow sides of 1 to 45 bits set the limb width W = 61 - bitlen(N);
+    # the widest wide value is then given (count - 1) * W + r bits for a
+    # drawn count of 1 to _MAX_LIMBS + 1, so that W sits just above or
+    # just below the width that the limb count allows; wide values run
+    # from 2^61 to ~2^190, both signs, as arrays (below 2^62) and term
+    # maps, and are multiples of 2^W (limb 0 all zero) or 2^(b-1) + d
+    # (middle limbs zero) or arbitrary
+    ring = data.draw(st.sampled_from([LAURENT_L, UV, LAURENT_UV, UVW]))
+    nvars = ring.nvars
+    sign = st.sampled_from([1, -1])
+    low = -4 if ring.laurent else 0
+    exps = st.tuples(*[st.integers(low, 4)] * nvars)
+    if nvars == 1:
+        exps = st.tuples(st.integers(-300, 300) if ring.laurent
+                         else st.integers(0, 600))
+    top = data.draw(st.integers(0, 45))
+
+    def narrow_map():
+        values = st.one_of(st.integers(-3, 3),
+                           st.builds(lambda s, d: s * ((1 << top) - d), sign,
+                                     st.integers(0, 1)),
+                           st.integers(-(1 << top), 1 << top)).filter(bool)
+        return fold(data.draw(st.dictionaries(exps, values, min_size=1,
+                                              max_size=4)), nvars, 20)
+
+    npairs = data.draw(st.integers(0, 3))
+    nscaled = data.draw(st.integers(0 if npairs else 1, 2))
+    narrows = [narrow_map() for _ in range(npairs)]
+    ks = [data.draw(st.builds(lambda s, d: s * ((1 << top) - d), sign,
+                              st.integers(0, 1)).filter(bool))
+          for _ in range(nscaled)]
+    sizes = [data.draw(st.integers(1, 24)) for _ in range(npairs + nscaled)]
+    # N from the narrow sides and the wide sides' term counts
+    n = sum(min(len(t), size) * max(map(abs, t.values()))
+            for t, size in zip(narrows, sizes)) + sum(map(abs, ks))
+    width = 61 - n.bit_length()
+    count = data.draw(st.integers(1, gridops._MAX_LIMBS + 1))
+    bits = (count - 1) * width + data.draw(st.sampled_from(
+        [1, width, max(1, width - 1)]) | st.integers(1, width))
+    bits = max(bits, top + 1)  # the wide side stays the wider one
+    shape = data.draw(st.sampled_from(["any", "zero-low", "gap"]))
+
+    def wide_value(biggest):
+        least = min(width + 1, bits) if shape == "zero-low" else 1
+        b = bits if biggest else data.draw(st.integers(least, bits))
+        if shape == "zero-low" and b > width:
+            v = data.draw(st.integers(1 << (b - width - 1),
+                                      (1 << (b - width)) - 1)) << width
+        elif shape == "gap":
+            v = (1 << (b - 1)) + data.draw(st.integers(0, 3))
+        else:
+            v = data.draw(st.sampled_from([(1 << b) - 1, 1 << (b - 1)])
+                          | st.integers(1 << (b - 1), (1 << b) - 1))
+        return data.draw(sign) * v
+
+    wides = []
+    for size in sizes:
+        keys = data.draw(st.lists(exps, min_size=size, max_size=size,
+                                  unique=True))
+        wides.append(fold({k: wide_value(i == 0) for i, k in enumerate(keys)},
+                          nvars, 20))
+    pairs = [(Slot.wrap(ta), Slot.wrap(tb)) for ta, tb in zip(narrows, wides)]
+    scaled = [(k, Slot.wrap(t)) for k, t in zip(ks, wides[npairs:])]
+    want = dict_sum(list(zip(narrows, wides)), 1)
+    for k, t in zip(ks, wides[npairs:]):
+        for e, c in t.items():
+            want[e] = want.get(e, 0) + k * c
+    want = {e: c for e, c in want.items() if c}
+    lo, hi = _corners(pairs, scaled)
+    plan = _limb_plan(pairs, scaled, gridops._LIMB_CELLS)
+    used = -(-max(s.stats[1] for s in [b for _, b in pairs]
+                  + [s for _, s in scaled]).bit_length() // width)
+    assert plan == ((width, used) if used <= gridops._MAX_LIMBS else None)
+    # the limb sum itself at the plan's width, whatever the count
+    with line_sum_bounds() as passes:
+        got = gridops._limb_sum(pairs, scaled, lo, hi, width, used)
+    assert got.to_terms() == want
+    assert passes and all(bound < 2 ** 61 for bound in passes)
+    for s in [b for _, b in pairs] + [s for _, s in scaled]:
+        limbs = [x.to_terms() for x in s.limbs(width, used)]
+        assert all(abs(c) < 2 ** width for x in limbs for c in x.values())
+        assert {e: sum(x.get(e, 0) << (width * j) for j, x in enumerate(limbs))
+                for e in s.to_terms()} == s.to_terms()
+    # and through the accumulator, on the route that the rule picks
+    acc = SlotAccumulator()
+    for a, b in pairs:
+        acc.add_pair(a, b)
+    for k, s in scaled:
+        acc.add(k, s)
+    with packed_sums() as packed, limb_sums() as limbs, \
+            line_sum_bounds() as passes:
+        assert acc.result().to_terms() == want
+    if limbs:
+        assert all(bound < 2 ** 61 for bound in passes)
+    big = (acc.bound >= 2 ** 62
+           and _lined(acc.products, hi - lo + 1, len(pairs) + len(scaled)))
+    assert len(limbs) == (big and big_route(acc) == "limbs")
+    assert len(packed) == (big and big_route(acc) == "packed")
+
+
+def test_k3_hodge_deligne_series_never_packs():
+    # the K3 diamond (q = 0, p_g = 1, h11 = 20) at order 40: its big
+    # recurrence sums, with f up to 71 bits against g of 18-19, all run on
+    # int64 limbs; the reference folds u^a v^b -> L^(81a + b)
+    u, v = (Polynomial.variable(UV, x) for x in ("u", "v"))
+    e = 1 + u ** 2 + v ** 2 + 20 * u * v + u ** 2 * v ** 2
+    with packed_sums() as packed, limb_sums() as limbs:
+        series = mp.hodge_deligne_series(mp.VarietyClass(e, 2), 40)
+    assert packed == [] and limbs
+    want = goettsche_motivic([(0, 1), (2, 1), (82, 20), (162, 1), (164, 1)],
+                             40, step=82)
+    assert [c.terms for c in series.coefficients] == [
+        {divmod(k, 81): c for (k,), c in terms.items()} for terms in want]
+
+
+def test_dense_wide_pair_still_packs():
+    # both sides of 90-100 bits: no limb width leaves the narrow side's
+    # products below 2^61, so the sum packs
+    ta = {(k,): 2 ** 100 + k for k in range(300)}
+    tb = {(k,): -(2 ** 90) - 3 * k for k in range(300)}
+    with packed_sums() as packed, limb_sums() as limbs:
+        got = slot_product(Slot.wrap(ta), Slot.wrap(tb)).to_terms()
+    assert got == dict_sum([(ta, tb)], 1)
+    assert len(packed) == 1 and limbs == []
