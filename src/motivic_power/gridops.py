@@ -32,18 +32,27 @@ sum can exceed in magnitude:
   integer, W the bit length of B plus a sign bit, and the sum is added
   as integers and unpacked once; a pair whose sparser operand fills at
   most a third of its packed span is applied term by term.
+
+Between dict polynomials and slots the fold crosses in numpy passes, not
+one Python step per term: :meth:`Fold.slot` encodes a term map in one,
+:meth:`Fold.polynomials` decodes a solve's results in one, and
+:func:`_unpack` reads packed digits in bulk.  A product of two
+polynomials (``Polynomial.__mul__``) comes here when its term counts say
+a line may pay (:func:`_product_lined`), and multiplies in dicts
+(:func:`_accumulate_product`) otherwise.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, chain, compress
 from math import prod
 from operator import add, itemgetter, mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .rings import Polynomial, RingDescriptor, _accumulate_product
+if TYPE_CHECKING:
+    from .rings import Polynomial, RingDescriptor
 
 # Array values and int64 line sums stay below this, half the int64 ceiling.
 _INT64_LIMIT = 2 ** 62
@@ -74,6 +83,58 @@ def _lined(nnz: int, span: int, ops: int = 0) -> bool:
     return span + ops * _SLICE_CELLS <= _TERM_CELLS * nnz
 
 
+# The fold's crossing for one polynomial product (its window, two encodes
+# and one decode), in numpy calls of _SLICE_CELLS.  On the VM above, dense
+# products of n x n terms in Z[x] and Z[u,v] (coefficients of 4 and of 100
+# bits) took as long in dicts as through the fold at 250-600 term products
+# (dict / fold: 0.5 at 144, 1.0 at 256, 2.4 at 576, 1.9 at 1,296); with 40
+# calls the rule switches at ~420.
+_PRODUCT_CROSSING = 40
+
+
+def _product_lined(na: int, nb: int) -> bool:
+    """Whether a product of polynomials of ``na`` and ``nb`` terms may pay
+    on a line, from the term counts alone: the :func:`_lined` rule for its
+    na * nb term products over the shortest line it can have (na + nb - 1
+    cells), with one numpy call for the pair and the fold's crossing."""
+    return _lined(na * nb, na + nb - 1, 1 + _PRODUCT_CROSSING)
+
+
+# -- the dict product -----------------------------------------------------
+
+def _accumulate_product(acc: Dict[Exps, int], pterms, qterms, nvars: int):
+    """Add the expanded product of two term maps into ``acc``.
+
+    The dict product: ``Polynomial.__mul__`` (products too small for a
+    line), the term-map route of :class:`SlotAccumulator` (sums too sparse
+    for a line), the reference recurrence ``power._monomial_base_exact``
+    and the tests' references run through here.  The exponent addition
+    is unrolled for zero, one and two variables (Z, Z[L] and Z[u,v]).
+    """
+    if len(pterms) > len(qterms):
+        pterms, qterms = qterms, pterms
+    get = acc.get
+    if nvars == 0:
+        c = pterms.get((), 0) * qterms.get((), 0)
+        if c:
+            acc[()] = get((), 0) + c
+    elif nvars == 1:
+        for (x1,), c1 in pterms.items():
+            for (y1,), c2 in qterms.items():
+                e = (x1 + y1,)
+                acc[e] = get(e, 0) + c1 * c2
+    elif nvars == 2:
+        for (x1, x2), c1 in pterms.items():
+            for (y1, y2), c2 in qterms.items():
+                e = (x1 + y1, x2 + y2)
+                acc[e] = get(e, 0) + c1 * c2
+    else:
+        for e1, c1 in pterms.items():
+            for e2, c2 in qterms.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+
+
 # -- the fold: one variable per solve --------------------------------------
 
 def _ends(xs: Sequence[Terms], axis: int) -> List[Optional[Tuple[int, int]]]:
@@ -90,16 +151,26 @@ class Fold:
     axes after the first (the last axis has stride 1), so the map is
     one-to-one on the window whatever the first axis' range.  In one
     variable it is the identity; over Z it sends () to 0.
+
+    Both directions cross between term maps and slots in numpy passes,
+    not one Python step per term: one per polynomial to encode
+    (:meth:`slot`), one per solve to decode (:meth:`polynomials`).
+    Indices are int64 while they provably fit, Python integers (object
+    arrays) otherwise.
     """
 
-    __slots__ = ("strides", "_low", "_offset", "_exps")
+    __slots__ = ("strides", "_low", "_offset", "_reach", "_steps")
 
     def __init__(self, nvars: int, low: Exps = (), high: Exps = ()):
         widths = [hi - lo + 1 for lo, hi in zip(low, high)]
         self.strides = tuple(prod(widths[i:]) for i in range(nvars))
         self._low = tuple(low)
         self._offset = sum(map(mul, low, self.strides[1:]))
-        self._exps: Dict[int, Exps] = {}  # one tuple per decoded vector
+        # the most an index's axes after the first add to its magnitude
+        self._reach = sum(max(-lo, hi) * s for lo, hi, s in zip(
+            low, high, self.strides[1:]))
+        self._steps = np.array(self.strides, dtype=np.int64 if max(
+            self.strides[:1] + (self._reach,)) < _INT64_LIMIT else object)
 
     @classmethod
     def graded(cls, nvars: int, order: int, xs: Sequence[Terms],
@@ -138,50 +209,102 @@ class Fold:
             high.append(max(e[1] for e in sums))
         return cls(nvars, low, high)
 
-    def _indices(self, terms: Terms) -> List[int]:
-        """The index of every exponent vector of ``terms``, in order."""
-        columns = list(zip(*terms))  # none over Z: every index is 0
-        index = columns.pop() if columns else repeat(0, len(terms))
-        for column, s in zip(columns, self.strides):
-            index = map(add, index, map(mul, column, repeat(s)))
-        return list(index)
-
     def slot(self, terms: Terms) -> "Slot":
-        """The slot of the term map's image in z."""
-        if self.strides == (1,):
-            return Slot.wrap(terms)
-        return Slot.wrap(dict(zip(zip(self._indices(terms)), terms.values())))
+        """The slot of the term map's image in z, whose exponents must lie
+        in the window.
+
+        In one variable the fold is the identity and the slot wraps the
+        term map itself (over Z, () becomes the index 0).  In more, one
+        pass reads the exponents into a matrix and the coefficients into
+        an array (``np.fromiter``; object dtype past int64), takes the
+        indices as the matrix times the strides, and builds an int64 line
+        when it is dense enough (:func:`_lined`) and every |c| < 2**62,
+        else a term map: the slot and stats :meth:`Slot.wrap` gives.
+        """
+        nvars = len(self.strides)
+        if nvars < 2:
+            return Slot.wrap(terms if nvars else
+                             {(0,): c for c in terms.values()})
+        n = len(terms)
+        if not n:
+            return Slot.zero()
+        exps = _ints(lambda: chain.from_iterable(terms), n * nvars)
+        exps = exps.reshape(n, nvars)
+        ks = exps @ self._steps
+        cs = _ints(terms.values, n)
+        # one max and one min give the ends of the indices, of the
+        # coefficients and of the first axis, which with the window's
+        # reach bounds every partial sum of an index: past int64, the
+        # indices are redone on Python integers
+        ends = np.concatenate((ks, cs, exps[:, 0])).reshape(3, n)
+        hi, c_hi, e_hi = np.maximum.reduce(ends, axis=1).tolist()
+        lo, c_lo, e_lo = np.minimum.reduce(ends, axis=1).tolist()
+        if ks.dtype != object and (max(e_hi, -e_lo) * self.strides[0]
+                                   + self._reach >= _INT64_LIMIT):
+            ks = exps.astype(object) @ self._steps.astype(object)
+            lo, hi = ks.min(), ks.max()
+        top = max(c_hi, -c_lo)
+        stats = (n, top, (lo,), (hi,))
+        if top < _INT64_LIMIT and _lined(n, hi - lo + 1):
+            line = np.zeros(hi - lo + 1, dtype=np.int64)
+            line[(ks - lo).astype(np.int64, copy=False)] = cs
+            return Slot(arr=line, lo=lo, stats=stats)
+        return Slot(terms=dict(zip(zip(ks.tolist()), terms.values())),
+                    stats=stats)
 
     def _vectors(self, ks: List[int]) -> List[Exps]:
         """The exponent vectors in the window with the indices ``ks``."""
-        strides = self.strides
-        if not strides:
+        if not self.strides or not ks:
             return [()] * len(ks)
-        rest = np.array(ks)
-        if rest.dtype == object or max(strides[0], abs(self._offset),
-                                       rest.max(), -rest.min()) >= _INT64_LIMIT:
-            rest = np.array(ks, dtype=object)  # Python integers, any size
+        rest = _ints(ks.__iter__, len(ks))
+        if rest.dtype != object and max(self.strides[0], abs(self._offset),
+                                        int(rest.max()),
+                                        -int(rest.min())) >= _INT64_LIMIT:
+            rest = rest.astype(object)  # Python integers, any size
         rest = rest - self._offset
         columns = []
-        for s, lo in zip(strides, (0,) + self._low):
-            digit = rest // s
-            rest -= digit * s
-            columns.append((digit + lo).tolist())
+        for s, lo in zip(self.strides[:-1], (0,) + self._low):
+            digit, rest = rest // s, rest % s
+            columns.append((digit + lo if lo else digit).tolist())
+        columns.append((rest + self._low[-1]).tolist())
         return list(zip(*columns))
 
-    def polynomial(self, ring: RingDescriptor,
-                   x: Union["Slot", Terms]) -> Polynomial:
-        """The polynomial whose image in z is the slot or term map ``x``,
-        whose exponents must lie in the window."""
-        is_map = isinstance(x, dict)
+    def polynomials(self, ring: RingDescriptor,
+                    xs: Sequence[Union["Slot", Terms]]) -> List[Polynomial]:
+        """The polynomials whose images in z are the slots or term maps
+        ``xs``, whose exponents must lie in the window.
+
+        One pass per polynomial reads its indices and coefficients; the
+        distinct indices of all of them are decoded together, in one
+        :meth:`_vectors` call, so that the polynomials share one exponent
+        tuple per vector."""
+        from .rings import Polynomial  # rings multiplies through this module
         if self.strides == (1,):
-            return Polynomial._raw(ring, x if is_map else x.to_terms())
-        ks, cs = ([k for k, in x], list(x.values())) if is_map else x.items()
-        exps = self._exps
-        new = list(set(ks).difference(exps))
-        if new:
-            exps.update(zip(new, self._vectors(new)))
-        return Polynomial._raw(ring, dict(zip(map(exps.__getitem__, ks), cs)))
+            return [Polynomial._raw(ring, x if isinstance(x, dict)
+                                    else x.to_terms()) for x in xs]
+        items = [(list(chain.from_iterable(x)), list(x.values()))
+                 if isinstance(x, dict) else x.items() for x in xs]
+        distinct = list(set().union(*[ks for ks, _ in items]))
+        exps = dict(zip(distinct, self._vectors(distinct))).__getitem__
+        return [Polynomial._raw(ring, dict(zip(map(exps, ks), cs)))
+                for ks, cs in items]
+
+
+def _shifted(offsets: np.ndarray, lo: int) -> np.ndarray:
+    """lo + offsets, for int64 offsets in [0, 2**62): int64 while |lo| <
+    2**62, else Python integers."""
+    if -_INT64_LIMIT < lo < _INT64_LIMIT:
+        return offsets + lo
+    return offsets.astype(object) + lo
+
+
+def _ints(values, count: int) -> np.ndarray:
+    """The ``count`` integers that ``values()`` yields, as an int64 array,
+    or as an object array of Python integers when one leaves int64."""
+    try:
+        return np.fromiter(values(), dtype=np.int64, count=count)
+    except OverflowError:
+        return np.fromiter(values(), dtype=object, count=count)
 
 
 # -- int64 route: convolutions of lines ----------------------------------
@@ -311,15 +434,17 @@ def _split(slot: "Slot", width: int, count: int) -> List["Slot"]:
     slot is dense enough for one (:func:`_lined`), else term maps."""
     mask = (1 << width) - 1
     nnz, _, (lo,), (hi,) = slot.stats
+    dense = slot.lined or _lined(nnz, hi - lo + 1)
+    at = None
     if slot.lined:  # int64 magnitudes: numpy shifts past 63 bits give 0
         line = slot.line()
-        mag, neg, at = np.abs(line), line < 0, None
+        mag, neg = np.abs(line), line < 0
     else:
         ks, cs = slot.items()
         mag = np.array(list(map(abs, cs)), dtype=object)
         neg = np.array(cs, dtype=object) < 0
-        at = np.array(ks) - lo
-    dense = slot.lined or _lined(nnz, hi - lo + 1)
+        if dense:  # offsets within a line: int64 whatever the indices
+            at = (_ints(ks.__iter__, nnz) - lo).astype(np.int64, copy=False)
     out = []
     for j in range(count):
         limb = ((mag >> (width * j)) & mask).astype(np.int64)
@@ -331,8 +456,8 @@ def _split(slot: "Slot", width: int, count: int) -> List["Slot"]:
                 limb = line
             out.append(Slot(arr=limb, lo=lo))
         else:
-            nz = np.flatnonzero(limb)
-            out.append(Slot(terms=dict(zip(zip((at[nz] + lo).tolist()),
+            nz = limb != 0
+            out.append(Slot(terms=dict(zip(zip(compress(ks, nz.tolist())),
                                            limb[nz].tolist()))))
     return out
 
@@ -359,7 +484,8 @@ def _limb_sum(pairs, scaled, lo: int, hi: int, width: int,
     if total is None:
         return Slot.zero()
     nz = np.flatnonzero(total)
-    return Slot.wrap(dict(zip(zip((nz + lo).tolist()), total[nz].tolist())))
+    return Slot.wrap(dict(zip(zip(_shifted(nz, lo).tolist()),
+                              total[nz].tolist())))
 
 
 # -- term-map route: dict sums -------------------------------------------
@@ -401,22 +527,57 @@ def _pack(slot: "Slot", width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(value: int, digits: int, width: int, origin: int) -> Terms:
-    """Inverse of packing: signed width-bit digits back to a term map
-    whose first digit is the index ``origin``.  Adding 2^(width-1) to
-    every digit makes them all positive without carries, so the digits
-    can be read off the bytes directly."""
+def _unpack(rows: Sequence[Tuple[int, int, int]], width: int) -> List[Terms]:
+    """Inverse of packing: for each row (value, digits, origin), the
+    signed width-bit digits of ``value`` as a term map whose first digit
+    is the index ``origin``.
+
+    Adding 2^(width-1) to every digit makes them all nonnegative without
+    carries, so the digits of all rows can be read off one byte buffer.
+    The low eight bytes of a biased digit are those of the digit's two's
+    complement, and the digit fits int64 exactly when the bytes above
+    them are the bias's sign extension: 00..00 80 for a digit >= 0,
+    ff..ff 7f for a negative one.  Those digits are read in bulk as
+    64-bit words (narrower digits are zero-padded to one word and
+    sign-extended); only the others go through ``int.from_bytes``.
+    """
     w = width >> 3
     half = 1 << (width - 1)
-    biased = value + int.from_bytes(half.to_bytes(w, "little") * digits,
-                                    "little")
-    data = biased.to_bytes(digits * w, "little")
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(digits, w)
-    nonzero = np.flatnonzero((rows[:, -1] != 0x80)
-                             | rows[:, :-1].any(axis=1)).tolist()
-    from_bytes = int.from_bytes
-    return {(origin + k,): from_bytes(data[k * w:(k + 1) * w], "little") - half
-            for k in nonzero}
+    bias = half.to_bytes(w, "little")
+    data = b"".join((value + int.from_bytes(bias * digits, "little"))
+                    .to_bytes(digits * w, "little")
+                    for value, digits, _ in rows)
+    cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
+    if w <= 8:
+        words = np.zeros((cells.shape[0], 8), dtype=np.uint8)
+        words[:, :w] = cells
+        shift = 64 - width
+        words = (words.view("<u8")[:, 0] ^ np.uint64(half)) << np.uint64(shift)
+        values = words.view(np.int64) >> shift
+        keep = values != 0
+        wide = np.zeros(0, dtype=np.intp)
+    else:
+        values = np.ascontiguousarray(cells[:, :8]).view("<i8")[:, 0]
+        ext = np.where(values < 0, 0xFF, 0).astype(np.uint8)
+        outside = (cells[:, -1] != ext ^ 0x80) | \
+            (cells[:, 8:-1] != ext[:, None]).any(axis=1)
+        keep = outside | (values != 0)
+        wide = np.flatnonzero(outside[keep])
+    at = np.flatnonzero(keep)
+    cs = values[at].tolist()
+    if wide.shape[0]:
+        from_bytes = int.from_bytes
+        for j, k in zip(wide.tolist(), at[wide].tolist()):
+            cs[j] = from_bytes(data[k * w:(k + 1) * w], "little") - half
+    sizes = [digits for _, digits, _ in rows]
+    starts = list(accumulate(sizes, initial=0))
+    # digit k of a row is the index origin + k - start
+    shifts = [origin - start for (_, _, origin), start in zip(rows, starts)]
+    fits = max(map(abs, shifts), default=0) + starts[-1] < _INT64_LIMIT
+    shifts = np.array(shifts, dtype=np.int64 if fits else object)
+    ks = (np.repeat(shifts, sizes)[at] + at).tolist()
+    cuts = np.searchsorted(at, starts).tolist()
+    return [dict(zip(zip(ks[a:b]), cs[a:b])) for a, b in zip(cuts, cuts[1:])]
 
 
 def _packed_sum(pairs, scaled, bound: int) -> Terms:
@@ -445,7 +606,7 @@ def _packed_sum(pairs, scaled, bound: int) -> Terms:
             acc += (a.packed(width) * b.packed(width)) << (width * at)
     for k, s in scaled:
         acc += (s.packed(width) * k) << (width * (s.stats[2][0] - origin))
-    return _unpack(acc, top - origin + 1, width, origin)
+    return _unpack([(acc, top - origin + 1, origin)], width)[0]
 
 
 # The packed route keeps the name of the limb route it replaced, so that
@@ -481,11 +642,14 @@ class Slot:
                  "_spread")
 
     def __init__(self, terms: Optional[Terms] = None,
-                 arr: Optional[np.ndarray] = None, lo: int = 0):
+                 arr: Optional[np.ndarray] = None, lo: int = 0,
+                 stats: Optional[tuple] = None):
         self._arr = arr
         self.lined = arr is not None
         self.terms = terms
-        if arr is not None:
+        if stats is not None:  # found by the caller's own pass
+            self.stats = stats
+        elif arr is not None:
             nnz = int(np.count_nonzero(arr))
             top = int(max(arr.max(), -arr.min())) if nnz else 0
             self.stats = (nnz, top, (lo,), (lo + arr.shape[0] - 1,))
@@ -529,9 +693,12 @@ class Slot:
         array slot)."""
         if self._arr is not None:
             return self._arr
-        _, _, (lo,), (hi,) = self.stats
+        nnz, _, (lo,), (hi,) = self.stats
         line = np.zeros(hi - lo + 1, dtype=np.int64)
-        line[[k - lo for k, in self.terms]] = list(self.terms.values())
+        terms = self.terms
+        at = _ints(lambda: chain.from_iterable(terms), nnz) - lo
+        line[at.astype(np.int64, copy=False)] = np.fromiter(
+            terms.values(), dtype=np.int64, count=nnz)
         if self.lined:
             self._arr = line
         return line
@@ -561,9 +728,10 @@ class Slot:
     def items(self) -> Tuple[List[int], List[int]]:
         """The indices and coefficients of the nonzero terms."""
         if self.terms is not None:
-            return [k for k, in self.terms], list(self.terms.values())
+            terms = self.terms
+            return list(chain.from_iterable(terms)), list(terms.values())
         nz = np.flatnonzero(self.arr)
-        return (nz + self.stats[2][0]).tolist(), self.arr[nz].tolist()
+        return _shifted(nz, self.stats[2][0]).tolist(), self.arr[nz].tolist()
 
     def to_terms(self) -> Terms:
         """The term map (shared, not copied; read once from an array)."""
@@ -574,19 +742,22 @@ class Slot:
 
     def to_polynomial(self, ring: RingDescriptor) -> Polynomial:
         """The slot as a polynomial of a ring in one variable."""
+        from .rings import Polynomial
         return Polynomial._raw(ring, self.to_terms())
 
     def scale_exponents(self, j: int) -> "Slot":
         """The slot at z -> z^j: every exponent times j.  The spread
         values stay an array only while they are dense enough for one."""
-        nnz, _, (lo,), (hi,) = self.stats
+        nnz, top, (lo,), (hi,) = self.stats
         if j == 1 or self.is_zero or lo == hi == 0:
             return self  # a constant has only the exponent 0
+        stats = (nnz, top, (lo * j,), (hi * j,))
         if self.arr is not None and _lined(nnz, (hi - lo) * j + 1):
             out = np.zeros((hi - lo) * j + 1, dtype=np.int64)
             out[::j] = self.arr
-            return Slot(arr=out, lo=lo * j)
-        return Slot(terms={(k * j,): c for (k,), c in self.to_terms().items()})
+            return Slot(arr=out, lo=lo * j, stats=stats)
+        return Slot(terms={(k * j,): c for (k,), c in self.to_terms().items()},
+                    stats=stats)
 
     def divide_exact(self, n: int) -> "Slot":
         if n == 1 or self.is_zero:
@@ -595,9 +766,12 @@ class Slot:
         if ((arr % n).any() if arr is not None
                 else any(c % n for c in self.terms.values())):
             raise ArithmeticError("expected an exact division by %d" % n)
+        nnz, top, lo, hi = self.stats
+        stats = (nnz, abs(top // n), lo, hi)
         if arr is not None:
-            return Slot(arr=arr // n, lo=self.stats[2][0])
-        return Slot(terms={e: c // n for e, c in self.terms.items()})
+            return Slot(arr=arr // n, lo=lo[0], stats=stats)
+        return Slot(terms={e: c // n for e, c in self.terms.items()},
+                    stats=stats)
 
 
 class SlotAccumulator:

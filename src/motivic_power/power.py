@@ -124,7 +124,7 @@ def _assemble(ring: RingDescriptor, order: int, exponents: List[Terms],
         f = _euler_product([x.to_terms() for x in b], order)
     else:
         f = _solve_forward(b, order)
-    return Series._raw(ring, order, [fold.polynomial(ring, x) for x in f])
+    return Series._raw(ring, order, fold.polynomials(ring, f))
 
 
 # The factor-by-factor product runs when this many of its row adds count
@@ -241,9 +241,8 @@ def _euler_product(b: Sequence[Terms], order: int) -> List[Terms]:
                 for _ in range(-c):
                     for n in range(order, i - 1, -1):
                         f[n] -= f[n - i] << shift
-    return [gridops._unpack(x, n * rate[0] // rate[1] - n * o + 1, width,
-                            n * o)
-            for n, x in enumerate(f)]
+    return gridops._unpack([(x, n * rate[0] // rate[1] - n * o + 1, n * o)
+                            for n, x in enumerate(f)], width)
 
 
 def _solve_forward(b: List[Slot], order: int) -> List[Slot]:
@@ -463,8 +462,7 @@ def factor(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> EulerProduct:
                            [p._terms for p in A.coefficients[1:]])
         neg = [fold.slot({e: -c for e, c in p._terms.items()})
                for p in A.coefficients]
-        exponents = [fold.polynomial(ring, x)
-                     for x in _solve_reverse(neg, A.order)]
+        exponents = fold.polynomials(ring, _solve_reverse(neg, A.order))
     else:
         exponents = _factor_peeling(A, kernel)
     result = EulerProduct(A.ring, A.order, exponents)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import re
 import sys
-from operator import add
 from typing import Dict, Iterable, Mapping, Tuple
+
+from .gridops import Fold, _accumulate_product, _product_lined, slot_product
 
 Exponents = Tuple[int, ...]
 
@@ -145,39 +146,6 @@ def _check_ring(a: "Polynomial", b: "Polynomial"):
         raise RingMismatchError(
             "ring mismatch: %s vs %s" % (a.ring, b.ring)
         )
-
-
-def _accumulate_product(acc: Dict[Exponents, int], pterms, qterms, nvars: int):
-    """Add the expanded product of two term maps into ``acc``.
-
-    The dict product: ``Polynomial.__mul__``, the term-map route of
-    ``gridops.SlotAccumulator`` (sums too sparse for a line), the
-    reference recurrence ``power._monomial_base_exact`` and the tests'
-    references run through here.  The exponent addition is unrolled for
-    zero, one and two variables (Z, Z[L] and Z[u,v]).
-    """
-    if len(pterms) > len(qterms):
-        pterms, qterms = qterms, pterms
-    get = acc.get
-    if nvars == 0:
-        c = pterms.get((), 0) * qterms.get((), 0)
-        if c:
-            acc[()] = get((), 0) + c
-    elif nvars == 1:
-        for (x1,), c1 in pterms.items():
-            for (y1,), c2 in qterms.items():
-                e = (x1 + y1,)
-                acc[e] = get(e, 0) + c1 * c2
-    elif nvars == 2:
-        for (x1, x2), c1 in pterms.items():
-            for (y1, y2), c2 in qterms.items():
-                e = (x1 + y1, x2 + y2)
-                acc[e] = get(e, 0) + c1 * c2
-    else:
-        for e1, c1 in pterms.items():
-            for e2, c2 in qterms.items():
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
 
 
 def _grlex_key(item):
@@ -340,12 +308,20 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        """The product: on one folded line (``gridops``) when the term
+        counts say a line may pay (``gridops._product_lined``), else in
+        dicts."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        ring, p, q = self.ring, self._terms, other._terms
+        if _product_lined(len(p), len(q)):
+            fold = Fold.product(ring.nvars, 0, [p], [q])
+            product = slot_product(fold.slot(p), fold.slot(q))
+            return fold.polynomials(ring, [product])[0]
         acc: Dict[Exponents, int] = {}
-        _accumulate_product(acc, self._terms, other._terms, self.ring.nvars)
-        return Polynomial._raw(self.ring, {e: c for e, c in acc.items() if c})
+        _accumulate_product(acc, p, q, ring.nvars)
+        return Polynomial._raw(ring, {e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 

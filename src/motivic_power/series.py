@@ -110,8 +110,8 @@ class Series:
             for i in range(k + 1):
                 if not a[i].is_zero and not b[k - i].is_zero:
                     acc.add_pair(a[i], b[k - i])
-            out.append(fold.polynomial(ring, acc.result()))
-        return Series._raw(ring, self.order, out)
+            out.append(acc.result())
+        return Series._raw(ring, self.order, fold.polynomials(ring, out))
 
     def __pow__(self, n: int) -> "Series":
         """Plain n-fold truncated product (integer n >= 0)."""
@@ -141,8 +141,7 @@ class Series:
             for j in range(1, k + 1):
                 acc.add_pair(negated[j], inv[k - j])
             inv.append(acc.result())
-        return Series._raw(ring, self.order,
-                           [fold.polynomial(ring, x) for x in inv])
+        return Series._raw(ring, self.order, fold.polynomials(ring, inv))
 
     def rescale(self, k: int) -> "Series":
         """Substitute t -> t^k, truncating at the same order."""

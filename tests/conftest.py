@@ -1,7 +1,10 @@
+from operator import mul
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from motivic_power.gridops import Fold
+from motivic_power.gridops import Fold, Slot
 from motivic_power.rings import (
     INTEGERS,
     Polynomial,
@@ -79,3 +82,31 @@ def fold(terms, nvars, reach=8):
     reference computed on folded inputs is the fold of the reference."""
     edge = (reach,) * (nvars - 1)
     return Fold(nvars, tuple(-x for x in edge), edge).slot(terms).to_terms()
+
+
+def reference_slot(fold, terms):
+    """The fold's slot of ``terms`` built one term at a time, as the fold
+    did before its numpy pass: each index a Python sum of exponents times
+    strides, a term map of 1-tuples, and :meth:`Slot.wrap`'s scan for the
+    stats and the choice of a line."""
+    if fold.strides == (1,):
+        return Slot.wrap(terms)
+    return Slot.wrap({(sum(map(mul, e, fold.strides)),): c
+                      for e, c in terms.items()})
+
+
+def reference_unpack(value, digits, width, origin):
+    """Packed signed width-bit digits back to a term map whose first digit
+    is the index ``origin``, one ``int.from_bytes`` per nonzero digit: the
+    per-digit reference of ``gridops._unpack``."""
+    w = width >> 3
+    half = 1 << (width - 1)
+    biased = value + int.from_bytes(half.to_bytes(w, "little") * digits,
+                                    "little")
+    data = biased.to_bytes(digits * w, "little")
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(digits, w)
+    nonzero = np.flatnonzero((rows[:, -1] != 0x80)
+                             | rows[:, :-1].any(axis=1)).tolist()
+    from_bytes = int.from_bytes
+    return {(origin + k,): from_bytes(data[k * w:(k + 1) * w], "little") - half
+            for k in nonzero}

@@ -405,11 +405,10 @@ class TestThreeVariables:
 
 
 class TestSharedExponentKeys:
-    def test_coefficients_share_exponent_tuples(self):
-        # the K3 diamond: e = 1 + u^2 + v^2 + 20uv + u^2 v^2
-        u, v = (Polynomial.variable(UV, x) for x in ("u", "v"))
-        e = 1 + u ** 2 + v ** 2 + 20 * u * v + u ** 2 * v ** 2
-        series = mp.hodge_deligne_series(mp.VarietyClass(e, 2), 8)
+    """A decoded series holds one tuple object per exponent vector."""
+
+    @staticmethod
+    def assert_shared(series):
         first = {}
         shared = 0
         for c in series.coefficients:
@@ -420,6 +419,21 @@ class TestSharedExponentKeys:
                 else:
                     first[key] = key
         assert shared
+
+    def test_coefficients_share_exponent_tuples(self):
+        # the K3 diamond: e = 1 + u^2 + v^2 + 20uv + u^2 v^2
+        u, v = (Polynomial.variable(UV, x) for x in ("u", "v"))
+        e = 1 + u ** 2 + v ** 2 + 20 * u * v + u ** 2 * v ** 2
+        self.assert_shared(mp.hodge_deligne_series(mp.VarietyClass(e, 2), 8))
+
+    def test_axioms_shaped_powers_and_products_share_exponent_tuples(self):
+        # Z[u, v] at order 10, as the axiom samples draw them
+        rng = random.Random(11)
+        A = random_unital_series(rng, UV, 10)
+        B = random_unital_series(rng, UV, 10)
+        m = random_polynomial(rng, UV)
+        self.assert_shared(pow_series(A, m))
+        self.assert_shared(A * B)
 
 
 class TestWideSparseClasses:

@@ -1,5 +1,9 @@
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic_power.rings import (
     INTEGERS,
@@ -7,6 +11,7 @@ from motivic_power.rings import (
     Polynomial,
     RingDescriptor,
     RingMismatchError,
+    _accumulate_product,
 )
 
 from conftest import LAURENT_L, UV, polynomials
@@ -191,3 +196,86 @@ class TestCanonicalForms:
         obj["terms"].append(dict(obj["terms"][0]))
         with pytest.raises(ValueError):
             Polynomial.from_json(obj)
+
+
+class TestProductRoute:
+    """``Polynomial.__mul__`` multiplies on a folded line when the term
+    counts say a line may pay (``gridops._product_lined``), else in
+    dicts; both must equal the dict product."""
+
+    RINGS = [RingDescriptor(("x",)), RingDescriptor(("L",), laurent=True),
+             UV, RingDescriptor(("u", "v"), laurent=True),
+             RingDescriptor(("x", "y", "z"), laurent=True)]
+
+    @staticmethod
+    def dict_product(p, q):
+        acc = {}
+        _accumulate_product(acc, p.terms, q.terms, p.ring.nvars)
+        return {e: c for e, c in acc.items() if c}
+
+    @staticmethod
+    @st.composite
+    def pairs(draw):
+        ring = draw(st.sampled_from(TestProductRoute.RINGS))
+        lo = -4 if ring.laurent else 0
+        far = draw(st.sampled_from([4, 5000]))
+        exps = st.tuples(*[st.one_of(st.integers(lo, 4), st.just(far))]
+                         * ring.nvars)
+        coef = st.one_of(st.integers(-5, 5), st.sampled_from(
+            [2 ** 62 - 1, -(2 ** 62), 2 ** 63, -(2 ** 63), 10 ** 30]))
+        size = draw(st.sampled_from([3, 30]))
+        p, q = (Polynomial(ring, draw(st.dictionaries(exps, coef,
+                                                      max_size=size)))
+                for _ in range(2))
+        return p, q
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs())
+    def test_products_match_the_dict_product(self, pq):
+        p, q = pq
+        assert (p * q).terms == self.dict_product(p, q)
+
+    @pytest.mark.parametrize("ring,exps", [
+        (UV, (5000, 5000)), (RingDescriptor(("x", "y", "z")), (500,) * 3)],
+        ids=["uv", "xyz"])
+    def test_wide_sparse_products(self, ring, exps):
+        # u^5000 v^5000 (or x^500 y^500 z^500) times a dense corner: a line
+        # over the fold would span 10^7 cells, so the sum takes dicts
+        far = Polynomial(ring, {exps: 3, (0,) * ring.nvars: -1})
+        corner = Polynomial(ring, {e: 2 ** 62 + sum(e) for e in
+                                   [(i, j) + (0,) * (ring.nvars - 2)
+                                    for i in range(12) for j in range(12)]})
+        p = far * corner
+        assert p.terms == self.dict_product(far, corner)
+        assert (p * p).terms == self.dict_product(p, p)
+
+    def test_big_powers_take_the_line(self, monkeypatch):
+        from motivic_power import gridops
+        folds = []
+        real = gridops.Fold.product.__func__
+
+        def counted(cls, *args):
+            folds.append(args[0])
+            return real(cls, *args)
+        monkeypatch.setattr(gridops.Fold, "product", classmethod(counted))
+        x = Polynomial.variable(RingDescriptor(("x",)), "x")
+        p = (1 + 2 * x) ** 200
+        assert p.terms == {(k,): comb(200, k) * 2 ** k for k in range(201)}
+        assert folds
+
+    def test_tiny_products_build_no_fold(self, monkeypatch):
+        # L**(k-1) of the Hilbert-scheme series and the axiom samples' m*n
+        from motivic_power import gridops
+        from motivic_power.axioms import random_polynomial
+
+        def refuse(*args):
+            raise AssertionError("a tiny product built a fold")
+        monkeypatch.setattr(gridops.Fold, "product", refuse)
+        L = Polynomial.variable(LAURENT_L, "L")
+        for k in range(1, 161):
+            assert (L ** (k - 1)).terms == {(k - 1,): 1}
+        rng = random.Random(3)
+        for ring in (UV, LAURENT_L, INTEGERS):
+            for _ in range(20):
+                m, n = (random_polynomial(rng, ring) for _ in range(2))
+                assert (m * n).terms == self.dict_product(m, n)
