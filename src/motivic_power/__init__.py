@@ -11,8 +11,6 @@ from .rings import (
 from .series import Series
 from .power import (
     EulerProduct,
-    Kernel,
-    MONOMIAL_KERNEL,
     assemble,
     base_series,
     exp_map,
@@ -46,9 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "INTEGERS",
     "MOTIVIC_RING",
-    "MONOMIAL_KERNEL",
     "EulerProduct",
-    "Kernel",
     "LocalHilbertData",
     "MonomialMap",
     "Polynomial",

@@ -35,12 +35,13 @@ from .rings import (
     Polynomial,
     RingDescriptor,
     RingMismatchError,
+    _Frozen,
     _json_int,
 )
 from .series import Series
 
 
-class VarietyClass:
+class VarietyClass(_Frozen):
     """A class for the pipeline: polynomial representation plus dimension.
 
     The representation lives in whichever ring the chosen pipeline uses:
@@ -60,14 +61,11 @@ class VarietyClass:
         object.__setattr__(self, "representation", representation)
         object.__setattr__(self, "dimension", dimension)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VarietyClass is immutable")
-
     def __repr__(self):
         return "VarietyClass(%s, dimension=%d)" % (self.representation, self.dimension)
 
 
-class LocalHilbertData:
+class LocalHilbertData(_Frozen):
     """Punctual series of affine d-space at the origin, truncated.
 
     Coefficient n is the class of the rank-n punctual locus; a sanity
@@ -97,9 +95,6 @@ class LocalHilbertData:
                     )
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "series", series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalHilbertData is immutable")
 
     def __repr__(self):
         return "LocalHilbertData(dimension=%d, order=%d)" % (

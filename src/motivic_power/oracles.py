@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import factorial
 from typing import List, Sequence, Tuple
 
-from .rings import Polynomial, RingDescriptor
+from .rings import Polynomial, RingDescriptor, _Frozen
 
 # Exhaustive enumeration visits (1 + sum of sizes)^m candidate pairs; the
 # guard keeps a single oracle call to a few seconds of work.
@@ -28,7 +28,7 @@ _PUNCTUAL_LIMIT = 40
 _L_RING = RingDescriptor(("L",), laurent=True)
 
 
-class WeightProfile:
+class WeightProfile(_Frozen):
     """Sizes of the weight-graded pieces plus the number of base points.
 
     ``sizes[i-1]`` is the number of elements of weight i; ``points`` is
@@ -45,9 +45,6 @@ class WeightProfile:
             raise ValueError("points must be a nonnegative integer")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "points", points)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightProfile is immutable")
 
     def __repr__(self):
         return "WeightProfile(sizes=%r, points=%d)" % (list(self.sizes), self.points)

@@ -2,7 +2,7 @@
 
 The whole construction is driven by one kernel, the rule sending a ring
 element a to the series (1-t)^{-a}.  For a polynomial a = sum p_k u^k the
-built-in monomial kernel declares
+monomial kernel declares
 
     (1-t)^{-a}  =  prod_k (1 - u^k t)^{-p_k},
 
@@ -11,9 +11,9 @@ series factors uniquely as prod_i (1-t^i)^{-b_i}; raising to the power m
 multiplies every exponent b_i by m and reassembles.  Exp and Log are the
 same factorization viewed as a pair of mutually inverse isomorphisms.
 
-Implementation note: for the built-in kernel every solve folds its ring
-into one variable (:class:`gridops.Fold`), once, from its inputs'
-exponent hulls and the order, and unfolds its results at the end.
+Implementation note: every solve folds its ring into one variable
+(:class:`gridops.Fold`), once, from its inputs' exponent hulls and the
+order, and unfolds its results at the end.
 Factoring, and assembling unless the path below is cheaper, solve the
 logarithmic-derivative recurrence of the product,
 
@@ -28,10 +28,14 @@ g_n off one accumulator and recovers b_n from it in the same loop.
 Assembling may instead multiply the product out factor by factor on
 packed Python integers (:func:`_euler_product`, chosen by
 :func:`_multiplies_out`): the Hilbert-scheme series (Goettsche's product
-formula) and every power over Z take it.  User-supplied kernels get
-explicit peeling and block products instead; the dict recurrence
-``_monomial_base_exact`` stays as the reference the tests compare the
-built-in kernel with.
+formula) and every power over Z take it.
+
+The monomial kernel is the only power structure the public functions
+use.  :class:`Kernel`, the peeling factorization (:func:`_factor_peeling`)
+and the block products (:func:`_assemble_blocks`) stay as references
+beside the dict recurrence :func:`_monomial_base_exact`: the tests
+compare the monomial kernel with them, and the benchmark's probe and
+tracer name them.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .rings import (
     Polynomial,
     RingDescriptor,
     RingMismatchError,
+    _Frozen,
     _accumulate_product,
     _json_get,
     _json_int,
@@ -355,13 +360,12 @@ class Kernel:
 MONOMIAL_KERNEL = Kernel("monomial", _monomial_base)
 
 
-def base_series(a: Polynomial, order: int,
-                kernel: Kernel = MONOMIAL_KERNEL) -> Series:
+def base_series(a: Polynomial, order: int) -> Series:
     """The kernel series (1-t)^{-a} truncated at the given order."""
-    return kernel.rule(a, order)
+    return _monomial_base(a, order)
 
 
-class EulerProduct:
+class EulerProduct(_Frozen):
     """Exponents (b_1, ..., b_N) of the factored form prod (1-t^i)^{-b_i}."""
 
     __slots__ = ("ring", "order", "exponents")
@@ -385,9 +389,6 @@ class EulerProduct:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "exponents", tuple(exps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EulerProduct is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, EulerProduct):
@@ -446,26 +447,26 @@ def _factor_peeling(A: Series, kernel: Kernel) -> List[Polynomial]:
 def factor(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> EulerProduct:
     """Unique factorization of a unital series into prod (1-t^i)^{-b_i}.
 
-    Exponents come off in the order i = 1, 2, ..., N; b_i is the t^i
-    coefficient of the residual once the earlier factors are divided
-    out, which is well defined because every kernel series starts
-    1 + b*t + higher terms.  The result is cached on the series.
+    The exponents come off the reverse recurrence (see the module
+    docstring), and the result is cached on the series.  ``kernel``
+    stays only because ``perfbench/tracer.py`` calls ``factor(A,
+    kernel)``; any kernel but the monomial one raises ValueError.
     """
+    if kernel is not MONOMIAL_KERNEL:
+        raise ValueError("factor supports only the monomial kernel, got %r"
+                         % (kernel,))
     cached = A._factor_cache.get(kernel)
     if cached is not None:
         return cached
     if not A.is_unital():
         raise ValueError("only unital series (constant term 1) factor uniquely")
-    if kernel is MONOMIAL_KERNEL:
-        ring = A.ring
-        fold = Fold.graded(ring.nvars, A.order,
-                           [p._terms for p in A.coefficients[1:]])
-        neg = [fold.slot({e: -c for e, c in p._terms.items()})
-               for p in A.coefficients]
-        exponents = fold.polynomials(ring, _solve_reverse(neg, A.order))
-    else:
-        exponents = _factor_peeling(A, kernel)
-    result = EulerProduct(A.ring, A.order, exponents)
+    ring = A.ring
+    fold = Fold.graded(ring.nvars, A.order,
+                       [p._terms for p in A.coefficients[1:]])
+    neg = [fold.slot({e: -c for e, c in p._terms.items()})
+           for p in A.coefficients]
+    exponents = fold.polynomials(ring, _solve_reverse(neg, A.order))
+    result = EulerProduct(ring, A.order, exponents)
     A._factor_cache[kernel] = result
     return result
 
@@ -479,18 +480,13 @@ def _assemble_blocks(ring: RingDescriptor, order: int,
     return result
 
 
-def assemble(product: EulerProduct,
-             kernel: Kernel = MONOMIAL_KERNEL) -> Series:
+def assemble(product: EulerProduct) -> Series:
     """Multiply out prod_{i=1..N} (1-t^i)^{-b_i}, truncated at N."""
-    ring = product.ring
-    if kernel is MONOMIAL_KERNEL:
-        return _assemble(ring, product.order,
-                         [p._terms for p in product.exponents])
-    return _assemble_blocks(ring, product.order, product.exponents, kernel)
+    return _assemble(product.ring, product.order,
+                     [p._terms for p in product.exponents])
 
 
-def pow_series(A: Series, m: Polynomial,
-               kernel: Kernel = MONOMIAL_KERNEL) -> Series:
+def pow_series(A: Series, m: Polynomial) -> Series:
     """A(t)^m: factor A, multiply every exponent by m, reassemble."""
     if isinstance(m, int):
         m = Polynomial.constant(A.ring, m)
@@ -500,18 +496,13 @@ def pow_series(A: Series, m: Polynomial,
         )
     if not A.is_unital():
         raise ValueError("only unital series (constant term 1) can be powered")
-    if kernel is MONOMIAL_KERNEL:
-        exponents = factor(A, MONOMIAL_KERNEL).exponents
-        return _assemble(A.ring, A.order, [p._terms for p in exponents],
-                         m._terms)
-    scaled = [b * m for b in factor(A, kernel).exponents]
-    return _assemble_blocks(A.ring, A.order, scaled, kernel)
+    return _assemble(A.ring, A.order,
+                     [p._terms for p in factor(A).exponents], m._terms)
 
 
 def exp_map(exponents: Sequence[Union[Polynomial, int]],
             order: Optional[int] = None,
-            ring: Optional[RingDescriptor] = None,
-            kernel: Kernel = MONOMIAL_KERNEL) -> Series:
+            ring: Optional[RingDescriptor] = None) -> Series:
     """Exp(P_1 t + P_2 t^2 + ...) = prod_k (1-t^k)^{-P_k}.
 
     ``exponents`` lists P_1, P_2, ...; the order defaults to the length
@@ -530,16 +521,15 @@ def exp_map(exponents: Sequence[Union[Polynomial, int]],
         order = len(exponents)
     zero = Polynomial.zero(ring)
     padded = (exponents + [zero] * order)[:order]
-    return assemble(EulerProduct(ring, order, padded), kernel)
+    return assemble(EulerProduct(ring, order, padded))
 
 
-def log_map(A: Series, kernel: Kernel = MONOMIAL_KERNEL) -> List[Polynomial]:
+def log_map(A: Series) -> List[Polynomial]:
     """Inverse of :func:`exp_map`: the exponent list of the factorization."""
-    return list(factor(A, kernel).exponents)
+    return list(factor(A).exponents)
 
 
-def transport_check(mapping: MonomialMap, A: Series, m: Polynomial,
-                    kernel: Kernel = MONOMIAL_KERNEL) -> bool:
+def transport_check(mapping: MonomialMap, A: Series, m: Polynomial) -> bool:
     """Does the ring map commute with powering?  phi(A^m) == phi(A)^phi(m).
 
     Only kernel-compatible maps are accepted, which is what
@@ -558,8 +548,7 @@ def transport_check(mapping: MonomialMap, A: Series, m: Polynomial,
             "series and exponent must live in the map's source ring %s"
             % mapping.source
         )
-    mapped_pow = pow_series(A, m, kernel).map_coefficients(mapping, mapping.target)
-    pow_mapped = pow_series(
-        A.map_coefficients(mapping, mapping.target), mapping(m), kernel
-    )
+    mapped_pow = pow_series(A, m).map_coefficients(mapping, mapping.target)
+    pow_mapped = pow_series(A.map_coefficients(mapping, mapping.target),
+                            mapping(m))
     return mapped_pow == pow_mapped

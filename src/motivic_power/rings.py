@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from .gridops import Fold, _accumulate_product, _product_lined, slot_product
 
@@ -72,7 +72,36 @@ def _json_list(obj, key: str, path: str) -> list:
     return value
 
 
-class RingDescriptor:
+class _Frozen:
+    """Base of the value types: each slot is set once, by its constructor
+    through ``object.__setattr__``, and never again.
+
+    Pickling and copying carry every slot except the caches that
+    ``_caches`` names (slot -> its empty value's factory); the copy
+    starts them empty.
+    """
+
+    __slots__ = ()
+    _caches: Mapping[str, Callable[[], object]] = {}
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__
+                if name not in self._caches}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        for name, empty in self._caches.items():
+            object.__setattr__(self, name, empty())
+
+
+class RingDescriptor(_Frozen):
     """An ordered list of variable names plus a Laurent flag.
 
     ``laurent=True`` admits negative exponents.  No variables at all
@@ -92,9 +121,6 @@ class RingDescriptor:
             seen.add(name)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "laurent", bool(laurent))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingDescriptor is immutable")
 
     @property
     def nvars(self) -> int:
@@ -153,7 +179,7 @@ def _grlex_key(item):
     return (sum(exps), exps)
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Immutable sparse polynomial over a :class:`RingDescriptor`.
 
     Terms are stored as ``{exponent_vector: coefficient}`` with zero
@@ -167,6 +193,8 @@ class Polynomial:
     """
 
     __slots__ = ("ring", "_terms", "_hashcache")
+    # the hash of the ring's variable names differs between interpreters
+    _caches = {"_hashcache": lambda: None}
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[Exponents, int]):
         nvars = ring.nvars
@@ -193,9 +221,6 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hashcache", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def _raw(cls, ring: RingDescriptor, terms: Dict[Exponents, int]) -> "Polynomial":
@@ -427,7 +452,7 @@ class Polynomial:
             raise ValueError("%s: %s" % (path, exc)) from None
 
 
-class MonomialMap:
+class MonomialMap(_Frozen):
     """A ring map sending every variable to a single monomial.
 
     These are exactly the substitutions compatible with the monomial
@@ -462,9 +487,6 @@ class MonomialMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_image_exps", tuple(image_exps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialMap is immutable")
 
     @classmethod
     def evaluate_at_ones(cls, source: RingDescriptor) -> "MonomialMap":

@@ -18,16 +18,19 @@ from .rings import (
     Polynomial,
     RingDescriptor,
     RingMismatchError,
+    _Frozen,
     _json_get,
     _json_int,
     _json_list,
 )
 
 
-class Series:
+class Series(_Frozen):
     """Immutable truncated series ``c_0 + c_1 t + ... + c_N t^N``."""
 
     __slots__ = ("ring", "order", "coefficients", "_factor_cache")
+    # keyed by the kernel object, which a copy would not share
+    _caches = {"_factor_cache": dict}
 
     def __init__(self, ring: RingDescriptor, order: int,
                  coefficients: Sequence[Union[Polynomial, int]]):
@@ -53,9 +56,6 @@ class Series:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coefficients", tuple(coeffs))
         object.__setattr__(self, "_factor_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     @classmethod
     def _raw(cls, ring, order, coeffs) -> "Series":

@@ -565,7 +565,9 @@ def test_limb_route_matches_dict(data):
     top = data.draw(st.integers(0, 45))
 
     def narrow_map():
-        values = st.one_of(st.integers(-3, 3),
+        # no narrow value passes 2^top, so the wide side stays the wider
+        small = min(3, 1 << top)
+        values = st.one_of(st.integers(-small, small),
                            st.builds(lambda s, d: s * ((1 << top) - d), sign,
                                      st.integers(0, 1)),
                            st.integers(-(1 << top), 1 << top)).filter(bool)
@@ -645,6 +647,33 @@ def test_limb_route_matches_dict(data):
            and _lined(acc.products, hi - lo + 1, len(pairs) + len(scaled)))
     assert len(limbs) == (big and big_route(acc) == "limbs")
     assert len(packed) == (big and big_route(acc) == "packed")
+
+
+def test_limb_plan_takes_the_smaller_side_as_narrow():
+    # the narrow side is the operand with the smaller max |c|, in either
+    # position: N = 1 gives W = 60, and one limb covers the other's 2
+    a, b = Slot.wrap({(0,): 2}), Slot.wrap({(0,): 1})
+    cells = gridops._LIMB_CELLS
+    assert _limb_plan([(a, b)], [], cells) == (60, 1)
+    assert _limb_plan([(b, a)], [], cells) == (60, 1)
+
+
+def test_limb_sum_of_cancelling_pairs_is_zero():
+    # (a, w) and (-a, w) over a dense line past 2^62: every limb pass
+    # sums to zero, so the limb route returns the zero slot
+    cells = gridops._LIMB_CELLS + 10
+    w = {(k,): (2 ** 70 + 7 * k) * (-1) ** k for k in range(cells)}
+    a = {(0,): 3, (1,): -1}
+    neg = {e: -c for e, c in a.items()}
+    acc = SlotAccumulator()
+    acc.add_pair(Slot.wrap(a), Slot.wrap(w))
+    acc.add_pair(Slot.wrap(neg), Slot.wrap(w))
+    assert acc.bound >= 2 ** 62 and big_route(acc) == "limbs"
+    with limb_sums() as limbs, packed_sums() as packed:
+        got = acc.result()
+    assert len(limbs) == 1 and packed == []
+    assert got.is_zero and got.to_terms() == {}
+    assert got.to_terms() == dict_sum([(a, w), (neg, w)], 1) == {}
 
 
 def test_k3_hodge_deligne_series_never_packs():

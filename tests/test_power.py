@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 
@@ -150,6 +151,24 @@ class TestFactorAssemble:
             S(INTEGERS, 4, [1, 1, 0, 0, 0])
         assert assemble(EulerProduct(INTEGERS, 4, [0, 0, 0, 0])) == \
             Series.one(INTEGERS, 4)
+
+    def test_factor_refuses_every_other_kernel(self):
+        A = S(UV, 3, [1, Polynomial.variable(UV, "u"), 2, 0])
+        for kernel in (Kernel("dict", _monomial_base_exact),
+                       Kernel("monomial", _monomial_base)):
+            with pytest.raises(ValueError, match="only the monomial kernel"):
+                factor(A, kernel)
+        assert not A._factor_cache
+        cached = factor(A, MONOMIAL_KERNEL)
+        assert A._factor_cache == {MONOMIAL_KERNEL: cached}
+        assert factor(A) is cached
+        assert list(cached.exponents) == _factor_peeling(
+            A, Kernel("dict", _monomial_base_exact))
+
+    @pytest.mark.parametrize("fn", [base_series, assemble, pow_series,
+                                    exp_map, log_map, transport_check])
+    def test_one_power_structure(self, fn):
+        assert "kernel" not in inspect.signature(fn).parameters
 
     def test_non_unital_rejected(self):
         with pytest.raises(ValueError):
