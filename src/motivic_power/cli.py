@@ -26,6 +26,7 @@ from .expressions import (
     expression_size,
     parse_polynomial,
     parse_series,
+    series_ring,
 )
 from .hilbert import (
     LocalHilbertData,
@@ -52,15 +53,6 @@ MAX_ORDER = 200
 # coefficients of hundreds of bits), depending on the route it takes.
 MAX_COST = 2e10
 
-# A class of one or two variables whose top coefficient's exponent box
-# has more cells than this is refused before any work: the estimate
-# prices such a coefficient as its dense box, and at orders 0 and 1 that
-# price is linear in the cells, so MAX_COST alone would admit a box that
-# a dense coefficient could not fill.  A box of 25M cells held densely ran
-# at about 30 bytes per cell, so the bound is about 2 GB.  Past two
-# variables the estimate counts terms instead.
-MAX_CELLS = 2 ** 26
-
 # A --local-data file is priced once parsed, so its size is bounded before
 # it is read.  A punctual series to MAX_ORDER with 3n+1 terms of 60-digit
 # coefficients in degree n is 5 MB, read and checked in 0.2 s on that VM.
@@ -68,14 +60,14 @@ MAX_LOCAL_DATA_BYTES = 8 * 2 ** 20
 
 
 def request_cost(bits: float, widths: Sequence[int], order: int,
-                 terms: float = math.inf) -> float:
+                 terms: float) -> float:
     """Estimated word products of one recurrence solve to ``order``.
 
     Step n of ``n f_n = sum_m g_m f_(n-m)`` multiplies g_m, counted over
     its dense box, by f_(n-m).  Degree k spans k * w + 1 cells per class
     width w in ``widths``, each of 1 + k * bits / 64 words.  f_k is
-    counted as min(terms^k, cells) cells: a class of ``terms`` terms held
-    as term maps, or without ``terms`` a dense box like g_m.
+    counted as min(terms^k, cells) cells, the most a class of ``terms``
+    terms can give it.
     """
     g, f, power = [], [], 1.0  # terms^k, which overflows to inf, not raising
     for k in range(order + 1):
@@ -106,18 +98,10 @@ def _solve_cost(order: int, *sizes: Size, spread: int = 0) -> float:
 
     The class is the product of ``sizes``; ``spread`` widens it by what
     the punctual series adds to every exponent in the Hilbert commands.
-    In one or two variables coefficients are priced as dense boxes, and
-    a top coefficient of more than MAX_CELLS cells is refused here; past
-    two they are priced by their term counts.
     """
     widths = [sum(hi - lo for lo, hi in axis) + spread
               for axis in zip(*(size.box for size in sizes))]
     terms = math.prod(size.terms for size in sizes) + spread
-    if len(widths) <= 2:
-        terms = math.inf
-        if math.prod(max(order, 1) * w + 1 for w in widths) > MAX_CELLS:
-            raise ValueError("request too large: the top coefficient spans "
-                             "more than %d exponent cells" % MAX_CELLS)
     bits = sum(size.bits for size in sizes)
     return sum(size.work for size in sizes) + request_cost(bits, widths, order,
                                                           terms)
@@ -176,7 +160,7 @@ def _sweep_cost(points: int, weight: int, size: int, order: int) -> float:
         for k in range(part, order + 1):
             vectors[k] += vectors[k - part]
     bits = math.log2((1 + size * weight) * (1 + points))
-    cost = runs * (2 * (SOLVE_OVERHEAD + request_cost(bits, [], order))
+    cost = runs * (2 * (SOLVE_OVERHEAD + request_cost(bits, [], order, 1))
                    + VECTOR_COST * sum(vectors[1:]) + CANDIDATE_COST * weight)
     if cost > MAX_COST:
         return cost
@@ -286,8 +270,7 @@ def _print_exponents(exponents, order: int, fmt: str, out):
 
 
 def _series_size(src: str, ring: RingDescriptor) -> Size:
-    size = expression_size(src, RingDescriptor(ring.variables + ("t",),
-                                               ring.laurent))
+    size = expression_size(src, series_ring(ring))
     return size._replace(box=size.box[:-1])
 
 

@@ -13,7 +13,8 @@ plus sum over scaled slots of |k| * max|s|, which no coefficient of the
 sum can exceed in magnitude:
 
 * **term maps** when :func:`_lined` finds the sum too sparse for a line
-  (always over Z, where every sum is one cell wide): dict sums.
+  (always over Z, where every sum is one cell wide) or longer than the
+  cap ``_MAX_LINE``: dict sums.
 * **int64 lines** when B < 2**62.  A pair whose sparser operand a has
   nnz_a terms over len_a cells is applied term by term, as shifted
   scalar multiples of the other operand's line, when
@@ -72,6 +73,12 @@ _SLICE_CELLS = 2000
 # 1.0-1.1 ns per np.convolve multiply-add.
 _TERM_CELLS = 200
 
+# The longest line any route allocates (128 MB as int64).  On that VM an
+# int64 sum over 2**24 cells took 0.44 s and 384 MB of peak RSS, and the
+# limb route's recombination of two dense limb sums 5.6 s and 1.8 GB (at
+# 2**22 cells: 0.10 s and 96 MB, 1.4 s and 610 MB).
+_MAX_LINE = 2 ** 24
+
 Exps = Tuple[int, ...]
 Terms = Dict[Exps, int]
 
@@ -79,8 +86,9 @@ Terms = Dict[Exps, int]
 def _lined(nnz: int, span: int, ops: int = 0) -> bool:
     """Whether a line of ``span`` cells and ``ops`` numpy calls (one per
     pair or scaled slot of a sum, none for a slot) costs no more than
-    ``nnz`` term products (of a sum) or terms (of a slot) in Python."""
-    return span + ops * _SLICE_CELLS <= _TERM_CELLS * nnz
+    ``nnz`` term products (of a sum) or terms (of a slot) in Python, and
+    is at most ``_MAX_LINE`` cells long, however dense."""
+    return span <= _MAX_LINE and span + ops * _SLICE_CELLS <= _TERM_CELLS * nnz
 
 
 # The fold's crossing for one polynomial product (its window, two encodes
@@ -470,7 +478,7 @@ def _limb_sum(pairs, scaled, lo: int, hi: int, width: int,
     narrow = [(a, b.limbs(width, count)) if a.stats[1] <= b.stats[1]
               else (b, a.limbs(width, count)) for a, b in pairs]
     scales = [(k, s.limbs(width, count)) for k, s in scaled]
-    total = None
+    total = 0
     for j in range(count):
         part = _sum_lines([(a, w[j]) for a, w in narrow if not w[j].is_zero],
                           [(k, w[j]) for k, w in scales if not w[j].is_zero],
@@ -480,8 +488,8 @@ def _limb_sum(pairs, scaled, lo: int, hi: int, width: int,
         part = part.arr.astype(object)
         if j:
             part <<= width * j
-        total = part if total is None else total + part
-    if total is None:
+        total += part  # in place once an array: one object array less
+    if type(total) is int:
         return Slot.zero()
     nz = np.flatnonzero(total)
     return Slot.wrap(dict(zip(zip(_shifted(nz, lo).tolist()),

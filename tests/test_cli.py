@@ -229,6 +229,19 @@ class TestChecksAndExitCodes:
         assert "line 1, column" in err
         assert "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["pow", "--series", "1+t", "--exponent", "2"],
+        ["factor", "--series", "1+t"],
+        ["log", "--series", "1+t"],
+    ], ids=["pow", "factor", "log"])
+    def test_series_variable_as_ring_variable_exits_one(self, capsys, argv):
+        # the cost bound sizes the series over the ring and t: the clash is
+        # reported before a ring with t twice is built
+        code, out, err = run(capsys, *argv, "--vars", "t")
+        assert code == 1 and out == ""
+        assert err == "error: ring variable 't' clashes with the series " \
+            "variable\n"
+
     def test_local_data_without_dimension_exits_one(self, capsys, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"source": "x"}), encoding="utf-8")
@@ -429,13 +442,12 @@ class TestCostBound:
         ["oracle-check", "--max-points", "40", "--max-weight", "40"],
         ["oracle-check", "--max-weight", "1000000000", "--max-size", "0"],
         ["oracle-check", "--truncate", "60"],
-        # sparse but wide: priced by its dense boxes (it ran for 17.7 s
-        # when f was priced by its term count)
-        ["pow", "--series", "1+(1+x^20000)*t", "--exponent", "2", "--vars",
-         "x", "--truncate", "6"],
-        # a 74.5 GiB box at order 1, where the cost is linear in the cells
-        ["zeta", "--class", "x^100000*y^100000+1", "--vars", "x", "y",
-         "--truncate", "1"],
+        # 1.6e7 terms built by one product: each term is priced where the
+        # product is (it ended in a MemoryError when only its term pairs
+        # were)
+        ["zeta", "--class", "(%s)*(%s)" % tuple(
+            "+".join("%s^%d" % (v, i) for i in range(4000)) for v in "xy"),
+         "--vars", "x", "y", "--truncate", "1"],
     ])
     def test_oversized_requests_are_refused_at_once(self, capsys, argv):
         import time
@@ -446,13 +458,29 @@ class TestCostBound:
         assert out == ""
         assert err.startswith("error: request too large")
 
-    def test_sparse_class_past_two_variables_runs(self, capsys):
-        # term maps: its 1001^3-cell box at order 2 is never allocated
-        code, out, _ = run(capsys, "zeta", "--class", "x^500*y^500*z^500+1",
-                           "--vars", "x", "y", "z", "--truncate", "2")
+    @pytest.mark.parametrize("argv,last", [
+        # a sparse, wide power: its f_k has 2^k terms, not its dense box's
+        # 20000k + 1 cells
+        (["pow", "--series", "1+(1+x^20000)*t", "--exponent", "2", "--vars",
+          "x", "--truncate", "6"], "t^6: 0"),
+        # boxes of 1e10 and 1e8 cells, never allocated
+        (["zeta", "--class", "x^100000*y^100000+1", "--vars", "x", "y",
+          "--truncate", "1"], "t^1: x^100000*y^100000 + 1"),
+        (["zeta", "--class", "u^5000*v^5000+1", "--vars", "u", "v",
+          "--truncate", "2"], "t^2: u^10000*v^10000 + u^5000*v^5000 + 1"),
+        (["zeta", "--class", "x^500*y^500*z^500+1", "--vars", "x", "y", "z",
+          "--truncate", "2"],
+         "t^2: x^1000*y^1000*z^1000 + x^500*y^500*z^500 + 1"),
+    ], ids=["one-variable", "two-variables", "two-variables-order-2",
+            "three-variables"])
+    def test_sparse_class_past_two_variables_runs(self, capsys, argv, last):
+        # every ring is priced by its term counts, and its sparse sums run
+        # on term maps
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 0
-        assert out.splitlines()[-1] == \
-            "t^2: x^1000*y^1000*z^1000 + x^500*y^500*z^500 + 1"
+        assert out.splitlines()[-1] == last
 
     def test_request_just_under_the_bound_runs(self, capsys, monkeypatch):
         from motivic_power.cli import MAX_COST

@@ -38,6 +38,15 @@ class TestParsing:
         assert err.value.line == 2
         assert err.value.column == 3
 
+    def test_power_of_a_variable_is_one_monomial(self):
+        # built directly, without squarings, and priced as one term
+        ring = RingDescriptor(("u", "v"), laurent=True)
+        e = 10 ** 40
+        assert parse_polynomial("u^%d*(v)^-3" % e, ring) == \
+            Polynomial.monomial(ring, (e, -3))
+        size = expression_size("u^%d" % e, ring)
+        assert size.terms == 1 and size.box == ((e, e), (0, 0))
+
     def test_negative_exponent_needs_laurent(self):
         with pytest.raises(ParseError, match="Laurent"):
             parse_polynomial("u^-1", UV)
@@ -125,6 +134,16 @@ class TestExpressionSize:
         assert size.box == ((0, 1000000),)
         assert size.terms == 1000001
         assert size.bits == pytest.approx(1000000 * math.log2(3))
+
+    def test_product_work_counts_the_terms_it_creates(self):
+        # the same term pairs, one term more: (x+1)*(y+1) has four terms,
+        # (x+1)*(x+1) at most three
+        from motivic_power.expressions import _TERM_WORK
+        ring = RingDescriptor(("x", "y"))
+        wide = expression_size("(x+1)*(y+1)", ring).work
+        narrow = expression_size("(x+1)*(x+1)", ring).work
+        assert wide > narrow
+        assert wide - narrow == pytest.approx(_TERM_WORK)
 
     def test_power_work_counts_the_squarings(self):
         ring = RingDescriptor(("x",))

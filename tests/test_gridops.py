@@ -151,6 +151,19 @@ def test_sparse_wide_slots_are_term_maps():
         assert square.terms == dict_product(ta, ta, 1)
         (k,) = max(ta)
         assert spread.terms == {(0,): 3, (k,): 1, (2 * k,): 2}
+    # dense enough for a line by the term-product rule (9e4 products over
+    # 1.7e7 cells), but longer than any line may be: a dict sum
+    rng = random.Random(11)
+    ta = {(28500 * i,): rng.randint(-9, 9) or 1 for i in range(300)}
+    tb = {(28500 * i + 1,): rng.randint(-9, 9) or 1 for i in range(300)}
+    a, b = Slot.wrap(ta), Slot.wrap(tb)
+    span = 2 * 28500 * 299 + 1
+    assert span + gridops._SLICE_CELLS <= gridops._TERM_CELLS * 300 * 300
+    assert span > gridops._MAX_LINE
+    with routes() as seen:
+        got = slot_product(a, b)
+    assert seen == ["_sum_terms"]
+    assert got.arr is None and got.terms == dict_product(ta, tb, 1)
 
 
 def test_dense_three_variable_sum_runs_on_lines():
