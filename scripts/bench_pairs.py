@@ -28,6 +28,11 @@ both sides' medians and quartiles, a verdict against the metric's
   parent's by more than the bound;
 * ``within bound`` otherwise.
 
+Just before the verdict, ``gain met`` or ``gain not met`` says whether
+the change shows a gain by the claim rule: it won at least nine tenths
+of the pairs, ties counting for neither side, and its median is better
+than the parent's by more than the parent's quartile distance.
+
 The temporary directory is removed at the end, also when a run fails.
 """
 
@@ -97,6 +102,23 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "within bound"
 
 
+def wins(parent: list, change: list, better: str) -> int:
+    """Pairs in which the change reads better; a tie counts for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (y - x) > 0 for x, y in zip(parent, change))
+
+
+def gain(parent: list, change: list, better: str) -> str:
+    """Whether the runs show a gain: the change wins 9/10 of the pairs and
+    its median beats the parent's by more than the parent's quartile
+    distance."""
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    ahead = cm - pm if better == "higher" else pm - cm
+    met = 10 * wins(parent, change, better) >= 9 * len(parent) \
+        and ahead > p3 - p1
+    return "gain met" if met else "gain not met"
+
+
 def report(workload: str, runs: list, better: dict, bounds: dict) -> None:
     print("== %s" % workload)
     names = [k for k in runs[0][0] if k in better]
@@ -107,14 +129,13 @@ def report(workload: str, runs: list, better: dict, bounds: dict) -> None:
     for k in names:
         p = [pair[0][k] for pair in runs]
         c = [pair[1][k] for pair in runs]
-        sign = 1 if better[k] == "higher" else -1
-        wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
         (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
         ratio = cm / pm if pm else float("nan")
         print("%-14s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
-              "x%.3f  %s  change won %d/%d"
-              % (k, pm, p1, p3, cm, c1, c3, ratio,
-                 verdict(p, c, better[k], bounds[k]), wins, len(runs)))
+              "x%.3f  %s  %s  change won %d/%d"
+              % (k, pm, p1, p3, cm, c1, c3, ratio, gain(p, c, better[k]),
+                 verdict(p, c, better[k], bounds[k]),
+                 wins(p, c, better[k]), len(runs)))
 
 
 def main(argv=None) -> int:

@@ -215,11 +215,13 @@ def _evaluate(node: Node, ring: RingDescriptor) -> Polynomial:
             raise ParseError("unknown variable %r" % name, line, col)
         return Polynomial.variable(ring, name)
     if kind == "sum":
-        total = Polynomial.zero(ring)
+        # one term map for the whole sum, so n summands cost O(n) updates
+        total = {}
+        get = total.get
         for sign, term in node[1]:
-            value = _evaluate(term, ring)
-            total = total + value if sign > 0 else total - value
-        return total
+            for e, c in _evaluate(term, ring).terms.items():
+                total[e] = get(e, 0) + sign * c
+        return Polynomial._raw(ring, {e: c for e, c in total.items() if c})
     if kind == "product":
         result = _evaluate(node[1][0], ring)
         for factor in node[1][1:]:

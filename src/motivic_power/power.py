@@ -25,10 +25,12 @@ and scaled polynomials (n f_n, i b_i(u^(n/i))), summed on
 :class:`gridops.SlotAccumulator` before the exact division by n.  The
 forward recurrence forms each g_n as it goes; the reverse one reads each
 g_n off one accumulator and recovers b_n from it in the same loop.
-Assembling may instead multiply the product out factor by factor on
-packed Python integers (:func:`_euler_product`, chosen by
+Assembling may instead multiply the product out factor by factor, from
+the last factor down, each coefficient one packed Python integer with
+its own lowest exponent (:func:`_euler_product`, chosen by
 :func:`_multiplies_out`): the Hilbert-scheme series (Goettsche's product
-formula) and every power over Z take it.
+formula), the Hodge-Deligne series of the usual surfaces and every
+power over Z take it.
 
 The monomial kernel is the only power structure the public functions
 use.  :class:`Kernel`, the peeling factorization (:func:`_factor_peeling`)
@@ -133,14 +135,17 @@ def _assemble(ring: RingDescriptor, order: int, exponents: List[Terms],
 
 
 # The factor-by-factor product runs when this many of its row adds count
-# no more than the recurrence's operand-term applications.  Measured on a
-# 2-vCPU x86-64 VM with Python 3.11, both paths timed on the same
-# one-variable inputs: every input at rows/rec <= 1/3 ran 1.4-23x faster
-# on the product (Hilbert-scheme series at orders 40-160, random
-# exponents, kernel series); between 0.35 and 0.56 most still won, but
-# random exponents lost at 0.41 (0.93x) and 0.53 (0.96x); powers of
-# random series (the axiom samples' shape) at 1.1-1.4 ran 0.37-1.04x.
-_PRODUCT_ROWS = 3
+# no more than the recurrence's operand-term applications, that is at
+# rows/rec <= 2/3.  Measured on a 2-vCPU x86-64 VM with Python 3.11, both
+# paths timed (CPU, best of 1-3) on the same folded inputs: the Hodge-
+# Deligne diamonds of the hodge-surfaces workload at orders 40, 80 and
+# 120 (P^2 0.22-0.29, K3 0.42-0.54, abelian 0.34-0.44, seeded diamonds
+# 0.24-0.60) all ran 0.26-0.77x the recurrence's time on the product,
+# and diamonds with h^{1,1} = 20 and 40 ran 0.82x at 0.70 and 1.01x at
+# 0.80; of the folded solves of three axioms-small rounds (Z[u,v] and
+# Z[L^(+-)] at order 10), the 27 at 0.30-0.71 ran 0.14-0.32x, and the
+# 243 at 1.02-1.45 ran 1.0-3.6x, but for 6 at 0.54-0.87x.
+_PRODUCT_ROWS = 1.5
 
 
 def _multiplies_out(b: Sequence[Slot], order: int) -> bool:
@@ -204,50 +209,77 @@ def _digit_width(b: Sequence[Terms], order: int) -> int:
 
 def _euler_product(b: Sequence[Terms], order: int) -> List[Terms]:
     """Coefficients f_0..f_N of prod_i (1-t^i)^{-b_i}, in one variable u
-    (a fold's z), one factor (1 - u^e t^i)^{-c} at a time.
+    (a fold's z), one factor (1 - u^e t^i)^{-c} at a time, from i = N
+    down to i = 1.
 
-    Each f_n is one Python integer: u^E at t^n is the signed digit
-    E - n*o in base 2^W, with o = min(0, min_i floor(lo(b_i)/i)) and W
-    from :func:`_digit_width`, so u^e t^i is the shift by e - i*o digits.
-    A factor with 0 < c <= N//i is c passes of f_n += f_(n-i) << shift in
-    ascending n; one with -N//i <= c < 0 is |c| passes of f_n -= f_(n-i)
-    << shift in descending n; any other is its binomial series, applied
-    in descending n.  Every f_n, in n * conv({0} u hull(b_i)/i), is
-    unpacked once at the end.
+    Each f_n is one Python integer of signed digits in base 2^W, W from
+    :func:`_digit_width`, with its own origin: digit k is the coefficient
+    of u^(origin + k).  While factor i is applied, f_n holds only the
+    partitions of n into parts >= i, so it spans few digits until the
+    small parts come in.  Adding v u^e to a row aligns the two origins:
+    the incoming value is shifted up when its origin (that of the row it
+    came from, plus e) is at or above the row's, otherwise the row's
+    value is shifted up and its origin lowered; a row that is 0 takes
+    the incoming value as it is.  A factor with 0 < c <= N//i is c
+    passes of f_n += u^e f_(n-i) in ascending n; one with -N//i <= c < 0
+    is |c| passes of f_n -= u^e f_(n-i) in descending n; any other is
+    its binomial series, applied in descending n.  Every f_n is unpacked
+    once at the end, its digit count read off its bit length.
     """
-    f = [1] + [0] * order
-    o = 0
-    rate = (0, 1)  # the upper rate max(0, max_i hi(b_i)/i) as a fraction
-    for i, t in enumerate(b, start=1):
-        if t:
-            lo, hi = min(t)[0], max(t)[0]
-            o = min(o, lo // i)
-            if hi * rate[1] > rate[0] * i:
-                rate = (hi, i)
     width = _digit_width(b, order)
-    for i, terms in enumerate(b, start=1):
+    f = [1] + [0] * order
+    at = [0] * (order + 1)  # each row's origin, times W: a shift in bits
+    for i in range(order, 0, -1):
         k_max = order // i
-        for (e,), c in terms.items():
-            shift = (e - i * o) * width
+        for (e,), c in b[i - 1].items():
+            s = e * width
             if c > k_max or -c > k_max:
                 binom = [1]
                 for k in range(1, k_max + 1):
                     binom.append(binom[-1] * (c + k - 1) // k)
                 for n in range(order, i - 1, -1):
-                    acc = f[n]
+                    acc, o = f[n], at[n]
                     for k in range(1, n // i + 1):
-                        acc += (binom[k] * f[n - k * i]) << (k * shift)
-                    f[n] = acc
+                        v = f[n - k * i]
+                        if v:
+                            v *= binom[k]
+                            p = at[n - k * i] + k * s
+                            if not acc:
+                                acc, o = v, p
+                            elif p >= o:
+                                acc += v << (p - o)
+                            else:
+                                acc = (acc << (o - p)) + v
+                                o = p
+                    f[n], at[n] = acc, o
             elif c > 0:
                 for _ in range(c):
                     for n in range(i, order + 1):
-                        f[n] += f[n - i] << shift
+                        v = f[n - i]
+                        if v:
+                            p = at[n - i] + s
+                            x, o = f[n], at[n]
+                            if not x:
+                                f[n], at[n] = v, p
+                            elif p >= o:
+                                f[n] = x + (v << (p - o))
+                            else:
+                                f[n], at[n] = (x << (o - p)) + v, p
             else:
                 for _ in range(-c):
                     for n in range(order, i - 1, -1):
-                        f[n] -= f[n - i] << shift
-    return gridops._unpack([(x, n * rate[0] // rate[1] - n * o + 1, n * o)
-                            for n, x in enumerate(f)], width)
+                        v = f[n - i]
+                        if v:
+                            p = at[n - i] + s
+                            x, o = f[n], at[n]
+                            if not x:
+                                f[n], at[n] = -v, p
+                            elif p >= o:
+                                f[n] = x - (v << (p - o))
+                            else:
+                                f[n], at[n] = (x << (o - p)) - v, p
+    return gridops._unpack([(x, x.bit_length() // width + 1 if x else 0,
+                             o // width) for x, o in zip(f, at)], width)
 
 
 def _solve_forward(b: List[Slot], order: int) -> List[Slot]:

@@ -90,3 +90,31 @@ def test_unknown_workload_is_refused_before_any_run(capsys, monkeypatch):
         bench_pairs.main(["--parent", "HEAD", "--workloads", "no-such-load"])
     assert exc.value.code == 2
     assert "unknown workload(s) no-such-load" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parent,change,want", [
+    # nine pairs won and one tied out of ten; the medians 10 and 12
+    # differ by more than the parent's quartile distance 9.5..10.5
+    ([9.0, 9.5, 10.0, 10.0, 10.5, 10.5, 11.0, 9.5, 10.0, 10.0],
+     [12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 10.0],
+     "gain met"),
+    # the same medians, but the change wins only eight pairs
+    ([9.0, 9.5, 10.0, 10.0, 10.5, 10.5, 11.0, 9.5, 12.5, 12.5],
+     [12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0],
+     "gain not met"),
+    # every pair won, but the median gain of 1 is within the parent's
+    # quartile distance 8..12
+    ([4.0, 6.0, 8.0, 8.0, 10.0, 10.0, 12.0, 12.0, 14.0, 16.0],
+     [5.0, 7.0, 9.0, 9.0, 11.0, 11.0, 13.0, 13.0, 15.0, 17.0],
+     "gain not met"),
+])
+def test_report_says_whether_a_gain_meets_the_rule(capsys, parent, change,
+                                                   want):
+    for name, better, flip in (("solves_per_s", "higher", 1),
+                               ("solve_s_p50", "lower", -1)):
+        runs = [({name: flip * p, "failed": 0}, {name: flip * c, "failed": 0})
+                for p, c in zip(parent, change)]
+        bench_pairs.report("synthetic", runs, {name: better}, {name: 0.24})
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith(name)
+        assert "  %s  " % want in summary

@@ -67,6 +67,22 @@ class TestParsing:
         assert parse_polynomial("-u^2 + 1", UV) == \
             Polynomial(UV, {(2, 0): -1, (0, 0): 1})
 
+    def test_long_sum_is_one_term_map(self, monkeypatch):
+        # x^0 + ... + x^(n-1) is built in one pass, not one polynomial
+        # sum (a copy of the running total) per summand
+        ring = RingDescriptor(("x",))
+        n = 20000
+        src = "+".join("x^%d" % k for k in range(n))
+        monkeypatch.setattr(Polynomial, "__add__", lambda *args: pytest.fail(
+            "a sum added polynomials one by one"))
+        assert parse_polynomial(src, ring) == \
+            Polynomial(ring, {(k,): 1 for k in range(n)})
+        # signs, repeats and cancellation to zero coefficients
+        assert parse_polynomial("x - 2*x^2 + x^2 - x + 3 + x^2", ring) == \
+            Polynomial.constant(ring, 3)
+        assert parse_polynomial("-1 + 1", INTEGERS) == \
+            Polynomial.zero(INTEGERS)
+
     def test_syntax_errors(self):
         for bad in ("1+", "u v", "(1+u", "*3", "u^", "u^^2", "1..2"):
             with pytest.raises(ParseError):

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motivic_power as mp
-from motivic_power import gridops
+from motivic_power import gridops, power
 from motivic_power.gridops import (
     Slot,
     SlotAccumulator,
@@ -528,9 +528,12 @@ def goettsche_motivic(cls, order, step=1):
     return out
 
 
-def test_global_series_past_the_int64_crossing():
+def test_global_series_past_the_int64_crossing(monkeypatch):
     # [X] = L^2 + 3L + 1: from about n = 80 on, the exact bounds of the
-    # recurrence sums reach 2^62 and the sums run on packed integers
+    # recurrence sums reach 2^62 and the sums run on packed integers.
+    # Routed, this series multiplies out (rows/rec 0.34); the recurrence
+    # is held here so that its sums run.
+    monkeypatch.setattr(power, "_multiplies_out", lambda b, order: False)
     order = 90
     L = Polynomial.variable(mp.MOTIVIC_RING, "L")
     X = mp.VarietyClass(L ** 2 + 3 * L + 1, 2)
@@ -676,10 +679,13 @@ def test_limb_sum_of_cancelling_pairs_is_zero():
     assert got.to_terms() == dict_sum([(a, w), (neg, w)], 1) == {}
 
 
-def test_k3_hodge_deligne_series_never_packs():
+def test_k3_hodge_deligne_series_never_packs(monkeypatch):
     # the K3 diamond (q = 0, p_g = 1, h11 = 20) at order 40: its big
     # recurrence sums, with f up to 71 bits against g of 18-19, all run on
-    # int64 limbs; the reference folds u^a v^b -> L^(81a + b)
+    # int64 limbs; the reference folds u^a v^b -> L^(81a + b).  Routed,
+    # the series multiplies out (rows/rec 0.54); the recurrence is held
+    # here so that its sums run.
+    monkeypatch.setattr(power, "_multiplies_out", lambda b, order: False)
     u, v = (Polynomial.variable(UV, x) for x in ("u", "v"))
     e = 1 + u ** 2 + v ** 2 + 20 * u * v + u ** 2 * v ** 2
     with packed_sums() as packed, limb_sums() as limbs:
