@@ -3,7 +3,7 @@
 Usage (from anywhere inside a checkout):
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 \
-        [--workloads hilbert-motivic ...]
+        [--first-seed S] [--workloads hilbert-motivic ...]
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, so the run sees only its committed files, as a fresh clone
@@ -14,9 +14,11 @@ runs its command,
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-with S its ``run_seconds``, on both sides for pair i = 1..N, one run
-at a time.  The side that runs first alternates from pair to pair, so a
-drift of the machine's speed does not favour either side.  It prints every pair, then, per metric,
+with S its ``run_seconds``, on both sides for pair i = 1..N with seed
+i + F - 1, F the ``--first-seed`` (1 by default), one run at a time: a
+gain found on seeds 1..N can be rechecked on seeds not looked at while
+the change was made.  The side that runs first alternates from pair to
+pair, so a drift of the machine's speed does not favour either side.  It prints every pair, then, per metric,
 both sides' medians and quartiles, a verdict against the metric's
 ``bound`` and the number of pairs the change won, taking "better" and
 "bound" from ``BENCHMARK.json``.  The verdict is
@@ -142,9 +144,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="revision to compare with")
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--first-seed", type=int, default=1, metavar="S",
+                   help="the seed of the first pair; pair i runs seed "
+                        "S + i - 1 (default 1)")
     p.add_argument("--workloads", nargs="+", metavar="NAME",
                    help="run only these workloads (default: all of them)")
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel")
                 .decode().strip())
@@ -162,20 +169,22 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         parent = export(root, args.parent, scratch / "parent")
-        print("parent %s, change: the working tree"
-              % git(root, "rev-parse", args.parent).decode().strip(), flush=True)
+        seeds = range(args.first_seed, args.first_seed + args.pairs)
+        print("parent %s, change: the working tree, seeds %d..%d"
+              % (git(root, "rev-parse", args.parent).decode().strip(),
+                 seeds[0], seeds[-1]), flush=True)
         for workload in workloads:
             runs = []
-            for seed in range(1, args.pairs + 1):
+            for i, seed in enumerate(seeds, start=1):
                 order = [(0, parent), (1, root)]
-                if seed % 2 == 0:
+                if i % 2 == 0:
                     order.reverse()
                 pair = [None, None]
                 for side, tree in order:
                     pair[side] = run_once(tree, bench, workload, seed)
                 runs.append(pair)
-                print("%s pair %d done" % (workload, seed), file=sys.stderr,
-                      flush=True)
+                print("%s pair %d (seed %d) done" % (workload, i, seed),
+                      file=sys.stderr, flush=True)
             report(workload, runs, better, bounds)
             sys.stdout.flush()
     finally:

@@ -10,8 +10,8 @@ parsing normalizes whitespace.
 from __future__ import annotations
 
 import math
+import re
 import sys
-from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
 from .rings import Polynomial, RingDescriptor
@@ -27,52 +27,46 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     column: int
 
 
+# One alternative per kind of token, tried in this order at each position:
+# a run of whitespace (str.isspace, newlines counted inside it), an ASCII
+# integer literal, a word (str.isalnum or "_", which is what \w matches;
+# a name must start with a letter or "_"), an operator, and any other
+# character, which is an error.
+_TOKEN = re.compile(r"(\s+)|([0-9]+)|(\w+)|([-+*^()])|(.)", re.S)
+
+
 def _tokenize(src: str) -> List[Token]:
+    """The tokens of ``src``, each with its 1-based line and column, in
+    one scan of :data:`_TOKEN`; the last is the "end" token."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    append = tokens.append
+    line, start = 1, 0  # start: the index of the line's first character
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        text = m.group(group)
+        if group == 1:
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                start = m.start() + text.rindex("\n") + 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < len(src) and "0" <= src[j] <= "9":
-                j += 1
-            tokens.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()":
-            tokens.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("end", "", line, col))
+        column = m.start() - start + 1
+        if group == 2:
+            append(Token("int", text, line, column))
+        elif group == 3 and (text[0].isalpha() or text[0] == "_"):
+            append(Token("name", text, line, column))
+        elif group == 4:
+            append(Token(text, text, line, column))
+        else:
+            raise ParseError("unexpected character %r" % text[0], line, column)
+    append(Token("end", "", line, len(src) - start + 1))
     return tokens
 
 

@@ -35,20 +35,25 @@ sum can exceed in magnitude:
   most a third of its packed span is applied term by term.
 
 Between dict polynomials and slots the fold crosses in numpy passes, not
-one Python step per term: :meth:`Fold.slot` encodes a term map in one,
-:meth:`Fold.polynomials` decodes a solve's results in one, and
-:func:`_unpack` reads packed digits in bulk.  A product of two
-polynomials (``Polynomial.__mul__``) comes here when its term counts say
-a line may pay (:func:`_product_lined`), and multiplies in dicts
-(:func:`_accumulate_product`) otherwise.
+one Python step per term: :meth:`Fold.slot` encodes a term map in one.
+Back from z, a solve's results are first one flat list of terms
+(:class:`Rows`): :func:`_unpack` reads packed digits into it in bulk,
+and :func:`_rows` concatenates slots into it.  :meth:`Fold.polynomials`
+then decodes the distinct indices of the whole list once and builds each
+polynomial from its slice, with one exponent tuple per vector.  A
+product of two polynomials (``Polynomial.__mul__``) comes here when its
+term counts say a line may pay (:func:`_product_lined`), and multiplies
+in dicts (:func:`_accumulate_product`) otherwise.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress
+from functools import partial
+from itertools import accumulate, chain, compress, repeat
 from math import prod
 from operator import add, itemgetter, mul
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -162,7 +167,8 @@ class Fold:
 
     Both directions cross between term maps and slots in numpy passes,
     not one Python step per term: one per polynomial to encode
-    (:meth:`slot`), one per solve to decode (:meth:`polynomials`).
+    (:meth:`slot`), one per solve to decode (:meth:`polynomials`, from
+    one flat :class:`Rows` of all the solve's terms).
     Indices are int64 while they provably fit, Python integers (object
     arrays) otherwise.
     """
@@ -260,42 +266,78 @@ class Fold:
         return Slot(terms=dict(zip(zip(ks.tolist()), terms.values())),
                     stats=stats)
 
-    def _vectors(self, ks: List[int]) -> List[Exps]:
-        """The exponent vectors in the window with the indices ``ks``."""
-        if not self.strides or not ks:
-            return [()] * len(ks)
-        rest = _ints(ks.__iter__, len(ks))
-        if rest.dtype != object and max(self.strides[0], abs(self._offset),
-                                        int(rest.max()),
-                                        -int(rest.min())) >= _INT64_LIMIT:
+    def _vectors(self, ks: np.ndarray) -> np.ndarray:
+        """The exponent vectors in the window with the ascending indices
+        ``ks``, as an object array of tuples."""
+        n = ks.shape[0]
+        if not self.strides or not n:  # over Z every vector is ()
+            return np.fromiter(repeat((), n), dtype=object, count=n)
+        rest = ks
+        if rest.dtype != object and max(
+                self.strides[0], abs(self._offset), int(ks[-1]),
+                -int(ks[0])) >= _INT64_LIMIT:
             rest = rest.astype(object)  # Python integers, any size
-        rest = rest - self._offset
+        if self._offset:
+            rest = rest - self._offset
+        lows = (0,) + self._low
         columns = []
-        for s, lo in zip(self.strides[:-1], (0,) + self._low):
+        for s, lo in zip(self.strides[:-1], lows):
             digit, rest = rest // s, rest % s
             columns.append((digit + lo if lo else digit).tolist())
-        columns.append((rest + self._low[-1]).tolist())
-        return list(zip(*columns))
+        columns.append((rest + lows[-1] if lows[-1] else rest).tolist())
+        return np.fromiter(zip(*columns), dtype=object, count=n)
 
     def polynomials(self, ring: RingDescriptor,
-                    xs: Sequence[Union["Slot", Terms]]) -> List[Polynomial]:
-        """The polynomials whose images in z are the slots or term maps
-        ``xs``, whose exponents must lie in the window.
+                    xs: Union["Rows", Sequence[Union["Slot", Terms]]]
+                    ) -> List[Polynomial]:
+        """The polynomials whose images in z are the rows ``xs`` (from
+        :func:`_unpack`) or the slots or term maps ``xs``, whose exponents
+        must lie in the window.
 
-        One pass per polynomial reads its indices and coefficients; the
-        distinct indices of all of them are decoded together, in one
-        :meth:`_vectors` call, so that the polynomials share one exponent
-        tuple per vector."""
+        Slots and term maps are first read into rows (:func:`_rows`).
+        The distinct indices of all the rows are then decoded once
+        (``np.unique`` and :meth:`_vectors`), so that the polynomials
+        share one exponent tuple per vector, and each polynomial is one
+        ``dict(zip(...))`` over its slice of the terms."""
         from .rings import Polynomial  # rings multiplies through this module
-        if self.strides == (1,):
-            return [Polynomial._raw(ring, x if isinstance(x, dict)
-                                    else x.to_terms()) for x in xs]
-        items = [(list(chain.from_iterable(x)), list(x.values()))
-                 if isinstance(x, dict) else x.items() for x in xs]
-        distinct = list(set().union(*[ks for ks, _ in items]))
-        exps = dict(zip(distinct, self._vectors(distinct))).__getitem__
-        return [Polynomial._raw(ring, dict(zip(map(exps, ks), cs)))
-                for ks, cs in items]
+        ks, cs, cuts = xs if isinstance(xs, Rows) else _rows(xs)
+        distinct, at = np.unique(ks, return_inverse=True)
+        keys = self._vectors(distinct)[at].tolist()
+        return [Polynomial._raw(ring, dict(zip(keys[a:b], cs[a:b])))
+                for a, b in zip(cuts, cuts[1:])]
+
+
+class Rows(NamedTuple):
+    """The terms of several polynomials in z, flat: row j's indices are
+    ``ks[cuts[j]:cuts[j + 1]]`` and its coefficients the same slice of
+    ``cs``.  ``ks`` is an int64 array, or an object array of Python
+    integers past int64; ``cs`` is a list of Python integers."""
+
+    ks: np.ndarray
+    cs: List[int]
+    cuts: List[int]
+
+
+def _rows(xs: Sequence[Union["Slot", Terms]]) -> Rows:
+    """The nonzero terms of the slots or term maps ``xs`` as rows: each
+    array slot's in a few numpy calls, each term map's read with
+    ``np.fromiter``, all joined by one concatenation."""
+    ks, cs, cuts = [], [], [0]
+    for x in xs:
+        terms = x if isinstance(x, dict) else x.terms
+        if terms is None:
+            line = x.line()
+            at = np.flatnonzero(line)
+            ks.append(_shifted(at, x.stats[2][0]))
+            cs.append(line[at])
+        else:
+            n = len(terms)
+            ks.append(_ints(partial(chain.from_iterable, terms), n))
+            cs.append(_ints(terms.values, n))
+        cuts.append(cuts[-1] + ks[-1].shape[0])
+    if not ks:
+        return Rows(np.zeros(0, dtype=np.int64), [], cuts)
+    return Rows(np.concatenate(ks), np.concatenate(cs).tolist(), cuts)
 
 
 def _shifted(offsets: np.ndarray, lo: int) -> np.ndarray:
@@ -535,10 +577,11 @@ def _pack(slot: "Slot", width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(rows: Sequence[Tuple[int, int, int]], width: int) -> List[Terms]:
+def _unpack(rows: Sequence[Tuple[int, int, int]], width: int) -> Rows:
     """Inverse of packing: for each row (value, digits, origin), the
-    signed width-bit digits of ``value`` as a term map whose first digit
-    is the index ``origin``.
+    nonzero signed width-bit digits of ``value``, digit k at the index
+    ``origin + k``, all rows' terms in one :class:`Rows` (its indices
+    int64 while they fit, else Python integers), with no term map built.
 
     Adding 2^(width-1) to every digit makes them all nonnegative without
     carries, so the digits of all rows can be read off one byte buffer.
@@ -583,9 +626,8 @@ def _unpack(rows: Sequence[Tuple[int, int, int]], width: int) -> List[Terms]:
     shifts = [origin - start for (_, _, origin), start in zip(rows, starts)]
     fits = max(map(abs, shifts), default=0) + starts[-1] < _INT64_LIMIT
     shifts = np.array(shifts, dtype=np.int64 if fits else object)
-    ks = (np.repeat(shifts, sizes)[at] + at).tolist()
-    cuts = np.searchsorted(at, starts).tolist()
-    return [dict(zip(zip(ks[a:b]), cs[a:b])) for a, b in zip(cuts, cuts[1:])]
+    ks = np.repeat(shifts, sizes)[at] + at
+    return Rows(ks, cs, np.searchsorted(at, starts).tolist())
 
 
 def _packed_sum(pairs, scaled, bound: int) -> Terms:
@@ -614,7 +656,8 @@ def _packed_sum(pairs, scaled, bound: int) -> Terms:
             acc += (a.packed(width) * b.packed(width)) << (width * at)
     for k, s in scaled:
         acc += (s.packed(width) * k) << (width * (s.stats[2][0] - origin))
-    return _unpack([(acc, top - origin + 1, origin)], width)[0]
+    ks, cs, _ = _unpack([(acc, top - origin + 1, origin)], width)
+    return dict(zip(zip(ks.tolist()), cs))
 
 
 # The packed route keeps the name of the limb route it replaced, so that

@@ -46,6 +46,8 @@ import itertools
 import operator
 from typing import Callable, List, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from . import gridops
 from .gridops import Fold, Slot, Terms
 from .rings import (
@@ -180,11 +182,19 @@ def _multiplies_out(b: Sequence[Slot], order: int) -> bool:
         return True
     rows = 0
     for i, x in enumerate(b, start=1):
-        k = order // i
-        rows += sum(min(abs(c), k) for _, c in x.spread()) * (order - i + 1)
+        rows += _passes(x, order // i) * (order - i + 1)
         if _PRODUCT_ROWS * rows > rec:
             return False
     return True
+
+
+def _passes(x: Slot, k: int) -> int:
+    """sum over the terms c u^e of x of min(|c|, k): the passes of the
+    factor (1-t^i)^{-x} when k = N//i.  An array slot is read in one numpy
+    pass, a term map from its coefficients."""
+    if x.terms is None:
+        return int(np.minimum(np.abs(x.line()), k).sum())
+    return sum(min(abs(c), k) for c in x.terms.values())
 
 
 def _digit_width(b: Sequence[Terms], order: int) -> int:
@@ -207,7 +217,7 @@ def _digit_width(b: Sequence[Terms], order: int) -> int:
     return (max(M).bit_length() + 1 + 7) // 8 * 8
 
 
-def _euler_product(b: Sequence[Terms], order: int) -> List[Terms]:
+def _euler_product(b: Sequence[Terms], order: int) -> gridops.Rows:
     """Coefficients f_0..f_N of prod_i (1-t^i)^{-b_i}, in one variable u
     (a fold's z), one factor (1 - u^e t^i)^{-c} at a time, from i = N
     down to i = 1.
@@ -223,8 +233,10 @@ def _euler_product(b: Sequence[Terms], order: int) -> List[Terms]:
     the incoming value as it is.  A factor with 0 < c <= N//i is c
     passes of f_n += u^e f_(n-i) in ascending n; one with -N//i <= c < 0
     is |c| passes of f_n -= u^e f_(n-i) in descending n; any other is
-    its binomial series, applied in descending n.  Every f_n is unpacked
-    once at the end, its digit count read off its bit length.
+    its binomial series, applied in descending n.  The rows f_0..f_N are
+    unpacked together at the end into one :class:`gridops.Rows`, each
+    row's digit count read off its bit length, for
+    :meth:`gridops.Fold.polynomials` to decode.
     """
     width = _digit_width(b, order)
     f = [1] + [0] * order

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from motivic_power.expressions import ParseError, Token
 from motivic_power.gridops import Fold, Slot
 from motivic_power.rings import (
     INTEGERS,
@@ -110,3 +111,88 @@ def reference_unpack(value, digits, width, origin):
     from_bytes = int.from_bytes
     return {(origin + k,): from_bytes(data[k * w:(k + 1) * w], "little") - half
             for k in nonzero}
+
+
+def row_maps(rows):
+    """The term map of each row of a flat ``gridops.Rows``, keyed by
+    1-tuples of its indices: the per-row form that ``gridops._unpack`` and
+    ``power._euler_product`` returned before they went flat.  Checks on
+    the way that the three parts agree, that no row repeats an index and
+    that every coefficient is a Python integer."""
+    ks, cs, cuts = rows
+    assert ks.dtype in (np.int64, object)
+    assert ks.shape == (len(cs),) and cuts[0] == 0 and cuts[-1] == len(cs)
+    assert all(type(c) is int for c in cs)
+    maps = [dict(zip(zip(ks[a:b].tolist()), cs[a:b]))
+            for a, b in zip(cuts, cuts[1:])]
+    assert [len(m) for m in maps] == [b - a for a, b in zip(cuts, cuts[1:])]
+    return maps
+
+
+def reference_vector(fold, k):
+    """The exponent vector of the index ``k`` in the fold's window, one
+    Python divmod per axis: the per-term reference of the decode."""
+    if not fold.strides:
+        return ()
+    lows = (0,) + fold._low
+    rest = k - sum(map(mul, fold._low, fold.strides[1:]))
+    exps = []
+    for s, lo in zip(fold.strides, lows):
+        digit, rest = divmod(rest, s)
+        exps.append(digit + lo)
+    return tuple(exps)
+
+
+def reference_polynomials(fold, ring, xs):
+    """``Fold.polynomials`` one polynomial and one term at a time, as the
+    decode's per-polynomial reference: each term map (of a slot, or given
+    as one) decoded by :func:`reference_vector`."""
+    out = []
+    for x in xs:
+        terms = x if isinstance(x, dict) else x.to_terms()
+        out.append(Polynomial(ring, {reference_vector(fold, k): c
+                                     for (k,), c in terms.items()}))
+    return out
+
+
+def reference_tokenize(src):
+    """The character-by-character tokenizer that ``expressions._tokenize``
+    replaced: the reference for its tokens and its errors."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < len(src) and "0" <= src[j] <= "9":
+                j += 1
+            tokens.append(Token("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(Token("name", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^()":
+            tokens.append(Token(ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError("unexpected character %r" % ch, line, col)
+    tokens.append(Token("end", "", line, col))
+    return tokens

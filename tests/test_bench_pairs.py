@@ -118,3 +118,39 @@ def test_report_says_whether_a_gain_meets_the_rule(capsys, parent, change,
         summary = capsys.readouterr().out.splitlines()[-1]
         assert summary.startswith(name)
         assert "  %s  " % want in summary
+
+
+@pytest.mark.parametrize("args,seeds", [
+    ([], [1, 2, 3]),
+    (["--first-seed", "11"], [11, 12, 13]),
+])
+def test_first_seed_sets_every_pair_seed(capsys, monkeypatch, args, seeds):
+    root = SCRIPT.parents[1]
+    monkeypatch.setattr(bench_pairs, "git", lambda *a: str(root).encode())
+    monkeypatch.setattr(bench_pairs, "export", lambda root, rev, into: into)
+    ran = []
+
+    def run_once(tree, bench, workload, seed):
+        ran.append(("change" if tree == root else "parent", seed))
+        return {"solves_per_s": 1.0, "solve_s_p50": 1.0, "peak_rss_mb": 1.0,
+                "verified_frac": 1.0, "setup_s": 1.0, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "HEAD", "--pairs", "3",
+                             "--workloads", "hodge-surfaces"] + args) == 0
+    # one run per side and seed; the side that runs first alternates
+    assert ran == [("parent", seeds[0]), ("change", seeds[0]),
+                   ("change", seeds[1]), ("parent", seeds[1]),
+                   ("parent", seeds[2]), ("change", seeds[2])]
+    out = capsys.readouterr()
+    assert "seeds %d..%d" % (seeds[0], seeds[-1]) in out.out
+    assert "hodge-surfaces pair 3 (seed %d) done" % seeds[2] in out.err
+
+
+def test_no_pairs_is_refused_before_any_run(capsys, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail(
+        "a benchmark run started"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--pairs", "0"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err

@@ -2,16 +2,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic_power.axioms import random_polynomial
 from motivic_power.expressions import (
     ParseError,
+    _tokenize,
     expression_size,
     parse_polynomial,
     parse_series,
 )
 from motivic_power.rings import INTEGERS, Polynomial, RingDescriptor
 from motivic_power.series import Series
+
+from conftest import reference_tokenize
 
 UV = RingDescriptor(("u", "v"))
 LAURENT_L = RingDescriptor(("L",), laurent=True)
@@ -87,6 +92,49 @@ class TestParsing:
         for bad in ("1+", "u v", "(1+u", "*3", "u^", "u^^2", "1..2"):
             with pytest.raises(ParseError):
                 parse_polynomial(bad, UV)
+
+
+def tokens_or_error(tokenize, src):
+    """The tokens as (kind, text, line, column), or the ParseError's
+    message and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(src)]
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+# ASCII and Unicode digits, letters and other word characters, every kind
+# of whitespace and line break, the operators and characters no token takes
+SOURCE_CHARS = st.one_of(
+    st.sampled_from(list("0123456789+-*^()_uvxL \t\n\r\x0b\x0c\x1c\x85"
+                         "\xa0\u2028\u3000.,$=\x00")),
+    st.sampled_from(list("\u00e9\u00df\u03bb\u0416\u4e2d\u00b2\u00bd"
+                         "\u0663\u0966\u2167\U0001d465\u0301\u02b0")),
+    st.characters())
+
+
+class TestTokenizer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(SOURCE_CHARS, max_size=40), st.text()))
+    def test_matches_the_character_walk(self, src):
+        assert tokens_or_error(_tokenize, src) == \
+            tokens_or_error(reference_tokenize, src)
+
+    @pytest.mark.parametrize("src", [
+        "", "\n", " \n\n  x", "x1_y2 + 3*y^-2\n(1)", "\u00e9t\u00e9^2",
+        "12ab", "_a", "x\u00b2", "\u00b2x", "\u0663", "x\u0663+1",
+        "1 +\n\r\n 2 $", "\u2028x\u0085y", "a\tb\x0bc",
+    ])
+    def test_edge_sources(self, src):
+        assert tokens_or_error(_tokenize, src) == \
+            tokens_or_error(reference_tokenize, src)
+
+    def test_positions_and_errors(self):
+        assert tokens_or_error(_tokenize, "u +\n  12*v\n") == [
+            ("name", "u", 1, 1), ("+", "+", 1, 3), ("int", "12", 2, 3),
+            ("*", "*", 2, 5), ("name", "v", 2, 6), ("end", "", 3, 1)]
+        assert tokens_or_error(_tokenize, "u\n +\u00b2") == (
+            "unexpected character '\u00b2' (line 2, column 3)", 2, 3)
 
 
 class TestRoundTrips:

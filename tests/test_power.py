@@ -44,7 +44,7 @@ from motivic_power.rings import (
 )
 from motivic_power.series import Series
 
-from conftest import ALL_RINGS, LAURENT_L, UV, UVW, polynomials
+from conftest import ALL_RINGS, LAURENT_L, UV, UVW, polynomials, row_maps
 
 
 def S(ring, order, coeffs):
@@ -488,7 +488,7 @@ class TestEulerProductPath:
 
     def same(self, b, order, nvars=1):
         b = [Fold(nvars).slot(t).to_terms() for t in b]
-        got = _euler_product(b, order)
+        got = row_maps(_euler_product(b, order))
         assert got == recurrence_terms(b, order)
         return got
 
@@ -532,12 +532,12 @@ class TestEulerProductPath:
         # it, so the row is 0 before the second term (u^-3) refills it
         # from a lower origin
         b = [{(1,): 1, (-3,): 1}, {(2,): -1}, {}]
-        got = _euler_product(b, 3)
+        got = row_maps(_euler_product(b, 3))
         assert got == recurrence_terms(b, 3)
         assert got[2] == {(-2,): 1, (-6,): 1}
         # (1 - u^2 t^2) / (1 - u t) = 1 + u t: rows 2..4 end at 0
         b = [{(1,): 1}, {(2,): -1}, {}, {}]
-        got = _euler_product(b, 4)
+        got = row_maps(_euler_product(b, 4))
         assert got == recurrence_terms(b, 4)
         assert got == [{(0,): 1}, {(1,): 1}, {}, {}, {}]
 
@@ -555,7 +555,7 @@ class TestEulerProductPath:
     ], ids=["P2", "K3"])
     def test_folded_hodge_shapes(self, e):
         b = [x.to_terms() for x in folded(surface_exponents(e, 12), 12, 2)]
-        assert _euler_product(b, 12) == recurrence_terms(b, 12)
+        assert row_maps(_euler_product(b, 12)) == recurrence_terms(b, 12)
 
     @pytest.mark.parametrize("b,width", [
         ([{(0,): 2 ** 30}, {}], 64),
@@ -673,6 +673,44 @@ class TestProductRouting:
         pow_series(A, m)
         assert seen and all(s.arr is not None for s in seen)
 
+    def test_passes_count_and_route_as_the_per_term_count(self, monkeypatch):
+        # _passes reads an array slot in one numpy pass and a term map from
+        # its coefficients; both give the per-term count over Slot.spread(),
+        # and _multiplies_out routes the hodge diamonds, the Hilbert shape
+        # and axiom-shaped samples as it does on that count
+        def spread_passes(x, k):
+            return sum(min(abs(c), k) for _, c in x.spread())
+
+        diamonds = [
+            {(0, 0): 1, (1, 1): 1, (2, 2): 1},
+            {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1},
+            {(0, 0): 1, (1, 0): -2, (0, 1): -2, (2, 0): 1, (0, 2): 1,
+             (1, 1): 4, (2, 1): -2, (1, 2): -2, (2, 2): 1},
+            {(0, 0): 1, (1, 1): 40, (2, 2): 1},
+        ]
+        cases = [(folded(surface_exponents(e, n), n, 2), n)
+                 for e in diamonds for n in (12, 40)]
+        cases.append((folded(hilbert_exponents(3, 40), 40), 40))
+        cases.append(([gridops.Slot.wrap({(0,): 2 ** 70, (1,): -3})], 1))
+        rng = random.Random(37)
+        for ring, nvars in ((LAURENT_L, 1), (UV, 2)):
+            for _ in range(10):
+                A = random_unital_series(rng, ring, 10)
+                m = random_polynomial(rng, ring)
+                b = [(p * m).terms for p in factor(A).exponents]
+                cases.append((folded(b, 10, nvars), 10))
+        kinds = set()
+        for b, order in cases:
+            for i, x in enumerate(b, start=1):
+                kinds.add(x.terms is None)
+                for k in (order // i, 1, 2 ** 40):
+                    assert power._passes(x, k) == spread_passes(x, k)
+        assert kinds == {True, False}  # arrays and term maps both read
+        routes = [_multiplies_out(b, order) for b, order in cases]
+        assert True in routes and False in routes
+        monkeypatch.setattr(power, "_passes", spread_passes)
+        assert [_multiplies_out(b, order) for b, order in cases] == routes
+
     @pytest.mark.parametrize("order", [10, 40])
     def test_axioms_shaped_integer_powers_take_the_product(self, order,
                                                            monkeypatch):
@@ -702,6 +740,7 @@ class TestProductRouting:
             m = random_polynomial(rng, INTEGERS)
             b = [Fold(0).slot((p * m).terms).to_terms()
                  for p in factor(A).exponents]
-            assert _euler_product(b, order) == recurrence_terms(b, order)
+            assert row_maps(_euler_product(b, order)) == \
+                recurrence_terms(b, order)
             a = random_polynomial(rng, INTEGERS)
             assert base_series(a, order) == _monomial_base_exact(a, order)
