@@ -42,8 +42,10 @@ and :func:`_rows` concatenates slots into it.  :meth:`Fold.polynomials`
 then decodes the distinct indices of the whole list once and builds each
 polynomial from its slice, with one exponent tuple per vector.  A
 product of two polynomials (``Polynomial.__mul__``) comes here when its
-term counts say a line may pay (:func:`_product_lined`), and multiplies
-in dicts (:func:`_accumulate_product`) otherwise.
+term counts say a line may pay (:func:`_product_lined`) and, once
+folded, the cheaper of its two line costs (:func:`_line_costs`) is at
+most ``_TERM_CELLS`` per term product; it multiplies in dicts
+(:func:`_accumulate_product`) otherwise.
 """
 
 from __future__ import annotations
@@ -384,21 +386,33 @@ def _add_line(total: np.ndarray, at: int, line: np.ndarray, c: int):
         cells += line * c
 
 
-def _by_terms(a: "Slot", b: "Slot", lines: bool):
-    """The pair as (sparser, denser) operand, the index of its product's
-    low end, and whether to apply the sparser operand term by term: by
-    the slice-add rule on int64 ``lines``, else when 3 * nnz_a <= len_a.
-    """
+def _line_costs(a: "Slot", b: "Slot") -> Tuple[int, int]:
+    """The costs in convolution cells of the product of two slots on an
+    int64 line: with its sparser operand a applied term by term (nnz_a
+    slice-adds of len_b cells), and convolved and added."""
     sa, sb = a.stats, b.stats
     if sb[0] < sa[0]:
-        a, b, sa, sb = b, a, sb, sa
-    lo_a, lo_b = sa[2][0], sb[2][0]
-    len_a = sa[3][0] - lo_a + 1
+        sa, sb = sb, sa
+    len_a = sa[3][0] - sa[2][0] + 1
+    len_b = sb[3][0] - sb[2][0] + 1
+    return (sa[0] * (len_b + _SLICE_CELLS),
+            len_a * len_b + len_a + len_b + _SLICE_CELLS)
+
+
+def _by_terms(a: "Slot", b: "Slot", lines: bool):
+    """The pair as (sparser, denser) operand, the index of its product's
+    low end, and whether to apply the sparser operand term by term: on
+    int64 ``lines`` when that costs no more than convolving
+    (:func:`_line_costs`), else when 3 * nnz_a <= len_a.
+    """
+    if b.stats[0] < a.stats[0]:
+        a, b = b, a
+    nnz_a, _, (lo_a,), (hi_a,) = a.stats
+    at = lo_a + b.stats[2][0]
     if not lines:
-        return a, b, lo_a + lo_b, 3 * sa[0] <= len_a
-    len_b = sb[3][0] - lo_b + 1
-    return a, b, lo_a + lo_b, (sa[0] * (len_b + _SLICE_CELLS)
-                               <= len_a * len_b + len_a + len_b + _SLICE_CELLS)
+        return a, b, at, 3 * nnz_a <= hi_a - lo_a + 1
+    by_terms, convolved = _line_costs(a, b)
+    return a, b, at, by_terms <= convolved
 
 
 def _sum_lines(pairs, scaled, lo: int, hi: int) -> "Slot":

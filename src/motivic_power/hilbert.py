@@ -12,8 +12,10 @@ The punctual surface series does not depend on the variety, so it is
 built once per process (the largest order asked for is kept and
 truncated on later requests).  It is assembled from its Euler
 exponents L^(k-1), and it carries them in its factorization cache, so
-raising it to a power runs only the forward recurrence; the
-Hodge-Deligne step carries the exponents across L -> uv as (uv)^(k-1).
+raising it to a power runs only the forward recurrence.  L -> uv is a
+monomial map, so it commutes with the power structure: the
+Hodge-Deligne step maps only the punctual series' Euler exponents, to
+(uv)^(k-1) for surfaces, and assembles them with the exponent e_X.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from .localdata import MOTIVIC_RING
 from .power import (
     EulerProduct,
     MONOMIAL_KERNEL,
+    _assemble,
     base_series,
     exp_map,
+    factor,
     pow_series,
 )
 from .rings import (
     INTEGERS,
     MonomialMap,
     Polynomial,
-    RingDescriptor,
     RingMismatchError,
     _Frozen,
     _json_int,
@@ -101,18 +104,9 @@ class LocalHilbertData(_Frozen):
             self.dimension, self.series.order)
 
     def truncate(self, order: int) -> "LocalHilbertData":
-        """The data to a lower order, keeping any cached factorization.
-
-        Factors (1-t^i)^(-b_i) with i > order are 1 mod t^(order+1), so
-        the truncated series factors into the first ``order`` exponents.
-        """
-        if order == self.series.order:
-            return self
-        series = self.series.truncate(order)
-        for key, product in self.series._factor_cache.items():
-            series._factor_cache[key] = EulerProduct(
-                series.ring, order, product.exponents[:order])
-        return LocalHilbertData(self.dimension, series)
+        """The data to a lower order, keeping any cached factorization
+        (see :meth:`Series.truncate`)."""
+        return LocalHilbertData(self.dimension, self.series.truncate(order))
 
     def to_json(self, source: str = "") -> dict:
         return {
@@ -178,7 +172,9 @@ def local_series(dimension: int, order: int,
     infinite product, validated against the bundled partition-sum data
     when first built; it is kept for the rest of the process (at the
     largest order requested) and carries its Euler exponents L^(k-1) in
-    its factorization cache.  Higher dimensions have no bundled closed
+    its factorization cache, which every truncation keeps, so
+    :func:`global_series` and :func:`hodge_deligne_series` read them
+    without a reverse recurrence.  Higher dimensions have no bundled closed
     form and require ``user_data``, which is returned truncated and
     never cached.
     """
@@ -237,33 +233,20 @@ def hodge_deligne_series(X: VarietyClass, order: int,
     """Series of Hodge-Deligne polynomials of the Hilbert schemes of X.
 
     ``X.representation`` is the polynomial e_X itself, in a two-variable
-    ring.  The bundled local series is pushed through L -> uv (the image
-    of the affine line) and then raised to the power e_X.
+    ring.  The Euler exponents of the local series are mapped through
+    L -> uv (the image of the affine line), which commutes with the
+    power structure, and assembled with every exponent times e_X.
     """
     target = X.representation.ring
     if target.nvars != 2:
         raise RingMismatchError(
             "Hodge-Deligne input must live in a two-variable ring, got %s" % target
         )
-    local = local_series(X.dimension, order, user_data)
-    return pow_series(_uv_image(local.series, target), X.representation)
-
-
-def _uv_image(series: Series, target: RingDescriptor) -> Series:
-    """The local series under L -> uv, with its factorization transported.
-
-    L -> uv sends monomials to unit monomials, which commutes with the
-    monomial kernel (see :func:`power.transport_check`), so a cached
-    factorization maps exponent by exponent.
-    """
+    local = local_series(X.dimension, order, user_data).series
     u, v = (Polynomial.variable(target, name) for name in target.variables)
-    to_uv = MonomialMap(series.ring, target, {series.ring.variables[0]: u * v})
-    mapped = series.map_coefficients(to_uv, target)
-    known = series._factor_cache.get(MONOMIAL_KERNEL)
-    if known is not None:
-        mapped._factor_cache[MONOMIAL_KERNEL] = EulerProduct(
-            target, known.order, [to_uv(b) for b in known.exponents])
-    return mapped
+    to_uv = MonomialMap(local.ring, target, {local.ring.variables[0]: u * v})
+    exponents = [to_uv(b)._terms for b in factor(local).exponents]
+    return _assemble(target, order, exponents, X.representation._terms)
 
 
 def kapranov_zeta(X, order: int) -> Series:

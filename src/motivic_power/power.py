@@ -406,6 +406,8 @@ MONOMIAL_KERNEL = Kernel("monomial", _monomial_base)
 
 def base_series(a: Polynomial, order: int) -> Series:
     """The kernel series (1-t)^{-a} truncated at the given order."""
+    if not isinstance(order, int) or order < 0:
+        raise ValueError("order must be a nonnegative integer")
     return _monomial_base(a, order)
 
 
@@ -416,6 +418,8 @@ class EulerProduct(_Frozen):
 
     def __init__(self, ring: RingDescriptor, order: int,
                  exponents: Sequence[Union[Polynomial, int]]):
+        if not isinstance(order, int) or order < 0:
+            raise ValueError("order must be a nonnegative integer")
         exps: List[Polynomial] = []
         for b in exponents:
             if isinstance(b, int):
@@ -530,10 +534,19 @@ def assemble(product: EulerProduct) -> Series:
                      [p._terms for p in product.exponents])
 
 
+def _exponent(m: Union[Polynomial, int], ring: RingDescriptor) -> Polynomial:
+    """A power's exponent as a polynomial: an int is a constant of ``ring``."""
+    if isinstance(m, int):
+        return Polynomial.constant(ring, m)
+    if not isinstance(m, Polynomial):
+        raise TypeError("the exponent must be an int or a Polynomial, got %s"
+                        % type(m).__name__)
+    return m
+
+
 def pow_series(A: Series, m: Polynomial) -> Series:
     """A(t)^m: factor A, multiply every exponent by m, reassemble."""
-    if isinstance(m, int):
-        m = Polynomial.constant(A.ring, m)
+    m = _exponent(m, A.ring)
     if m.ring != A.ring:
         raise RingMismatchError(
             "exponent over %s, series over %s" % (m.ring, A.ring)
@@ -585,8 +598,7 @@ def transport_check(mapping: MonomialMap, A: Series, m: Polynomial) -> bool:
             "transport needs a MonomialMap; general substitutions are not "
             "compatible with the kernel"
         )
-    if isinstance(m, int):
-        m = Polynomial.constant(A.ring, m)
+    m = _exponent(m, A.ring)
     if A.ring != mapping.source or m.ring != mapping.source:
         raise RingMismatchError(
             "series and exponent must live in the map's source ring %s"

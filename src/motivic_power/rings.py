@@ -16,7 +16,8 @@ import re
 import sys
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .gridops import Fold, _accumulate_product, _product_lined, slot_product
+from .gridops import (_TERM_CELLS, Fold, _accumulate_product, _line_costs,
+                      _product_lined, slot_product)
 
 Exponents = Tuple[int, ...]
 
@@ -334,16 +335,19 @@ class Polynomial(_Frozen):
 
     def __mul__(self, other):
         """The product: on one folded line (``gridops``) when the term
-        counts say a line may pay (``gridops._product_lined``), else in
-        dicts."""
+        counts say a line may pay (``gridops._product_lined``) and, once
+        folded, the cheaper of its two line costs
+        (``gridops._line_costs``) is at most what its term products cost
+        in dicts, else in dicts."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ring, p, q = self.ring, self._terms, other._terms
         if _product_lined(len(p), len(q)):
             fold = Fold.product(ring.nvars, 0, [p], [q])
-            product = slot_product(fold.slot(p), fold.slot(q))
-            return fold.polynomials(ring, [product])[0]
+            a, b = fold.slot(p), fold.slot(q)
+            if min(_line_costs(a, b)) <= _TERM_CELLS * len(p) * len(q):
+                return fold.polynomials(ring, [slot_product(a, b)])[0]
         acc: Dict[Exponents, int] = {}
         _accumulate_product(acc, p, q, ring.nvars)
         return Polynomial._raw(ring, {e: c for e, c in acc.items() if c})

@@ -157,6 +157,11 @@ class Series(_Frozen):
         return Series._raw(self.ring, self.order, out)
 
     def truncate(self, order: int) -> "Series":
+        """The series mod t^(order+1), keeping a cached factorization cut
+        to its first ``order`` exponents: every factor (1-t^i)^(-b_i)
+        with i > order is 1 mod t^(order+1)."""
+        if not isinstance(order, int) or order < 0:
+            raise ValueError("order must be a nonnegative integer")
         if order > self.order:
             raise ValueError(
                 "cannot extend a series of order %d to order %d"
@@ -164,7 +169,11 @@ class Series(_Frozen):
             )
         if order == self.order:
             return self
-        return Series._raw(self.ring, order, self.coefficients[: order + 1])
+        low = Series._raw(self.ring, order, self.coefficients[: order + 1])
+        for kernel, product in self._factor_cache.items():
+            low._factor_cache[kernel] = type(product)(
+                self.ring, order, product.exponents[:order])
+        return low
 
     def map_coefficients(self, fn: Callable[[Polynomial], Polynomial],
                          ring: RingDescriptor) -> "Series":

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic_power import hilbert, localdata
 from motivic_power.hilbert import (
@@ -19,11 +21,15 @@ from motivic_power.oracles import partition_count, punctual_surface_class_oracle
 from motivic_power.power import (
     MONOMIAL_KERNEL,
     EulerProduct,
+    base_series,
+    exp_map,
     factor,
     pow_series,
+    transport_check,
 )
 from motivic_power.rings import (
     INTEGERS,
+    MonomialMap,
     Polynomial,
     RingDescriptor,
     RingMismatchError,
@@ -243,6 +249,102 @@ class TestHodgeDeligne:
             hodge_deligne_series(e, 3)
 
 
+U, V = (Polynomial.variable(UV, name) for name in UV.variables)
+
+
+def surface_class(q, pg, h11):
+    """e(X) of a surface with h^{1,0} = q, h^{2,0} = p_g, h^{1,1} = h11."""
+    return (1 - q * (U + V) + pg * (U ** 2 + V ** 2) + h11 * U * V
+            - q * (U ** 2 * V + U * V ** 2) + U ** 2 * V ** 2)
+
+
+TO_UV = MonomialMap(MOTIVIC_RING, UV, {"L": Polynomial(UV, {(1, 1): 1})})
+
+
+def coefficient_route(X, order, user_data=None):
+    """The Hodge-Deligne series through public functions alone: every
+    coefficient of the local series mapped through L -> uv, into a
+    series with no cached factorization, which ``pow_series`` factors
+    from scratch and raises to e_X."""
+    local = local_series(X.dimension, order, user_data).series
+    mapped = Series(UV, order, [TO_UV(c) for c in local.coefficients])
+    assert not mapped._factor_cache
+    return pow_series(mapped, X.representation)
+
+
+class TestHodgeFromExponents:
+    """hodge_deligne_series maps only the local series' Euler exponents."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 12),
+           st.integers(0, 12))
+    def test_equals_the_coefficient_route(self, q, pg, h11, order):
+        X = VarietyClass(surface_class(q, pg, h11), 2)
+        assert hodge_deligne_series(X, order) == coefficient_route(X, order)
+
+    @pytest.mark.parametrize("dimension,e", [
+        pytest.param(2, surface_class(0, 0, 1), id="P2"),
+        pytest.param(2, surface_class(0, 1, 20), id="K3"),
+        pytest.param(2, surface_class(2, 1, 4), id="abelian"),
+        pytest.param(1, 1 - 2 * (U + V) + U * V, id="genus-2-curve"),
+    ])
+    def test_order_40_maps_one_exponent_per_degree(self, monkeypatch,
+                                                   dimension, e):
+        X = VarietyClass(e, dimension)
+        expected = coefficient_route(X, 40)
+        calls = []
+        real = MonomialMap.__call__
+
+        def counted(self, p):
+            calls.append(p)
+            return real(self, p)
+        monkeypatch.setattr(MonomialMap, "__call__", counted)
+        assert hodge_deligne_series(X, 40) == expected
+        assert len(calls) == 40
+
+    def test_user_data_in_dimension_three(self):
+        series = Series(MOTIVIC_RING, 6, [
+            1, 1, 1 + L + L ** 2, 1 + L + 2 * L ** 2 + L ** 3,
+            2 + L ** 4, 1 - L + 3 * L ** 5, 1 + 4 * L ** 2 + L ** 7])
+        # as --local-data reads it: parsed from JSON, nothing cached
+        data = LocalHilbertData.from_json(
+            LocalHilbertData(3, series).to_json("test"))
+        X = VarietyClass(1 + U * V + (U * V) ** 2 + (U * V) ** 3 - U ** 3, 3)
+        for order in (6, 4, 0):
+            assert (hodge_deligne_series(X, order, data)
+                    == coefficient_route(X, order, data))
+
+
+RAMP = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + L + L ** 2])
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: base_series(L, -1), ValueError, id="base_series"),
+    pytest.param(lambda: base_series(L, 2.0), ValueError, id="base_series-float"),
+    pytest.param(lambda: kapranov_zeta(L + 1, -1), ValueError, id="kapranov_zeta"),
+    pytest.param(lambda: RAMP.truncate(-1), ValueError, id="Series.truncate"),
+    pytest.param(lambda: RAMP.truncate(1.0), ValueError,
+                 id="Series.truncate-float"),
+    pytest.param(lambda: EulerProduct(MOTIVIC_RING, -1, []), ValueError,
+                 id="EulerProduct"),
+    pytest.param(lambda: exp_map([L], order=-1), ValueError, id="exp_map"),
+    pytest.param(lambda: global_series(VarietyClass(L ** 2, 2),
+                                       local_series(2, 3), -1),
+                 ValueError, id="global_series"),
+    pytest.param(lambda: LocalHilbertData(2, RAMP).truncate(-1), ValueError,
+                 id="LocalHilbertData.truncate"),
+    pytest.param(lambda: pow_series(RAMP, 1.5), TypeError, id="pow_series"),
+    pytest.param(lambda: transport_check(MonomialMap.identity(MOTIVIC_RING),
+                                         RAMP, 1.5),
+                 TypeError, id="transport_check"),
+])
+def test_bad_arguments_are_refused(call, error):
+    message = {ValueError: "^order must be a nonnegative integer$",
+               TypeError: "^the exponent must be an int or a Polynomial"}
+    with pytest.raises(error, match=message[error]):
+        call()
+
+
 class TestKapranovZeta:
     def test_affine_line_hodge_class(self):
         uv = Polynomial(UV, {(1, 1): 1})
@@ -289,18 +391,6 @@ class TestSurfaceSeriesCache:
         copy = self.fresh_copy(series)
         assert not copy._factor_cache
         assert factor(copy) == seeded
-
-    def test_uv_image_factorization_matches_reverse_recurrence(self):
-        mapped = hilbert._uv_image(local_series(2, 60).series, UV)
-        seeded = mapped._factor_cache[MONOMIAL_KERNEL]
-        uv = Polynomial(UV, {(1, 1): 1})
-        assert seeded == EulerProduct(
-            UV, 60, [uv ** (k - 1) for k in range(1, 61)])
-        assert factor(self.fresh_copy(mapped)) == seeded
-
-    def test_uv_image_of_unfactored_series_carries_nothing(self):
-        series = self.fresh_copy(local_series(2, 6).series)
-        assert not hilbert._uv_image(series, UV)._factor_cache
 
     def test_lower_order_after_higher_equals_fresh_build(self, monkeypatch):
         monkeypatch.setattr(hilbert, "_SURFACE_CACHE", None)

@@ -263,6 +263,37 @@ class TestProductRoute:
         assert p.terms == {(k,): comb(200, k) * 2 ** k for k in range(201)}
         assert folds
 
+    def test_sparse_wide_products_stay_in_dicts(self, monkeypatch):
+        # 300 terms 8,000 apart: the term counts admit a line, but 300
+        # slice-adds of a 2.4e6-cell line (or a convolution) would cost far
+        # more than the 9e4 term products in dicts
+        from motivic_power import gridops
+
+        def refuse(*args):
+            raise AssertionError("a sparse wide product took a line")
+        x = Polynomial.variable(RingDescriptor(("x",)), "x")
+        p = Polynomial(x.ring, {(8000 * i,): i % 7 - 3 or 1
+                                for i in range(300)})
+        assert gridops._product_lined(300, 300)
+        monkeypatch.setattr(gridops, "_sum_lines", refuse)
+        assert (p * p).terms == self.dict_product(p, p)
+
+    def test_dense_products_take_the_line(self, monkeypatch):
+        from motivic_power import gridops
+        lines = []
+        real = gridops._sum_lines
+
+        def counted(*args):
+            lines.append(args)
+            return real(*args)
+        monkeypatch.setattr(gridops, "_sum_lines", counted)
+        rng = random.Random(7)
+        p, q = (Polynomial(UV, {(i, j): rng.randint(-9, 9) or 1
+                                for i in range(6) for j in range(6)})
+                for _ in range(2))
+        assert (p * q).terms == self.dict_product(p, q)
+        assert len(lines) == 1
+
     def test_tiny_products_build_no_fold(self, monkeypatch):
         # L**(k-1) of the Hilbert-scheme series and the axiom samples' m*n
         from motivic_power import gridops

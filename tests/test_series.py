@@ -1,11 +1,15 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivic_power.power import MONOMIAL_KERNEL, factor
 from motivic_power.rings import INTEGERS, Polynomial, RingMismatchError
 from motivic_power.series import Series
 
 from conftest import (
+    ALL_RINGS,
     LAURENT_L,
     UV,
     UVW,
@@ -142,6 +146,18 @@ class TestRescaleTruncate:
     def test_extension_is_an_error(self):
         with pytest.raises(ValueError):
             Series.one(INTEGERS, 3).truncate(5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(ALL_RINGS).flatmap(lambda r: unital_over(r, 6)),
+           st.integers(0, 6))
+    def test_truncation_keeps_a_factorization(self, A, order):
+        factor(A)
+        low = A.truncate(order)
+        fresh = Series(A.ring, order, low.coefficients)
+        assert not fresh._factor_cache
+        assert low._factor_cache == {MONOMIAL_KERNEL: factor(fresh)}
+        assert copy.copy(low)._factor_cache == {}
+        assert not Series(A.ring, 6, A.coefficients).truncate(order)._factor_cache
 
 
 class TestSerialization:
