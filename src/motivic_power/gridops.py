@@ -12,9 +12,10 @@ and the bound B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|
 plus sum over scaled slots of |k| * max|s|, which no coefficient of the
 sum can exceed in magnitude:
 
-* **term maps** when :func:`_lined` finds the sum too sparse for a line
-  (always over Z, where every sum is one cell wide) or longer than the
-  cap ``_MAX_LINE``: dict sums.
+* **term maps** when the sum's term products, at ``_TERM_CELLS`` cells
+  each, cost less than the work of its line (:func:`_line_steps`), as
+  always over Z, where every sum is one cell wide, or when the line
+  would be longer than the cap ``_MAX_LINE``: dict sums.
 * **int64 lines** when B < 2**62.  A pair whose sparser operand a has
   nnz_a terms over len_a cells is applied term by term, as shifted
   scalar multiples of the other operand's line, when
@@ -42,9 +43,8 @@ and :func:`_rows` concatenates slots into it.  :meth:`Fold.polynomials`
 then decodes the distinct indices of the whole list once and builds each
 polynomial from its slice, with one exponent tuple per vector.  A
 product of two polynomials (``Polynomial.__mul__``) comes here when its
-term counts say a line may pay (:func:`_product_lined`) and, once
-folded, the cheaper of its two line costs (:func:`_line_costs`) is at
-most ``_TERM_CELLS`` per term product; it multiplies in dicts
+term counts say a line may pay (:func:`_product_lined`), and its sum is
+then priced and routed like any other; it multiplies in dicts
 (:func:`_accumulate_product`) otherwise.
 """
 
@@ -121,8 +121,8 @@ def _accumulate_product(acc: Dict[Exps, int], pterms, qterms, nvars: int):
     """Add the expanded product of two term maps into ``acc``.
 
     The dict product: ``Polynomial.__mul__`` (products too small for a
-    line), the term-map route of :class:`SlotAccumulator` (sums too sparse
-    for a line), the reference recurrence ``power._monomial_base_exact``
+    line), the term-map route of :class:`SlotAccumulator` (sums cheaper in
+    dicts), the reference recurrence ``power._monomial_base_exact``
     and the tests' references run through here.  The exponent addition
     is unrolled for zero, one and two variables (Z, Z[L] and Z[u,v]).
     """
@@ -386,46 +386,47 @@ def _add_line(total: np.ndarray, at: int, line: np.ndarray, c: int):
         cells += line * c
 
 
-def _line_costs(a: "Slot", b: "Slot") -> Tuple[int, int]:
-    """The costs in convolution cells of the product of two slots on an
-    int64 line: with its sparser operand a applied term by term (nnz_a
-    slice-adds of len_b cells), and convolved and added."""
-    sa, sb = a.stats, b.stats
-    if sb[0] < sa[0]:
-        sa, sb = sb, sa
-    len_a = sa[3][0] - sa[2][0] + 1
-    len_b = sb[3][0] - sb[2][0] + 1
-    return (sa[0] * (len_b + _SLICE_CELLS),
-            len_a * len_b + len_a + len_b + _SLICE_CELLS)
-
-
 def _by_terms(a: "Slot", b: "Slot", lines: bool):
-    """The pair as (sparser, denser) operand, the index of its product's
-    low end, and whether to apply the sparser operand term by term: on
-    int64 ``lines`` when that costs no more than convolving
-    (:func:`_line_costs`), else when 3 * nnz_a <= len_a.
-    """
+    """The pair as (sparser, denser) operand, its product's low end, and
+    whether to apply the sparser operand a term by term, with that way's
+    cost on int64 ``lines``: nnz_a * (len_b + C) term by term, or len_a *
+    len_b + len_a + len_b + C convolved and added, whichever is less (C =
+    ``_SLICE_CELLS``).  Packed, a goes term by term when 3 * nnz_a <=
+    len_a, unpriced (0)."""
     if b.stats[0] < a.stats[0]:
         a, b = b, a
     nnz_a, _, (lo_a,), (hi_a,) = a.stats
-    at = lo_a + b.stats[2][0]
+    _, _, (lo_b,), (hi_b,) = b.stats
+    len_a, len_b = hi_a - lo_a + 1, hi_b - lo_b + 1
     if not lines:
-        return a, b, at, 3 * nnz_a <= hi_a - lo_a + 1
-    by_terms, convolved = _line_costs(a, b)
-    return a, b, at, by_terms <= convolved
+        return a, b, lo_a + lo_b, 3 * nnz_a <= len_a, 0
+    by_terms = nnz_a * (len_b + _SLICE_CELLS)
+    convolved = len_a * len_b + len_a + len_b + _SLICE_CELLS
+    return a, b, lo_a + lo_b, by_terms <= convolved, min(by_terms, convolved)
 
 
-def _sum_lines(pairs, scaled, lo: int, hi: int) -> "Slot":
-    """Exact sum of the pair products and scaled slots on one int64 line
-    over the indices lo..hi.
+def _line_steps(pairs, scaled, products: int, span: int):
+    """The pairs as :func:`_by_terms` gives them on lines, or None when
+    the sum's ``products`` term products, at ``_TERM_CELLS`` each, cost
+    less in dicts than its line: the ``span``, each pair's cost and each
+    scaled slot's length and slice-add.  :func:`_lined` bounds that from
+    below (each pair costs a slice-add or more), so it runs first."""
+    if not _lined(products, span, len(pairs) + len(scaled)):
+        return None
+    steps = [_by_terms(a, b, True) for a, b in pairs]
+    cells = span + sum(map(itemgetter(4), steps)) + sum(
+        s.stats[3][0] - s.stats[2][0] + 1 + _SLICE_CELLS for _, s in scaled)
+    return steps if cells <= _TERM_CELLS * products else None
 
-    The caller's exact bound must be below 2**62, so no partial sum can
-    overflow.  Each pair is either convolved or, by :func:`_by_terms`,
-    applied term by term as shifted scalar multiples of its denser line.
-    """
+
+def _sum_lines(steps, scaled, lo: int, hi: int) -> "Slot":
+    """Exact sum on one int64 line over the indices lo..hi of the pairs,
+    as :func:`_by_terms` gives them on lines (``steps``), and the scaled
+    slots.  Each pair is convolved, or its sparser operand applied term
+    by term as shifted multiples of the other line.  The caller's exact
+    bound must be below 2**62, so no partial sum can overflow."""
     total = np.zeros(hi - lo + 1, dtype=np.int64)
-    for a, b in pairs:
-        a, b, at, by_terms = _by_terms(a, b, True)
+    for a, b, at, by_terms, _ in steps:
         at -= lo
         line = b.line()
         if by_terms:
@@ -440,10 +441,12 @@ def _sum_lines(pairs, scaled, lo: int, hi: int) -> "Slot":
 
 # -- limb route: the wide side in int64 limbs, each limb on a line ---------
 
-# When the limb route pays, against packed integers.  Timed on a 2-vCPU
-# x86-64 VM with numpy 2.4 and Python 3.11, both routes on the same sums,
-# limbs forced to more than the plan's count by narrowing W (limb time /
-# packed time, from cold caches):
+# When the limb route pays, against packed integers; it serves the big sums of
+# axioms-small (116-156 Slot.limbs splits per round at seed 5, no cache hits)
+# and factor of big-coefficient series (K3's order-60 Hodge series: 1,479
+# Slot.limbs calls, 1,211 cache hits).  Timed on a 2-vCPU x86-64 VM with numpy
+# 2.4 and Python 3.11, both routes on the same sums, limbs forced to more than
+# the plan's count by narrowing W (limb time / packed time, cold caches):
 # * the K3 diamond's 14 big steps at order 40 (4,400-6,600 cells, 27-40
 #   pairs, 2 limbs by the plan) and axioms-small's 16 big sums (2,800-
 #   3,700 cells): 0.24-0.51 at 2 limbs, 0.41-0.64 at 3, 0.38-0.96 at 4,
@@ -536,7 +539,8 @@ def _limb_sum(pairs, scaled, lo: int, hi: int, width: int,
     scales = [(k, s.limbs(width, count)) for k, s in scaled]
     total = 0
     for j in range(count):
-        part = _sum_lines([(a, w[j]) for a, w in narrow if not w[j].is_zero],
+        part = _sum_lines([_by_terms(a, w[j], True) for a, w in narrow
+                           if not w[j].is_zero],
                           [(k, w[j]) for k, w in scales if not w[j].is_zero],
                           lo, hi)
         if part.is_zero:
@@ -555,13 +559,14 @@ def _limb_sum(pairs, scaled, lo: int, hi: int, width: int,
 # -- term-map route: dict sums -------------------------------------------
 
 def _sum_terms(pairs, scaled) -> "Slot":
-    """Exact sum of the pair products and scaled slots, term by term."""
+    """Exact sum of the pair products and scaled slots, term by term,
+    wrapped (:meth:`Slot.wrap`) so a dense one keeps its line once built."""
     acc: Terms = {}
     for a, b in pairs:
         _accumulate_product(acc, a.to_terms(), b.to_terms(), 1)
     for k, s in scaled:
         _accumulate_product(acc, {(0,): k}, s.to_terms(), 1)
-    return Slot(terms={e: c for e, c in acc.items() if c})
+    return Slot.wrap({e: c for e, c in acc.items() if c})
 
 
 # -- packed route: Kronecker substitution into Python integers -------------
@@ -655,7 +660,7 @@ def _packed_sum(pairs, scaled, bound: int) -> Terms:
     width = max(_MIN_WIDTH, (bound.bit_length() + 1 + 7) // 8 * 8)
     acc = 0
     for a, b in pairs:
-        a, b, at, by_terms = _by_terms(a, b, False)
+        a, b, at, by_terms, _ = _by_terms(a, b, False)
         at -= origin
         if by_terms:
             packed = b.packed(width)
@@ -875,10 +880,11 @@ class SlotAccumulator:
         if not pairs and not scaled:
             return Slot.zero()
         lo, hi = _corners(pairs, scaled)
-        if not _lined(self.products, hi - lo + 1, len(pairs) + len(scaled)):
+        steps = _line_steps(pairs, scaled, self.products, hi - lo + 1)
+        if steps is None:
             return _sum_terms(pairs, scaled)
         if self.bound < _INT64_LIMIT:
-            return _sum_lines(pairs, scaled, lo, hi)
+            return _sum_lines(steps, scaled, lo, hi)
         plan = _limb_plan(pairs, scaled, hi - lo + 1)
         if plan is not None:
             return _limb_sum(pairs, scaled, lo, hi, *plan)

@@ -250,9 +250,17 @@ def hodge_deligne_series(X: VarietyClass, order: int,
 
 
 def kapranov_zeta(X, order: int) -> Series:
-    """Zeta series of a class: coefficient n is the n-th symmetric power."""
-    rep = X.representation if isinstance(X, VarietyClass) else X
-    return base_series(rep, order)
+    """Zeta series of a class (a :class:`VarietyClass`, a polynomial, or
+    an int as a constant over Z): coefficient n is the n-th symmetric
+    power."""
+    if isinstance(X, VarietyClass):
+        X = X.representation
+    elif isinstance(X, int):
+        X = Polynomial.constant(INTEGERS, X)
+    elif not isinstance(X, Polynomial):
+        raise TypeError("the class must be an int, a Polynomial or a "
+                        "VarietyClass, got %s" % type(X).__name__)
+    return base_series(X, order)
 
 
 def _direct_affine_series(dimension: int, order: int) -> Series:

@@ -16,8 +16,7 @@ import re
 import sys
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
-from .gridops import (_TERM_CELLS, Fold, _accumulate_product, _line_costs,
-                      _product_lined, slot_product)
+from .gridops import Fold, _accumulate_product, _product_lined, slot_product
 
 Exponents = Tuple[int, ...]
 
@@ -173,6 +172,19 @@ def _check_ring(a: "Polynomial", b: "Polynomial"):
         raise RingMismatchError(
             "ring mismatch: %s vs %s" % (a.ring, b.ring)
         )
+
+
+def _power(base, n: int):
+    """base ** n for an int n >= 1 by binary powering, in popcount(n) +
+    bitlen(n) - 2 products: the loop of Polynomial and Series powers."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 def _grlex_key(item):
@@ -334,20 +346,16 @@ class Polynomial(_Frozen):
         return other + (-self)
 
     def __mul__(self, other):
-        """The product: on one folded line (``gridops``) when the term
-        counts say a line may pay (``gridops._product_lined``) and, once
-        folded, the cheaper of its two line costs
-        (``gridops._line_costs``) is at most what its term products cost
-        in dicts, else in dicts."""
+        """The product: a one-pair ``gridops`` sum, which picks its own
+        route, when ``gridops._product_lined`` admits it; else in dicts."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ring, p, q = self.ring, self._terms, other._terms
         if _product_lined(len(p), len(q)):
             fold = Fold.product(ring.nvars, 0, [p], [q])
-            a, b = fold.slot(p), fold.slot(q)
-            if min(_line_costs(a, b)) <= _TERM_CELLS * len(p) * len(q):
-                return fold.polynomials(ring, [slot_product(a, b)])[0]
+            product = slot_product(fold.slot(p), fold.slot(q))
+            return fold.polynomials(ring, [product])[0]
         acc: Dict[Exponents, int] = {}
         _accumulate_product(acc, p, q, ring.nvars)
         return Polynomial._raw(ring, {e: c for e, c in acc.items() if c})
@@ -359,15 +367,7 @@ class Polynomial(_Frozen):
             raise TypeError("exponent must be int")
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n) if n else Polynomial.one(self.ring)
 
     def __eq__(self, other):
         if isinstance(other, int):

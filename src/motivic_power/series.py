@@ -22,6 +22,7 @@ from .rings import (
     _json_get,
     _json_int,
     _json_list,
+    _power,
 )
 
 
@@ -117,14 +118,7 @@ class Series(_Frozen):
         """Plain n-fold truncated product (integer n >= 0)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers need a nonnegative integer exponent")
-        result = Series.one(self.ring, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else Series.one(self.ring, self.order)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse mod t^(N+1), by the usual recurrence."""

@@ -16,7 +16,9 @@ from motivic_power.gridops import (
     slot_linear,
     slot_product,
 )
-from motivic_power.rings import Polynomial, _accumulate_product
+from motivic_power.hilbert import kapranov_zeta
+from motivic_power.power import _monomial_base_exact
+from motivic_power.rings import Polynomial, RingDescriptor, _accumulate_product
 
 from conftest import ALL_RINGS, LAURENT_L, fold
 
@@ -164,6 +166,38 @@ def test_sparse_wide_slots_are_term_maps():
         got = slot_product(a, b)
     assert seen == ["_sum_terms"]
     assert got.arr is None and got.terms == dict_product(ta, tb, 1)
+
+
+def test_sparse_wide_zeta_takes_no_line(monkeypatch):
+    # sum_(i<300) x^(8000 i): step 2 of its zeta series sums 9e4 term
+    # products, which _lined admits to a line of 4.8e6 cells; priced by
+    # the work of 300 slice-adds of a 2.4e6-cell line, it sums in dicts
+    p = Polynomial(RingDescriptor(("x",)), {(8000 * i,): 1 for i in range(300)})
+    want = _monomial_base_exact(p, 2)
+
+    def refuse(*args):
+        raise AssertionError("a sparse wide sum took a line")
+    monkeypatch.setattr(gridops, "_sum_lines", refuse)
+    assert kapranov_zeta(p, 2) == want
+
+
+def test_dense_sum_of_as_many_term_products_runs_on_a_line():
+    dense = {(i,): i % 7 - 3 or 1 for i in range(300)}
+    with routes() as seen:
+        got = slot_product(Slot.wrap(dense), Slot.wrap(dense))
+    assert seen == ["_sum_lines"]
+    assert got.to_terms() == dict_product(dense, dense, 1)
+
+
+def test_dense_dict_sums_keep_their_line():
+    # a sum too small to pay for a line is summed in dicts, but its dense
+    # result builds its line once for the later sums that read it on one
+    a = Slot.wrap({(0,): 1, (1,): 2, (2,): 1})
+    with routes() as seen:
+        square = slot_product(a, a)
+    assert seen == ["_sum_terms"]
+    assert square.lined and square.line().tolist() == [1, 4, 6, 4, 1]
+    assert square.line() is square.line()
 
 
 def test_dense_three_variable_sum_runs_on_lines():

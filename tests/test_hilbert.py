@@ -318,30 +318,36 @@ class TestHodgeFromExponents:
 RAMP = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + L + L ** 2])
 
 
+ORDER = (ValueError, "^order must be a nonnegative integer$")
+EXPONENT = (TypeError, "^the exponent must be an int or a Polynomial")
+CLASS = (TypeError, "^the class must be an int, a Polynomial or a VarietyClass")
+
+
 @pytest.mark.parametrize("call,error", [
-    pytest.param(lambda: base_series(L, -1), ValueError, id="base_series"),
-    pytest.param(lambda: base_series(L, 2.0), ValueError, id="base_series-float"),
-    pytest.param(lambda: kapranov_zeta(L + 1, -1), ValueError, id="kapranov_zeta"),
-    pytest.param(lambda: RAMP.truncate(-1), ValueError, id="Series.truncate"),
-    pytest.param(lambda: RAMP.truncate(1.0), ValueError,
+    pytest.param(lambda: base_series(L, -1), ORDER, id="base_series"),
+    pytest.param(lambda: base_series(L, 2.0), ORDER, id="base_series-float"),
+    pytest.param(lambda: kapranov_zeta(L + 1, -1), ORDER, id="kapranov_zeta"),
+    pytest.param(lambda: kapranov_zeta(1.5, 3), CLASS, id="kapranov_zeta-float"),
+    pytest.param(lambda: kapranov_zeta("L", 3), CLASS, id="kapranov_zeta-str"),
+    pytest.param(lambda: RAMP.truncate(-1), ORDER, id="Series.truncate"),
+    pytest.param(lambda: RAMP.truncate(1.0), ORDER,
                  id="Series.truncate-float"),
-    pytest.param(lambda: EulerProduct(MOTIVIC_RING, -1, []), ValueError,
+    pytest.param(lambda: EulerProduct(MOTIVIC_RING, -1, []), ORDER,
                  id="EulerProduct"),
-    pytest.param(lambda: exp_map([L], order=-1), ValueError, id="exp_map"),
+    pytest.param(lambda: exp_map([L], order=-1), ORDER, id="exp_map"),
     pytest.param(lambda: global_series(VarietyClass(L ** 2, 2),
                                        local_series(2, 3), -1),
-                 ValueError, id="global_series"),
-    pytest.param(lambda: LocalHilbertData(2, RAMP).truncate(-1), ValueError,
+                 ORDER, id="global_series"),
+    pytest.param(lambda: LocalHilbertData(2, RAMP).truncate(-1), ORDER,
                  id="LocalHilbertData.truncate"),
-    pytest.param(lambda: pow_series(RAMP, 1.5), TypeError, id="pow_series"),
+    pytest.param(lambda: pow_series(RAMP, 1.5), EXPONENT, id="pow_series"),
     pytest.param(lambda: transport_check(MonomialMap.identity(MOTIVIC_RING),
                                          RAMP, 1.5),
-                 TypeError, id="transport_check"),
+                 EXPONENT, id="transport_check"),
 ])
 def test_bad_arguments_are_refused(call, error):
-    message = {ValueError: "^order must be a nonnegative integer$",
-               TypeError: "^the exponent must be an int or a Polynomial"}
-    with pytest.raises(error, match=message[error]):
+    kind, message = error
+    with pytest.raises(kind, match=message):
         call()
 
 
@@ -357,6 +363,14 @@ class TestKapranovZeta:
             Z = kapranov_zeta(VarietyClass(Polynomial.constant(INTEGERS, m), 1), 6)
             for n in range(7):
                 assert Z.coefficient(n).constant_value() == comb(m + n - 1, n)
+
+    @pytest.mark.parametrize("cls", [
+        3, VarietyClass(3, 1), Polynomial.constant(INTEGERS, 3)],
+        ids=["int", "VarietyClass", "Polynomial"])
+    def test_integer_class_is_a_constant_over_z(self, cls):
+        # (1-t)^(-3): coefficient n is C(n+2, 2)
+        Z = kapranov_zeta(cls, 3)
+        assert Z == Series(INTEGERS, 3, [1, 3, 6, 10])
 
     def test_zero_class(self):
         Z = kapranov_zeta(VarietyClass(Polynomial.zero(UV), 1), 4)

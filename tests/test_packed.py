@@ -28,6 +28,7 @@ from motivic_power.gridops import (
     SlotAccumulator,
     _corners,
     _limb_plan,
+    _line_steps,
     _lined,
     _packed_sum,
     slot_linear,
@@ -132,10 +133,10 @@ def convolutions():
 
 def line_sum_bounds():
     """The exact bound of every int64 line sum (the limb route makes one
-    per nonzero limb)."""
-    def bound(pairs, scaled, lo, hi):
+    per nonzero limb), from its pairs as ``_by_terms`` gives them."""
+    def bound(steps, scaled, lo, hi):
         return (sum(min(a.stats[0], b.stats[0]) * a.stats[1] * b.stats[1]
-                    for a, b in pairs)
+                    for a, b, *_ in steps)
                 + sum(abs(k) * s.stats[1] for k, s in scaled))
     return recording("_sum_lines", bound)
 
@@ -249,7 +250,8 @@ def test_frobenius_spread_pairs_on_lines_match_dict(data):
     if acc.pairs:
         lo = min(a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs)
         hi = max(a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs)
-        lined = _lined(acc.products, hi - lo + 1, len(acc.pairs))
+        lined = _line_steps(acc.pairs, [], acc.products,
+                            hi - lo + 1) is not None
         big = lined and acc.bound >= 2 ** 62
         assert len(limbs) == (big and big_route(acc) == "limbs")
         assert len(packed) == (big and big_route(acc) == "packed")
@@ -353,8 +355,9 @@ def test_pairs_and_scaled_slots_match_dict(data):
     ends = [a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs]
     ends += [a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs]
     ends += [s.stats[i][0] for _, s in acc.scaled for i in (2, 3)]
-    lined = bool(operands) and _lined(acc.products, max(ends) - min(ends) + 1,
-                                      len(acc.pairs) + len(acc.scaled))
+    lined = bool(operands) and _line_steps(
+        acc.pairs, acc.scaled, acc.products,
+        max(ends) - min(ends) + 1) is not None
     big = lined and acc.bound >= 2 ** 62
     assert len(limbs) == (big and big_route(acc) == "limbs")
     assert len(packed) == (big and big_route(acc) == "packed")
@@ -396,8 +399,11 @@ def test_sparse_operand_is_applied_term_by_term(route):
             return tuple(k * x for x in e)
 
         if route == "packed":
+            # 4 x 20 term products pay for a line; in two variables 4 x 5
+            # would not: four slice-adds over tb cost more than 20 products
             ta = {at(k): c for k, c in enumerate([2 ** 200 + 1, -3, -1, 1])}
-            tb = {at(k): c for k, c in enumerate([5, -(2 ** 63), 7, -1, 2 ** 62])}
+            tb = {at(k): c for k, c in
+                  enumerate([5, -(2 ** 63), 7, -1, 2 ** 62] * 4)}
         else:
             # the denser operand long enough for slice-adds to beat a
             # convolution: 2,000 cells of line in one variable, 20x20 in two
@@ -646,8 +652,8 @@ def test_limb_route_matches_dict(data):
         assert acc.result().to_terms() == want
     if limbs:
         assert all(bound < 2 ** 61 for bound in passes)
-    big = (acc.bound >= 2 ** 62
-           and _lined(acc.products, hi - lo + 1, len(pairs) + len(scaled)))
+    big = (acc.bound >= 2 ** 62 and _line_steps(
+        acc.pairs, acc.scaled, acc.products, hi - lo + 1) is not None)
     assert len(limbs) == (big and big_route(acc) == "limbs")
     assert len(packed) == (big and big_route(acc) == "packed")
 

@@ -71,6 +71,24 @@ class TestPolynomialBasics:
         with pytest.raises(ValueError):
             Polynomial.variable(LAURENT_L, "L") ** -1
 
+    def test_powers_square_only_what_they_use(self, monkeypatch):
+        # binary powering: popcount(n) + bitlen(n) - 2 products for n >= 1
+        p = Polynomial(UV, {(0, 0): 1, (1, 0): 2, (0, 1): -1})
+        powers = [Polynomial.one(UV)]
+        for _ in range(9):
+            powers.append(powers[-1] * p)
+        calls = []
+        real = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return real(self, other)
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        for n, want in enumerate(powers):
+            calls.clear()
+            assert p ** n == want
+            assert len(calls) == (n.bit_count() + n.bit_length() - 2 if n else 0)
+
 
 class TestRingAxioms:
     @settings(max_examples=40, deadline=None)

@@ -84,6 +84,25 @@ class TestMultiplication:
         a, b = pair
         assert a * b == dict_series_product(a, b)
 
+    def test_powers_square_only_what_they_use(self, monkeypatch):
+        # binary powering: popcount(n) + bitlen(n) - 2 products for n >= 1
+        u, v = Polynomial(UV, {(1, 0): 1}), Polynomial(UV, {(0, 1): 1})
+        A = Series(UV, 12, [1] + [k * u - v ** (k % 3) for k in range(1, 13)])
+        powers = [Series.one(UV, 12)]
+        for _ in range(9):
+            powers.append(powers[-1] * A)
+        calls = []
+        real = Series.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return real(self, other)
+        monkeypatch.setattr(Series, "__mul__", counted)
+        for n, want in enumerate(powers):
+            calls.clear()
+            assert A ** n == want
+            assert len(calls) == (n.bit_count() + n.bit_length() - 2 if n else 0)
+
     def test_huge_coefficients_stay_exact(self):
         big = 10 ** 40
         a = Series(INTEGERS, 2, [1, big, big])
