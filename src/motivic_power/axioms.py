@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from .power import pow_series
 from .rings import Polynomial, RingDescriptor
@@ -27,17 +28,20 @@ PROPERTY_NAMES = {
 }
 
 
-def _exponent_pool(ring: RingDescriptor, max_degree: int) -> List[tuple]:
-    """Exponent vectors with total size at most max_degree.
+@lru_cache(maxsize=None)
+def _exponent_pool(ring: RingDescriptor, max_degree: int) -> Tuple[tuple, ...]:
+    """Exponent vectors with total size at most max_degree, in
+    lexicographic order, built once per ring and degree.
 
     For Laurent rings the pool includes negative entries, measured by
-    the sum of absolute values.
+    the sum of absolute values.  Each entry ranges only over the budget
+    the entries before it left, so no vector outside the pool is formed.
     """
-    lo = -max_degree if ring.laurent else 0
-    pool = [()]
+    pool = [((), max_degree)]
     for _ in range(ring.nvars):
-        pool = [exps + (e,) for exps in pool for e in range(lo, max_degree + 1)]
-    return [exps for exps in pool if sum(abs(e) for e in exps) <= max_degree]
+        pool = [(exps + (e,), left - abs(e)) for exps, left in pool
+                for e in range(-left if ring.laurent else 0, left + 1)]
+    return tuple(exps for exps, _ in pool)
 
 
 def random_polynomial(rng: random.Random, ring: RingDescriptor,

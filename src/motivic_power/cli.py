@@ -350,6 +350,10 @@ def _cmd_hilbert(args, out) -> int:
     if args.local_data:
         user_data = _load_local_data(args.local_data, args.truncate)
         sizes.append(_local_size(user_data, args.truncate, ring.nvars))
+    elif args.dim > 2:
+        raise ValueError("no closed form is bundled for dimension %d; pass "
+                         "the punctual series with --local-data FILE"
+                         % args.dim)
     _check_cost(_solve_cost(args.truncate, *sizes, spread=1))
     cls = VarietyClass(parse_polynomial(args.cls, ring), args.dim)
     if hodge:

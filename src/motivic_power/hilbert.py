@@ -8,19 +8,19 @@ coefficients (all variables to 1, or L to uv) commutes with the power
 operation, which is what makes the Euler-characteristic and
 Hodge-Deligne formulas drop out.
 
-The punctual surface series does not depend on the variety, so it is
+The bundled punctual series do not depend on the variety, so each is
 built once per process (the largest order asked for is kept and
-truncated on later requests).  It is assembled from its Euler
-exponents L^(k-1), and it carries them in its factorization cache, so
-raising it to a power runs only the forward recurrence.  L -> uv is a
-monomial map, so it commutes with the power structure: the
-Hodge-Deligne step maps only the punctual series' Euler exponents, to
-(uv)^(k-1) for surfaces, and assembles them with the exponent e_X.
+truncated on later requests).  Each is assembled from its Euler
+exponents (b_1 = 1 for curves, b_k = L^(k-1) for surfaces) and carries
+them in its factorization cache, so raising it to a power runs only the
+forward recurrence.  L -> uv is a monomial map, so it commutes with the
+power structure: the Hodge-Deligne step maps only the punctual series'
+Euler exponents and assembles them with the exponent e_X.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from . import localdata
 from .localdata import MOTIVIC_RING
@@ -28,8 +28,8 @@ from .power import (
     EulerProduct,
     MONOMIAL_KERNEL,
     _assemble,
+    assemble,
     base_series,
-    exp_map,
     factor,
     pow_series,
 )
@@ -128,38 +128,33 @@ class LocalHilbertData(_Frozen):
         return cls(dimension, Series.from_json(obj["series"]))
 
 
-def _surface_series(order: int) -> Series:
-    """prod_k (1 - L^(k-1) t^k)^(-1) to the given order, oracle-checked.
+def _bundled_series(dimension: int, order: int) -> Series:
+    """The punctual series for d = 1 or 2 to the given order, assembled
+    from its Euler exponents: 1/(1-t) (b_1 = 1) for curves, Goettsche's
+    prod_k (1 - L^(k-1) t^k)^(-1) (b_k = L^(k-1)) for surfaces.
 
-    The product is Exp of sum_k L^(k-1) t^k; its low-order coefficients
+    The factorization is unique, so the exponents go into the series'
+    factorization cache.  The surface series' low-order coefficients
     must agree with the bundled file, which was generated from the
-    partition-sum oracle.  The series was assembled from exactly those
-    exponents and the factorization is unique, so they go into its
-    factorization cache.
+    partition-sum oracle.
     """
     L = Polynomial.variable(MOTIVIC_RING, "L")
-    exponents = [L ** (k - 1) for k in range(1, order + 1)]
-    series = exp_map(exponents, order=order, ring=MOTIVIC_RING)
-    bundled = localdata.load_surface_series()
-    depth = min(order, bundled.order)
-    if series.truncate(depth) != bundled.truncate(depth):
-        raise AssertionError(
-            "surface series disagrees with the bundled oracle-generated data"
-        )
-    series._factor_cache[MONOMIAL_KERNEL] = EulerProduct(MOTIVIC_RING, order,
-                                                         exponents)
+    exponents = ([1] + [0] * order if dimension == 1 else
+                 [L ** (k - 1) for k in range(1, order + 1)])[:order]
+    product = EulerProduct(MOTIVIC_RING, order, exponents)
+    series = assemble(product)
+    if dimension == 2:
+        bundled = localdata.load_surface_series()
+        depth = min(order, bundled.order)
+        if series.truncate(depth) != bundled.truncate(depth):
+            raise AssertionError("surface series disagrees with the bundled "
+                                 "oracle-generated data")
+    series._factor_cache[MONOMIAL_KERNEL] = product
     return series
 
 
-# The largest punctual surface series built so far.
-_SURFACE_CACHE: Optional[LocalHilbertData] = None
-
-
-def _surface_local(order: int) -> LocalHilbertData:
-    global _SURFACE_CACHE
-    if _SURFACE_CACHE is None or _SURFACE_CACHE.series.order < order:
-        _SURFACE_CACHE = LocalHilbertData(2, _surface_series(order))
-    return _SURFACE_CACHE.truncate(order)
+# The largest punctual series built so far, per bundled dimension.
+_BUNDLED: Dict[int, LocalHilbertData] = {}
 
 
 def local_series(dimension: int, order: int,
@@ -168,16 +163,17 @@ def local_series(dimension: int, order: int,
     """Punctual series for affine d-space: bundled for d <= 2, else supplied.
 
     For curves every degree contributes the single ideal (t^n), so the
-    series is all ones.  For surfaces the series is the classical
-    infinite product, validated against the bundled partition-sum data
-    when first built; it is kept for the rest of the process (at the
-    largest order requested) and carries its Euler exponents L^(k-1) in
-    its factorization cache, which every truncation keeps, so
-    :func:`global_series` and :func:`hodge_deligne_series` read them
-    without a reverse recurrence.  Higher dimensions have no bundled closed
-    form and require ``user_data``, which is returned truncated and
-    never cached.
+    series is all ones; for surfaces it is the classical infinite
+    product, validated against the bundled partition-sum data when first
+    built.  A bundled series is kept for the rest of the process (at the
+    largest order requested) and carries its Euler exponents, which every
+    truncation keeps, so :func:`global_series` and
+    :func:`hodge_deligne_series` read them without a reverse recurrence.
+    Higher dimensions have no bundled closed form and require
+    ``user_data``, which is returned truncated and never cached.
     """
+    if not isinstance(dimension, int) or dimension < 1:
+        raise ValueError("dimension must be a positive integer")
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a nonnegative integer")
     if user_data is not None:
@@ -192,15 +188,16 @@ def local_series(dimension: int, order: int,
                 % (user_data.series.order, order)
             )
         return user_data.truncate(order)
-    if dimension == 1:
-        ones = Series(MOTIVIC_RING, order, [1] * (order + 1))
-        return LocalHilbertData(1, ones)
-    if dimension == 2:
-        return _surface_local(order)
-    raise ValueError(
-        "no closed form is bundled for dimension %d; supply user_data "
-        "with the punctual series" % dimension
-    )
+    if dimension > 2:
+        raise ValueError(
+            "no closed form is bundled for dimension %d; supply user_data "
+            "with the punctual series" % dimension
+        )
+    cached = _BUNDLED.get(dimension)
+    if cached is None or cached.series.order < order:
+        cached = _BUNDLED[dimension] = LocalHilbertData(
+            dimension, _bundled_series(dimension, order))
+    return cached.truncate(order)
 
 
 def global_series(X: VarietyClass, local: LocalHilbertData,

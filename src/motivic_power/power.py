@@ -155,10 +155,15 @@ def _multiplies_out(b: Sequence[Slot], order: int) -> bool:
     factor rather than solve the forward recurrence, given the folded b_i.
 
     Never when some b_i is too sparse for a line (``gridops._lined``), as
-    its packed coefficients would span the gaps.  Always when every
-    exponent is 0 (over Z): each shift is then 0, and on axiom-shaped Z
-    powers the product ran 4.9-19.7x (order 10) and 1.7-29x (order 40)
-    faster.  Otherwise when ``_PRODUCT_ROWS * rows <= rec``, where
+    its packed coefficients would span the gaps, nor when the rows
+    together might span more than ``gridops._MAX_LINE`` digits: with o
+    and h the least floor(lo_i/i) and the greatest ceil(hi_i/i), and 0,
+    as :meth:`gridops.Fold.graded` takes them, row f_n spans at most
+    n*(h-o) + 1 digits, all of which the unpacking reads.
+    Always when every exponent is 0 (over Z): each shift is then 0, and
+    on axiom-shaped Z powers the product ran 4.9-19.7x (order 10) and
+    1.7-29x (order 40) faster.  Otherwise when ``_PRODUCT_ROWS * rows <=
+    rec``, where
 
         rows = sum_i sum_{c u^e in b_i} min(|c|, N//i) * (N - i + 1)
 
@@ -170,14 +175,18 @@ def _multiplies_out(b: Sequence[Slot], order: int) -> bool:
     """
     rec = 0
     constant = True
+    o = h = 0
     for i, x in enumerate(b, start=1):
         nnz, _, (lo,), (hi,) = x.stats
         if nnz:
             if not gridops._lined(nnz, hi - lo + 1):
                 return False
             constant = constant and lo == hi == 0
+            o, h = min(o, lo // i), max(h, -(-hi // i))
             k = order // i
             rec += nnz * k * (2 * order + 2 - i * (k + 1)) // 2
+    if (h - o) * order * (order + 1) // 2 + order > gridops._MAX_LINE:
+        return False
     if constant:
         return True
     rows = 0

@@ -49,6 +49,22 @@ class TestHilbertCommand:
         assert code == 1
         assert "no closed form" in err
 
+    @pytest.mark.parametrize("specialize", [[], ["--specialize", "euler"],
+                                            ["--specialize", "hodge"]])
+    def test_dim_three_without_data_names_the_option(self, capsys,
+                                                     specialize):
+        code, out, err = run(capsys, "hilbert", "--dim", "3", "--class", "1",
+                             "--truncate", "2", *specialize)
+        assert code == 1 and out == ""
+        assert "--local-data" in err and "user_data" not in err
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_dimension_below_one_exits_one(self, capsys, dim):
+        code, out, err = run(capsys, "hilbert", "--dim", dim, "--class", "1",
+                             "--truncate", "2")
+        assert code == 1 and out == ""
+        assert err == "error: dimension must be a positive integer\n"
+
     def test_user_local_data_file(self, capsys, tmp_path):
         L = Polynomial.variable(MOTIVIC_RING, "L")
         series = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + L + L ** 3])
@@ -200,6 +216,26 @@ class TestChecksAndExitCodes:
             assert code == 1 and out == ""
             assert err.startswith("error: MOTIVIC_POWER_SEED ")
             assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("ring", [["--vars", "u", "v"],
+                                      ["--vars", "L", "--laurent"], []],
+                             ids=["uv", "laurent", "integers"])
+    def test_axioms_json_is_unchanged(self, capsys, ring):
+        code, out, _ = run(capsys, "axioms", "--seed", "7", "--format", "json",
+                           *ring)
+        assert code == 0
+        assert out == ('{"status": "pass", "seed": 7, "samples": 20, '
+                       '"order": 8, "failures": []}\n')
+
+    def test_axioms_over_many_variables_completes(self, capsys):
+        # 18 Laurent variables: a pool of 685 exponent vectors, from a
+        # box of 5^18
+        names = ["x%d" % i for i in range(18)]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "axioms", "--vars", *names, "--laurent",
+                           "--truncate", "0", "--samples", "1")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and "result: PASS" in out
 
     def test_axioms_over_polynomial_ring(self, capsys):
         code, out, _ = run(capsys, "axioms", "--seed", "3", "--samples", "2",
@@ -481,6 +517,15 @@ class TestCostBound:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert out.splitlines()[-1] == last
+
+    def test_sparse_exponent_product_runs(self, capsys):
+        # the rows of prod (1 - x^100000 t)^(-1) (1 - t^2)^(-1) would span
+        # 2e9 digits in all: assembled by the recurrence instead
+        code, out, _ = run(capsys, "assemble", "--exponents", "x^100000",
+                           "1", "--vars", "x", "--truncate", "200")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "t^1: x^100000" and lines[2] == "t^2: x^200000 + 1"
 
     def test_request_just_under_the_bound_runs(self, capsys, monkeypatch):
         from motivic_power.cli import MAX_COST

@@ -70,6 +70,18 @@ class TestLocalSeries:
         with pytest.raises(ValueError, match="no closed form"):
             local_series(3, 4)
 
+    @pytest.mark.parametrize("dimension", [0, -1, 1.5])
+    def test_dimension_must_be_a_positive_integer(self, dimension):
+        with pytest.raises(ValueError,
+                           match="^dimension must be a positive integer$"):
+            local_series(dimension, 3)
+
+    @pytest.mark.parametrize("order", [0, 1, 40])
+    def test_curve_carries_its_exponents(self, order):
+        series = local_series(1, order).series
+        assert series._factor_cache[MONOMIAL_KERNEL] == EulerProduct(
+            MOTIVIC_RING, order, ([1] + [0] * (order - 1))[:order])
+
     def test_user_data_pass_through(self):
         series = Series(MOTIVIC_RING, 4, [1, 1, L, L ** 2, L ** 3])
         data = LocalHilbertData(3, series)
@@ -155,10 +167,13 @@ class TestGlobalSeries:
             global_series(X, local_series(2, 3), 3)
 
     def test_curve_series_is_zeta(self):
-        for cls in (L, 1 + L, 2 + 3 * L):
+        # Hilb^n of a smooth curve is its n-th symmetric power
+        for cls in (L, 1 + L, 2 + 3 * L,
+                    1 - 2 * L + Polynomial.monomial(MOTIVIC_RING, (-1,))):
             X = VarietyClass(cls, 1)
-            assert global_series(X, local_series(1, 6), 6) == \
-                kapranov_zeta(X, 6)
+            for order in (0, 1, 6, 40):
+                assert global_series(X, local_series(1, order), order) == \
+                    kapranov_zeta(X, order)
 
     def test_affine_plane_coefficients_count_partitions(self):
         # chi(A^2) = 1, so at L = 1 every coefficient is a partition number
@@ -390,49 +405,57 @@ class TestVarietyClass:
         assert X.representation == Polynomial.constant(INTEGERS, 5)
 
 
-class TestSurfaceSeriesCache:
-    """The punctual surface series is built once and carries its exponents."""
+class _BundledSeriesCache:
+    """A bundled punctual series is built once per dimension and order,
+    and carries its Euler exponents.  Subclasses set the dimension, its
+    exponents, a class and a Hodge-Deligne polynomial of that dimension,
+    and user data of that dimension."""
 
     @staticmethod
     def fresh_copy(series):
         return Series(series.ring, series.order, series.coefficients)
 
     def test_seeded_factorization_matches_reverse_recurrence(self):
-        series = local_series(2, 60).series
+        series = local_series(self.dimension, 60).series
         seeded = series._factor_cache[MONOMIAL_KERNEL]
-        assert seeded == EulerProduct(
-            MOTIVIC_RING, 60, [L ** (k - 1) for k in range(1, 61)])
+        assert seeded == EulerProduct(MOTIVIC_RING, 60, self.exponents(60))
         copy = self.fresh_copy(series)
         assert not copy._factor_cache
         assert factor(copy) == seeded
 
     def test_lower_order_after_higher_equals_fresh_build(self, monkeypatch):
-        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", None)
-        high = local_series(2, 40)
-        low = local_series(2, 20)
-        fresh = hilbert._surface_series(20)
+        monkeypatch.setattr(hilbert, "_BUNDLED", {})
+        d = self.dimension
+        high = local_series(d, 40)
+        low = local_series(d, 20)
+        fresh = hilbert._bundled_series(d, 20)
         assert low.series == fresh
         assert low.series._factor_cache == fresh._factor_cache
         assert low.series == high.series.truncate(20)
-        assert hilbert._SURFACE_CACHE.series.order == 40
+        assert hilbert._BUNDLED[d].series.order == 40
 
     def test_built_once_per_order(self, monkeypatch):
-        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", None)
+        monkeypatch.setattr(hilbert, "_BUNDLED", {})
         calls = []
-        build = hilbert._surface_series
+        build = hilbert._bundled_series
 
-        def counted(order):
-            calls.append(order)
-            return build(order)
+        def counted(dimension, order):
+            calls.append((dimension, order))
+            return build(dimension, order)
 
-        monkeypatch.setattr(hilbert, "_surface_series", counted)
+        monkeypatch.setattr(hilbert, "_bundled_series", counted)
+        d, other = self.dimension, 3 - self.dimension
         for order in (10, 10, 5, 12, 8):
-            assert local_series(2, order).series == build(order)
-        assert calls == [10, 12]
+            assert local_series(d, order).series == build(d, order)
+        assert calls == [(d, 10), (d, 12)]
+        # the other bundled dimension has its own entry
+        assert local_series(other, 5).series == build(other, 5)
+        assert local_series(d, 12).series == build(d, 12)
+        assert calls == [(d, 10), (d, 12), (other, 5)]
 
     def test_global_series_reads_the_seeded_factorization(self, monkeypatch):
-        X = VarietyClass(L ** 2 + L + 1, 2)
-        local = local_series(2, 30)
+        X = VarietyClass(self.motivic_class, self.dimension)
+        local = local_series(self.dimension, 30)
         expected = pow_series(self.fresh_copy(local.series), X.representation)
         monkeypatch.setattr(
             "motivic_power.power._solve_reverse",
@@ -440,13 +463,53 @@ class TestSurfaceSeriesCache:
         assert global_series(X, local, 30) == expected
         assert global_series(X, local, 18) == expected.truncate(18)
 
+    def test_hodge_deligne_series_reads_the_seeded_factorization(
+            self, monkeypatch):
+        X = VarietyClass(self.hodge_class, self.dimension)
+        # as user data the series carries no factorization, so the
+        # exponents come off the reverse recurrence
+        unfactored = LocalHilbertData(self.dimension, self.fresh_copy(
+            local_series(self.dimension, 30).series))
+        expected = hodge_deligne_series(X, 30, unfactored)
+        monkeypatch.setattr(
+            "motivic_power.power._solve_reverse",
+            lambda *args: pytest.fail("the reverse recurrence ran"))
+        assert hodge_deligne_series(X, 30) == expected
+        assert hodge_deligne_series(X, 18) == expected.truncate(18)
+
     def test_user_data_is_not_cached(self, monkeypatch):
-        monkeypatch.setattr(hilbert, "_SURFACE_CACHE", {})
-        series = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + L + L ** 3])
-        data = LocalHilbertData(3, series)
-        assert local_series(3, 2, data).series == series.truncate(2)
-        assert not hilbert._SURFACE_CACHE
-        assert not series._factor_cache
+        monkeypatch.setattr(hilbert, "_BUNDLED", {})
+        for d, series in ((3, Series(MOTIVIC_RING, 3, [1, 1, 1 + L,
+                                                       1 + L + L ** 3])),
+                          (self.dimension, self.user_series)):
+            data = LocalHilbertData(d, series)
+            assert local_series(d, 2, data).series == series.truncate(2)
+            assert not hilbert._BUNDLED
+            assert not series._factor_cache
+
+
+class TestCurveSeriesCache(_BundledSeriesCache):
+    """1/(1-t), with b_1 = 1."""
+
+    dimension = 1
+    motivic_class = L + 1
+    hodge_class = 1 - 2 * (U + V) + U * V
+    user_series = Series(MOTIVIC_RING, 3, [1, 1, 1, 1])
+
+    def exponents(self, order):
+        return ([1] + [0] * order)[:order]
+
+
+class TestSurfaceSeriesCache(_BundledSeriesCache):
+    """Goettsche's product, with b_k = L^(k-1)."""
+
+    dimension = 2
+    motivic_class = L ** 2 + L + 1
+    hodge_class = surface_class(0, 1, 20)
+    user_series = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + L + L ** 3])
+
+    def exponents(self, order):
+        return [L ** (k - 1) for k in range(1, order + 1)]
 
 
 def plane_partition_counts(top):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import motivic_power as mp
 from motivic_power import gridops, power
 from motivic_power.axioms import (
+    _exponent_pool,
     random_polynomial,
     random_unital_series,
     run_axiom_suite,
@@ -264,6 +266,39 @@ class TestAxiomSuite:
         for i in range(4):
             stitched.extend(sample_failures(("u", "v"), False, 5, 9, i))
         assert report.failures == stitched
+
+
+class TestExponentPool:
+    @staticmethod
+    def product_and_filter(ring, max_degree):
+        """Every vector of the box, in lexicographic order, kept when its
+        absolute degree is within max_degree."""
+        lo = -max_degree if ring.laurent else 0
+        box = itertools.product(range(lo, max_degree + 1), repeat=ring.nvars)
+        return [e for e in box if sum(map(abs, e)) <= max_degree]
+
+    @pytest.mark.parametrize("laurent", [False, True])
+    def test_equals_the_box_filtered_in_order(self, laurent):
+        for nvars in range(6):
+            ring = RingDescriptor(tuple("x%d" % i for i in range(nvars)),
+                                  laurent)
+            for max_degree in range(4):
+                assert list(_exponent_pool(ring, max_degree)) == \
+                    self.product_and_filter(ring, max_degree)
+
+    def test_seeded_draws_are_unchanged(self):
+        # the draws of seed 7 before the pool was built by budget
+        for ring, drawn in [
+                (UV, "-3*u^2 - 3*u*v + 2*u - 2*v - 1"),
+                (LAURENT_L, "-3*L^2 + 2*L - 2*L^-1 - L^-2"),
+                (INTEGERS, "-1")]:
+            assert str(random_polynomial(random.Random(7), ring)) == drawn
+
+    def test_many_variables(self):
+        ring = RingDescriptor(tuple("x%d" % i for i in range(40)), True)
+        # 1 + 2n + 2n + 4 C(n, 2) vectors of absolute degree <= 2
+        assert len(_exponent_pool(ring, 2)) == 1 + 4 * 40 + 2 * 40 * 39
+        assert _exponent_pool(ring, 2) is _exponent_pool(ring, 2)
 
 
 class TestExpLog:
@@ -590,6 +625,9 @@ class TestEulerProductPath:
         assert self.same([{}] * 5, 5, nvars) == [{(0,): 1}] + [{}] * 5
 
 
+X_RING = RingDescriptor(("x",))
+
+
 def hilbert_exponents(a, order):
     """b_i = L^(i-1) (L^2 + a L + 1): the Hilbert-scheme series' exponents."""
     return [{(i - 1,): 1, (i,): a, (i + 1,): 1} for i in range(1, order + 1)]
@@ -648,6 +686,32 @@ class TestProductRouting:
         # coefficients 5000 digits apart per step
         b = [{(0,): 1, (5000,): 1}] + [{}] * 39
         assert not _multiplies_out(folded(b, 40), 40)
+
+    @pytest.mark.parametrize("e", [1000, 100000])
+    def test_wide_rows_stay_on_the_recurrence(self, monkeypatch, e):
+        # each b_i is one line, but the rows of x^e t and t^2 span up to
+        # n*e + 1 digits: 2e7 and more in all at order 200, past the cap
+        x = Polynomial.variable(X_RING, "x")
+        monkeypatch.setattr(power, "_euler_product", lambda *args: pytest.fail(
+            "the product ran"))
+        got = exp_map([x ** e, 1], order=200)
+        monkeypatch.setattr(power, "_multiplies_out", lambda b, order: False)
+        assert got == exp_map([x ** e, 1], order=200)
+
+    def test_rows_within_the_cap_take_the_product(self, monkeypatch):
+        x = Polynomial.variable(X_RING, "x")
+        seen = []
+        real = power._euler_product
+
+        def recorded(b, order):
+            seen.append(b)
+            return real(b, order)
+
+        monkeypatch.setattr(power, "_euler_product", recorded)
+        got = exp_map([x ** 100, 1], order=200)
+        assert seen
+        monkeypatch.setattr(power, "_multiplies_out", lambda b, order: False)
+        assert got == exp_map([x ** 100, 1], order=200)
 
     def test_axioms_shaped_samples_stay_on_the_recurrence(self, monkeypatch):
         # the axioms-small shapes: A and m with coefficients in [-3, 3]

@@ -1,4 +1,9 @@
-"""The README's library quickstart runs and prints what its comments say."""
+"""The README's library quickstart runs and prints what its comments say.
+
+Every command of the README's command-line block runs through
+``cli.main`` in ``tests/test_cli.py`` (``TestReadmeCommands``), which
+also checks the ``# t^k: ...`` lines that follow a command.
+"""
 
 import re
 from pathlib import Path
