@@ -23,6 +23,7 @@ from .checks import run_oracle_checks
 from .expressions import (
     ParseError,
     Size,
+    _size_product,
     expression_size,
     parse_polynomial,
     parse_series,
@@ -117,18 +118,23 @@ def _check_cost(cost: float):
 
 
 def _axioms_cost(ring: RingDescriptor, order: int, samples: int) -> float:
-    """The solves of ``samples`` axiom samples at the generator's sizes.
+    """The solves of ``samples`` axiom samples at the generator's sizes,
+    and each sample's product m*n of law 5.
 
     ``axioms.random_polynomial`` fills every exponent vector of total
     degree at most 2 (absolute degree if Laurent) with a coefficient in
     [-3, 3]; a power multiplies such a coefficient of A by such an m.
+    The product m*n of two such polynomials is priced as an expression's
+    product is (``expressions._size_product``): in n Laurent variables
+    it has (2n^2 + 2n + 1)^2 term pairs, 3.5e6 at n = 30.
     """
     n = ring.nvars
     terms = 2 * n * n + 2 * n + 1 if ring.laurent else (n + 1) * (n + 2) // 2
     lo = -2 if ring.laurent else 0
     drawn = Size(terms, math.log2(3 * terms), ((lo, 2),) * n, 0.0)
-    return samples * SOLVES_PER_SAMPLE * (SOLVE_OVERHEAD
-                                          + _solve_cost(order, drawn, drawn))
+    return samples * (SOLVES_PER_SAMPLE * (SOLVE_OVERHEAD
+                                           + _solve_cost(order, drawn, drawn))
+                      + _size_product(drawn, drawn).work)
 
 
 def _geometric(x: float, n: int) -> float:

@@ -3,8 +3,11 @@
 The series pipelines spend their time in sums such as
 ``sum_m g_m f_(n-m) - n f_n`` in the log-derivative recurrences and
 ``sum_i a_i b_(k-i)`` in series products.  Each solve folds its ring
-into one variable z once (:class:`Fold`, a Kronecker substitution), so
-every polynomial of it is a :class:`Slot` in z: a dense int64 array when
+into one variable once (:class:`Fold`): a Kronecker substitution into z,
+then z^g -> y, g the gcd of the indices of the solve's inputs, which is
+1 for generic inputs, 2 for the even classes such as K3's e(X) and 82
+for a polynomial in uv at order 40.  Every polynomial of the solve is a
+:class:`Slot` in y: a dense int64 array when
 it is dense enough for one (:func:`_lined`) and its coefficients are
 below 2**62 in magnitude, a term map otherwise.  :class:`SlotAccumulator`
 computes each sum on one of four exact routes, chosen from its density
@@ -30,14 +33,14 @@ sum can exceed in magnitude:
   2**61, and the sums T_j are recombined once as sum_j T_j 2^(W j).  A
   sum needing more than ``_MAX_LIMBS`` limbs, or whose line is shorter
   than ``_LIMB_CELLS``, packs instead.
-* **packed integers** otherwise: z -> 2^W makes each slot one Python
+* **packed integers** otherwise: y -> 2^W makes each slot one Python
   integer, W the bit length of B plus a sign bit, and the sum is added
   as integers and unpacked once; a pair whose sparser operand fills at
   most a third of its packed span is applied term by term.
 
 Between dict polynomials and slots the fold crosses in numpy passes, not
 one Python step per term: :meth:`Fold.slot` encodes a term map in one.
-Back from z, a solve's results are first one flat list of terms
+Back from y, a solve's results are first one flat list of terms
 (:class:`Rows`): :func:`_unpack` reads packed digits into it in bulk,
 and :func:`_rows` concatenates slots into it.  :meth:`Fold.polynomials`
 then decodes the distinct indices of the whole list once and builds each
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from math import prod
+from math import gcd, prod
 from operator import add, itemgetter, mul
 from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -158,14 +161,38 @@ def _ends(xs: Sequence[Terms], axis: int) -> List[Optional[Tuple[int, int]]]:
     return [(min(v), max(v)) if v else None for v in values]
 
 
+def _index_gcd(inputs: Sequence[Terms], strides: Exps) -> int:
+    """The gcd of the indices e . strides of the term maps' exponents e,
+    or 1 when they are all 0; the scan stops at the first gcd of 1."""
+    g = 0
+    if strides:
+        for terms in inputs:
+            for e in terms:
+                g = gcd(g, sum(map(mul, e, strides)))
+                if g == 1:
+                    return 1
+    return g or 1
+
+
 class Fold:
-    """The Kronecker map u^a v^b ... w^c -> z^(a S_u + b S_v + ... + c) of
-    one solve, a ring homomorphism, and its inverse on a window.
+    """The map u^a v^b ... w^c -> y^(k/g) of one solve, a ring
+    homomorphism, and its inverse on a window: the Kronecker map to z^k,
+    k = a S_u + b S_v + ... + c, then z^g -> y.
 
     The strides are mixed-radix over the window ``low``..``high`` of the
-    axes after the first (the last axis has stride 1), so the map is
-    one-to-one on the window whatever the first axis' range.  In one
-    variable it is the identity; over Z it sends () to 0.
+    axes after the first (the last axis has stride 1), so the Kronecker
+    map is one-to-one on the window whatever the first axis' range.
+    ``gcd`` is g, the gcd of the indices k of the solve's ``inputs``
+    (1 when there are none or all are 0), found once: the scan stops at
+    the first g = 1, so generic inputs pay a few terms.  Every term a
+    solve forms lies in the lattice its inputs span (products, sums,
+    the Frobenius z -> z^j, exact division and the Euler product's
+    shifts keep it there), so its index is a multiple of g, and z^g -> y
+    is one-to-one on the window too.  It leaves y dense where z is
+    spread: at order 40, a polynomial in uv (P^2, the diamonds with q =
+    p_g = 0) folds with g = 82 and K3's even e(X) with g = 2.  In one
+    variable with g = 1 the fold is the identity; over Z it sends () to
+    0.
 
     Both directions cross between term maps and slots in numpy passes,
     not one Python step per term: one per polynomial to encode
@@ -175,9 +202,10 @@ class Fold:
     arrays) otherwise.
     """
 
-    __slots__ = ("strides", "_low", "_offset", "_reach", "_steps")
+    __slots__ = ("strides", "gcd", "_low", "_offset", "_reach", "_steps")
 
-    def __init__(self, nvars: int, low: Exps = (), high: Exps = ()):
+    def __init__(self, nvars: int, low: Exps = (), high: Exps = (),
+                 inputs: Sequence[Terms] = ()):
         widths = [hi - lo + 1 for lo, hi in zip(low, high)]
         self.strides = tuple(prod(widths[i:]) for i in range(nvars))
         self._low = tuple(low)
@@ -187,12 +215,14 @@ class Fold:
             low, high, self.strides[1:]))
         self._steps = np.array(self.strides, dtype=np.int64 if max(
             self.strides[:1] + (self._reach,)) < _INT64_LIMIT else object)
+        self.gcd = _index_gcd(inputs, self.strides)
 
     @classmethod
     def graded(cls, nvars: int, order: int, xs: Sequence[Terms],
                times: Terms = None) -> "Fold":
         """The fold of a recurrence whose inputs x_1..x_N are ``xs``, or
-        the products x_i * m with ``times`` = m (ends add).
+        the products x_i * m with ``times`` = m (ends add); g is taken
+        from the indices of ``xs`` and ``times``.
 
         Per axis, o = min(0, min_i floor(lo(x_i)/i)) and h = max(0, max_i
         ceil(hi(x_i)/i)) put every x_i in i*[o, h], so every f_n, g_n and
@@ -206,7 +236,7 @@ class Fold:
                                           for i, e in ends]))
             high.append(order * max([0] + [-(-(e[1] + hi_m) // i)
                                            for i, e in ends]))
-        return cls(nvars, low, high)
+        return cls(nvars, low, high, [*xs, times or {}])
 
     @classmethod
     def product(cls, nvars: int, order: int, xs: Sequence[Terms],
@@ -214,7 +244,7 @@ class Fold:
         """The fold of the product of two series with coefficients ``xs``
         and ``ys``, truncated at ``order``: per axis, the window runs from
         the least lo(x_i) + lo(y_j) to the greatest hi(x_i) + hi(y_j) over
-        i + j <= N."""
+        i + j <= N; g is taken from the indices of ``xs`` and ``ys``."""
         low, high = [], []
         for axis in range(1, nvars):
             ends_y = _ends(ys, axis)
@@ -223,22 +253,25 @@ class Fold:
                     for b in ends_y[:order - i + 1] if b] or [(0, 0)]
             low.append(min(sums)[0])
             high.append(max(e[1] for e in sums))
-        return cls(nvars, low, high)
+        return cls(nvars, low, high, [*xs, *ys])
 
     def slot(self, terms: Terms) -> "Slot":
-        """The slot of the term map's image in z, whose exponents must lie
+        """The slot of the term map's image in y, whose exponents must lie
         in the window.
 
-        In one variable the fold is the identity and the slot wraps the
-        term map itself (over Z, () becomes the index 0).  In more, one
-        pass reads the exponents into a matrix and the coefficients into
-        an array (``np.fromiter``; object dtype past int64), takes the
-        indices as the matrix times the strides, and builds an int64 line
+        In one variable the slot wraps the term map itself when g = 1,
+        else a copy with every index divided by g (over Z, () becomes the
+        index 0).  In more, one pass reads the exponents into a matrix
+        and the coefficients into an array (``np.fromiter``; object dtype
+        past int64), takes the indices as the matrix times the strides,
+        divided by g, and builds an int64 line
         when it is dense enough (:func:`_lined`) and every |c| < 2**62,
         else a term map: the slot and stats :meth:`Slot.wrap` gives.
         """
-        nvars = len(self.strides)
+        nvars, g = len(self.strides), self.gcd
         if nvars < 2:
+            if g != 1:
+                terms = {(k // g,): c for (k,), c in terms.items()}
             return Slot.wrap(terms if nvars else
                              {(0,): c for c in terms.values()})
         n = len(terms)
@@ -259,6 +292,11 @@ class Fold:
                                    + self._reach >= _INT64_LIMIT):
             ks = exps.astype(object) @ self._steps.astype(object)
             lo, hi = ks.min(), ks.max()
+        if g != 1:
+            if g >= _INT64_LIMIT:  # then only 0 is a multiple in int64
+                ks = ks.astype(object)
+            ks //= g
+            lo, hi = lo // g, hi // g
         top = max(c_hi, -c_lo)
         stats = (n, top, (lo,), (hi,))
         if top < _INT64_LIMIT and _lined(n, hi - lo + 1):
@@ -270,15 +308,19 @@ class Fold:
 
     def _vectors(self, ks: np.ndarray) -> np.ndarray:
         """The exponent vectors in the window with the ascending indices
-        ``ks``, as an object array of tuples."""
+        ``ks`` in y, as an object array of tuples: each index times g,
+        on Python integers where that would leave int64, then read off
+        in the mixed radix of the strides."""
         n = ks.shape[0]
         if not self.strides or not n:  # over Z every vector is ()
             return np.fromiter(repeat((), n), dtype=object, count=n)
-        rest = ks
+        rest, g = ks, self.gcd
         if rest.dtype != object and max(
-                self.strides[0], abs(self._offset), int(ks[-1]),
-                -int(ks[0])) >= _INT64_LIMIT:
+                self.strides[0], abs(self._offset),
+                max(int(ks[-1]), -int(ks[0]), 1) * g) >= _INT64_LIMIT:
             rest = rest.astype(object)  # Python integers, any size
+        if g != 1:
+            rest = rest * g
         if self._offset:
             rest = rest - self._offset
         lows = (0,) + self._low
@@ -292,7 +334,7 @@ class Fold:
     def polynomials(self, ring: RingDescriptor,
                     xs: Union["Rows", Sequence[Union["Slot", Terms]]]
                     ) -> List[Polynomial]:
-        """The polynomials whose images in z are the rows ``xs`` (from
+        """The polynomials whose images in y are the rows ``xs`` (from
         :func:`_unpack`) or the slots or term maps ``xs``, whose exponents
         must lie in the window.
 
@@ -310,7 +352,7 @@ class Fold:
 
 
 class Rows(NamedTuple):
-    """The terms of several polynomials in z, flat: row j's indices are
+    """The terms of several polynomials in y, flat: row j's indices are
     ``ks[cuts[j]:cuts[j + 1]]`` and its coefficients the same slice of
     ``cs``.  ``ks`` is an int64 array, or an object array of Python
     integers past int64; ``cs`` is a list of Python integers."""
@@ -695,7 +737,7 @@ def _corners(pairs, scaled) -> Tuple[int, int]:
 # -- slots: an int64 array when it fits, a term map when it does not -------
 
 class Slot:
-    """One polynomial in z travelling through a solver pipeline.
+    """One polynomial in y travelling through a solver pipeline.
 
     ``arr`` is a dense int64 array, every value below 2**62 in magnitude,
     indexed by exponent minus the low end (zeros allowed), or None for a
@@ -816,7 +858,7 @@ class Slot:
         return Polynomial._raw(ring, self.to_terms())
 
     def scale_exponents(self, j: int) -> "Slot":
-        """The slot at z -> z^j: every exponent times j.  The spread
+        """The slot at y -> y^j: every exponent times j.  The spread
         values stay an array only while they are dense enough for one."""
         nnz, top, (lo,), (hi,) = self.stats
         if j == 1 or self.is_zero or lo == hi == 0:

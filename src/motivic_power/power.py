@@ -13,7 +13,15 @@ same factorization viewed as a pair of mutually inverse isomorphisms.
 
 Implementation note: every solve folds its ring into one variable
 (:class:`gridops.Fold`), once, from its inputs' exponent hulls and the
-order, and unfolds its results at the end.
+order, and unfolds its results at the end.  The fold is a Kronecker
+substitution into z followed by y = z^g, g the gcd of the folded indices
+of the solve's inputs, so the solve runs on the lattice those inputs
+span.  At order 40, a surface with only even cohomology (q = 0, as K3)
+has e(X) on monomials u^p v^q with p + q even, and g = 2; a Hodge-Tate
+class, a polynomial in uv (P^2, the diamonds with q = p_g = 0), has
+g = 82, and its packed rows carry one digit where they carried 82.
+Generic inputs, such as the abelian surface's or any q = 1 diamond's,
+have g = 1.
 Factoring, and assembling unless the path below is cheaper, solve the
 logarithmic-derivative recurrence of the product,
 
@@ -228,7 +236,7 @@ def _digit_width(b: Sequence[Terms], order: int) -> int:
 
 def _euler_product(b: Sequence[Terms], order: int) -> gridops.Rows:
     """Coefficients f_0..f_N of prod_i (1-t^i)^{-b_i}, in one variable u
-    (a fold's z), one factor (1 - u^e t^i)^{-c} at a time, from i = N
+    (a fold's y), one factor (1 - u^e t^i)^{-c} at a time, from i = N
     down to i = 1.
 
     Each f_n is one Python integer of signed digits in base 2^W, W from

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import shlex
 import sys
 import time
@@ -14,7 +15,7 @@ from motivic_power.cli import MAX_LOCAL_DATA_BYTES, main
 from motivic_power.hilbert import LocalHilbertData
 from motivic_power.localdata import MOTIVIC_RING
 from motivic_power.power import EulerProduct
-from motivic_power.rings import Polynomial
+from motivic_power.rings import Polynomial, RingDescriptor
 from motivic_power.series import Series
 
 
@@ -475,6 +476,10 @@ class TestCostBound:
          "--specialize", "hodge", "--truncate", "200"],
         ["axioms", "--vars", "u", "v", "--truncate", "200", "--samples", "1"],
         ["axioms", "--samples", "100000"],
+        # 30 Laurent variables: law 5's product m*n of two 1,861-term
+        # polynomials took 5.8 s for one sample
+        ["axioms", "--vars", *("x%d" % i for i in range(30)), "--laurent",
+         "--truncate", "0"],
         ["oracle-check", "--max-points", "40", "--max-weight", "40"],
         ["oracle-check", "--max-weight", "1000000000", "--max-size", "0"],
         ["oracle-check", "--truncate", "60"],
@@ -616,6 +621,18 @@ class TestCostBound:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "larger than" in err
+
+    def test_axioms_price_law_five_product(self):
+        # m*n is priced per sample: it decides at 30 Laurent variables
+        # (above) and moves the estimate over u, v by under 1%
+        from motivic_power.cli import (SOLVE_OVERHEAD, SOLVES_PER_SAMPLE,
+                                       _axioms_cost, _solve_cost)
+        from motivic_power.expressions import Size
+        drawn = Size(6, math.log2(18), ((0, 2),) * 2, 0.0)
+        solves = 20 * SOLVES_PER_SAMPLE * (
+            SOLVE_OVERHEAD + _solve_cost(10, drawn, drawn))
+        got = _axioms_cost(RingDescriptor(("u", "v")), 10, 20)
+        assert solves < got < 1.01 * solves
 
     def test_local_data_moves_the_estimate(self, capsys, monkeypatch, tmp_path):
         L = Polynomial.variable(MOTIVIC_RING, "L")

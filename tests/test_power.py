@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -247,6 +248,31 @@ class TestPow:
             A = random_unital_series(rng, INTEGERS, 8, effective=True)
             m = Polynomial.constant(INTEGERS, rng.randint(0, 5))
             assert pow_series(A, m).is_effective()
+
+
+class TestConfigurationSpaces:
+    """sum_n [Conf_n X] t^n = (1+t)^[X], the unordered configuration
+    spaces of X, is one power of 1 + t."""
+
+    @staticmethod
+    def conf(X, order):
+        return pow_series(S(X.ring, order, [1, 1] + [0] * (order - 1)), X)
+
+    @pytest.mark.parametrize("order", [8, 40])
+    def test_points_on_the_affine_line(self, order):
+        # [Conf_n A^1] = L^n - L^(n-1) for n >= 2
+        L = Polynomial.variable(LAURENT_L, "L")
+        got = list(self.conf(L, order).coefficients)
+        assert got[:2] == [1, L]
+        assert got[2:] == [L ** n - L ** (n - 1) for n in range(2, order + 1)]
+
+    @pytest.mark.parametrize("order", [8, 40])
+    def test_points_on_the_plane_count_by_euler_characteristic(self, order):
+        # at L = 1 the class of Conf_n P^2 is chi = binom(3, n)
+        L = Polynomial.variable(LAURENT_L, "L")
+        got = self.conf(L ** 2 + L + 1, order).coefficients
+        assert [sum(p.terms.values()) for p in got] == \
+            [math.comb(3, n) for n in range(order + 1)]
 
 
 class TestAxiomSuite:
@@ -682,19 +708,59 @@ class TestProductRouting:
             folded(surface_exponents(wide, 40), 40, 2), 40)
 
     def test_sparse_exponents_stay_on_the_recurrence(self):
-        # 1 + u^5000: rows/rec alone would multiply out, into packed
-        # coefficients 5000 digits apart per step
-        b = [{(0,): 1, (5000,): 1}] + [{}] * 39
+        # 1 + u + u^5000, whose indices share no factor: rows/rec alone
+        # would multiply out, into packed coefficients 5000 digits apart
+        # per step
+        b = [{(0,): 1, (1,): 1, (5000,): 1}] + [{}] * 39
         assert not _multiplies_out(folded(b, 40), 40)
+
+    def test_a_shared_exponent_factor_folds_out(self):
+        # 1 + u^5000: every index is a multiple of g = 5000, so the solve
+        # runs in y = u^5000 on 1 + y, dense enough to multiply out
+        b = [{(0,): 1, (5000,): 1}] + [{}] * 39
+        fold = Fold.graded(1, 40, b)
+        assert fold.gcd == 5000
+        slots = [fold.slot(t) for t in b]
+        assert slots[0].to_terms() == {(0,): 1, (1,): 1}
+        assert _multiplies_out(slots, 40)
+        a = Polynomial(X_RING, b[0])
+        assert base_series(a, 40) == _monomial_base_exact(a, 40)
+
+    @staticmethod
+    def two_factors(e, d, order):
+        """(1 - x^e t)^(-1) (1 - x^d t^2)^(-1): t^n has x^(ek + dj) for
+        every k + 2j = n."""
+        return Series(X_RING, order, [
+            Polynomial(X_RING, {(e * k + d * ((n - k) // 2),): 1
+                                for k in range(n % 2, n + 1, 2)})
+            for n in range(order + 1)])
 
     @pytest.mark.parametrize("e", [1000, 100000])
     def test_wide_rows_stay_on_the_recurrence(self, monkeypatch, e):
-        # each b_i is one line, but the rows of x^e t and t^2 span up to
-        # n*e + 1 digits: 2e7 and more in all at order 200, past the cap
+        # each b_i is one line, but the rows of x^e t and x t^2, whose
+        # indices share no factor, span up to n*e + 1 digits: 2e7 and
+        # more in all at order 200, past the cap
         x = Polynomial.variable(X_RING, "x")
         monkeypatch.setattr(power, "_euler_product", lambda *args: pytest.fail(
             "the product ran"))
+        assert exp_map([x ** e, x], order=200) == self.two_factors(e, 1, 200)
+
+    @pytest.mark.parametrize("e", [1000, 100000])
+    def test_wide_rows_of_one_factor_take_the_product(self, monkeypatch, e):
+        # x^e t and t^2: every index is a multiple of e, so in y = x^e row
+        # f_n spans n + 1 digits, and the product runs
+        x = Polynomial.variable(X_RING, "x")
+        seen = []
+        real = power._euler_product
+
+        def recorded(b, order):
+            seen.append(b)
+            return real(b, order)
+
+        monkeypatch.setattr(power, "_euler_product", recorded)
         got = exp_map([x ** e, 1], order=200)
+        assert seen and seen[0][0] == {(1,): 1}
+        assert got == self.two_factors(e, 0, 200)
         monkeypatch.setattr(power, "_multiplies_out", lambda b, order: False)
         assert got == exp_map([x ** e, 1], order=200)
 

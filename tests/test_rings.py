@@ -282,7 +282,8 @@ class TestProductRoute:
         assert folds
 
     def test_sparse_wide_products_stay_in_dicts(self, monkeypatch):
-        # 300 terms 8,000 apart: the term counts admit a line, but 300
+        # 300 terms 8,000 apart, the last one step further so that the
+        # indices share no factor: the term counts admit a line, but 300
         # slice-adds of a 2.4e6-cell line (or a convolution) would cost far
         # more than the 9e4 term products in dicts
         from motivic_power import gridops
@@ -290,11 +291,29 @@ class TestProductRoute:
         def refuse(*args):
             raise AssertionError("a sparse wide product took a line")
         x = Polynomial.variable(RingDescriptor(("x",)), "x")
-        p = Polynomial(x.ring, {(8000 * i,): i % 7 - 3 or 1
+        p = Polynomial(x.ring, {(8000 * i + (i == 299),): i % 7 - 3 or 1
                                 for i in range(300)})
         assert gridops._product_lined(300, 300)
         monkeypatch.setattr(gridops, "_sum_lines", refuse)
         assert (p * p).terms == self.dict_product(p, p)
+
+    def test_products_with_a_shared_exponent_factor_take_the_line(
+            self, monkeypatch):
+        # 300 terms exactly 8,000 apart: the fold divides every index by
+        # g = 8000, so the product is dense on a 599-cell line in x^8000
+        from motivic_power import gridops
+        lines = []
+        real = gridops._sum_lines
+
+        def counted(*args):
+            lines.append(args)
+            return real(*args)
+        monkeypatch.setattr(gridops, "_sum_lines", counted)
+        x = Polynomial.variable(RingDescriptor(("x",)), "x")
+        p = Polynomial(x.ring, {(8000 * i,): i % 7 - 3 or 1
+                                for i in range(300)})
+        assert (p * p).terms == self.dict_product(p, p)
+        assert len(lines) == 1
 
     def test_dense_products_take_the_line(self, monkeypatch):
         from motivic_power import gridops
