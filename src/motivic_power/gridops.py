@@ -10,10 +10,12 @@ for a polynomial in uv at order 40.  Every polynomial of the solve is a
 :class:`Slot` in y: a dense int64 array when
 it is dense enough for one (:func:`_lined`) and its coefficients are
 below 2**62 in magnitude, a term map otherwise.  :class:`SlotAccumulator`
-computes each sum on one of four exact routes, chosen from its density
-and the bound B = sum over pairs of min(nnz(a), nnz(b)) * max|a| * max|b|
-plus sum over scaled slots of |k| * max|s|, which no coefficient of the
-sum can exceed in magnitude:
+holds each sum as one list of pairs a*b; a scaled slot k*s is the pair
+of a shared one-term slot k and s, priced and summed like any other.
+It computes the sum on one of four exact routes, chosen from its
+density and the bound B = sum over pairs of min(nnz(a), nnz(b)) *
+max|a| * max|b| (|k| * max|s| for a scaled slot), which no coefficient
+of the sum can exceed in magnitude:
 
 * **term maps** when the sum's term products, at ``_TERM_CELLS`` cells
   each, cost less than the work of its line (:func:`_line_steps`), as
@@ -27,12 +29,12 @@ sum can exceed in magnitude:
   before its first element, in convolution cells.
 * **int64 limbs** when B >= 2**62 and :func:`_limb_plan` finds a plan:
   with N the share of B from each product's narrow side (the operand
-  with the smaller max |c|, or a scaled slot's multiplier), every wide
-  operand is split into signed limbs of W = 61 - bitlen(N) bits
-  (``Slot.limbs``), so that each limb's sum is an int64 line sum below
-  2**61, and the sums T_j are recombined once as sum_j T_j 2^(W j).  A
-  sum needing more than ``_MAX_LIMBS`` limbs, or whose line is shorter
-  than ``_LIMB_CELLS``, packs instead.
+  with the smaller max |c|, for a scaled slot k or s, whichever is
+  smaller), every wide operand is split into signed limbs of
+  W = 61 - bitlen(N) bits (``Slot.limbs``), so that each limb's sum is
+  an int64 line sum below 2**61, and the sums T_j are recombined once
+  as sum_j T_j 2^(W j).  A sum needing more than ``_MAX_LIMBS`` limbs,
+  or whose line is shorter than ``_LIMB_CELLS``, packs instead.
 * **packed integers** otherwise: y -> 2^W makes each slot one Python
   integer, W the bit length of B plus a sign bit, and the sum is added
   as integers and unpacked once; a pair whose sparser operand fills at
@@ -53,7 +55,7 @@ then priced and routed like any other; it multiplies in dicts
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, prod
 from operator import add, itemgetter, mul
@@ -95,7 +97,7 @@ Terms = Dict[Exps, int]
 
 def _lined(nnz: int, span: int, ops: int = 0) -> bool:
     """Whether a line of ``span`` cells and ``ops`` numpy calls (one per
-    pair or scaled slot of a sum, none for a slot) costs no more than
+    pair of a sum, none for a slot) costs no more than
     ``nnz`` term products (of a sum) or terms (of a slot) in Python, and
     is at most ``_MAX_LINE`` cells long, however dense."""
     return span <= _MAX_LINE and span + ops * _SLICE_CELLS <= _TERM_CELLS * nnz
@@ -447,26 +449,25 @@ def _by_terms(a: "Slot", b: "Slot", lines: bool):
     return a, b, lo_a + lo_b, by_terms <= convolved, min(by_terms, convolved)
 
 
-def _line_steps(pairs, scaled, products: int, span: int):
+def _line_steps(pairs, products: int, span: int):
     """The pairs as :func:`_by_terms` gives them on lines, or None when
     the sum's ``products`` term products, at ``_TERM_CELLS`` each, cost
-    less in dicts than its line: the ``span``, each pair's cost and each
-    scaled slot's length and slice-add.  :func:`_lined` bounds that from
-    below (each pair costs a slice-add or more), so it runs first."""
-    if not _lined(products, span, len(pairs) + len(scaled)):
+    less in dicts than its line: the ``span`` and each pair's cost.
+    :func:`_lined` bounds that from below (each pair costs a slice-add or
+    more), so it runs first."""
+    if not _lined(products, span, len(pairs)):
         return None
     steps = [_by_terms(a, b, True) for a, b in pairs]
-    cells = span + sum(map(itemgetter(4), steps)) + sum(
-        s.stats[3][0] - s.stats[2][0] + 1 + _SLICE_CELLS for _, s in scaled)
+    cells = span + sum(map(itemgetter(4), steps))
     return steps if cells <= _TERM_CELLS * products else None
 
 
-def _sum_lines(steps, scaled, lo: int, hi: int) -> "Slot":
+def _sum_lines(steps, lo: int, hi: int) -> "Slot":
     """Exact sum on one int64 line over the indices lo..hi of the pairs,
-    as :func:`_by_terms` gives them on lines (``steps``), and the scaled
-    slots.  Each pair is convolved, or its sparser operand applied term
-    by term as shifted multiples of the other line.  The caller's exact
-    bound must be below 2**62, so no partial sum can overflow."""
+    as :func:`_by_terms` gives them on lines (``steps``).  Each pair is
+    convolved, or its sparser operand applied term by term as shifted
+    multiples of the other line.  The caller's exact bound must be below
+    2**62, so no partial sum can overflow."""
     total = np.zeros(hi - lo + 1, dtype=np.int64)
     for a, b, at, by_terms, _ in steps:
         at -= lo
@@ -476,8 +477,6 @@ def _sum_lines(steps, scaled, lo: int, hi: int) -> "Slot":
                 _add_line(total, at + k, line, c)
         else:
             _add_line(total, at, _conv_arrays(a.line(), line), 1)
-    for k, s in scaled:
-        _add_line(total, s.stats[2][0] - lo, s.line(), k)
     return Slot(arr=total, lo=lo)
 
 
@@ -505,13 +504,12 @@ _MAX_LIMBS = 4
 _LIMB_CELLS = 400
 
 
-def _limb_plan(pairs, scaled, cells: int) -> Optional[Tuple[int, int]]:
+def _limb_plan(pairs, cells: int) -> Optional[Tuple[int, int]]:
     """The limb width W and limb count of the limb route for a sum over
     ``cells`` indices, or None when it should pack.
 
-    The narrow side of a pair is its operand with the smaller max |c|, of
-    a scaled slot its multiplier k.  With N = sum over pairs of
-    min(nnz_a, nnz_b) * max|narrow| plus sum over scaled slots of |k|,
+    The narrow side of a pair is its operand with the smaller max |c|:
+    for a scaled slot k*s, whichever of |k| and max|s| is smaller.  With N = sum over pairs of min(nnz_a, nnz_b) * max|narrow|,
     limbs of W = 61 - bitlen(N) bits keep every limb sum below
     N * 2^W < 2^61; the count covers the widest wide side.
     """
@@ -526,10 +524,6 @@ def _limb_plan(pairs, scaled, cells: int) -> Optional[Tuple[int, int]]:
         narrow += (na if na < nb else nb) * ma
         if mb > wide:
             wide = mb
-    for k, s in scaled:
-        narrow += abs(k)
-        if s.stats[1] > wide:
-            wide = s.stats[1]
     width = 61 - narrow.bit_length()
     if width < 1:
         return None
@@ -571,20 +565,16 @@ def _split(slot: "Slot", width: int, count: int) -> List["Slot"]:
     return out
 
 
-def _limb_sum(pairs, scaled, lo: int, hi: int, width: int,
-              count: int) -> "Slot":
-    """Exact sum of the pair products and scaled slots on the limb plan
-    (W, count) of :func:`_limb_plan`: one :func:`_sum_lines` pass T_j per
-    limb j of the wide sides, recombined once as sum_j T_j 2^(W j)."""
+def _limb_sum(pairs, lo: int, hi: int, width: int, count: int) -> "Slot":
+    """Exact sum of the pair products on the limb plan (W, count) of
+    :func:`_limb_plan`: one :func:`_sum_lines` pass T_j per limb j of the
+    wide sides, recombined once as sum_j T_j 2^(W j)."""
     narrow = [(a, b.limbs(width, count)) if a.stats[1] <= b.stats[1]
               else (b, a.limbs(width, count)) for a, b in pairs]
-    scales = [(k, s.limbs(width, count)) for k, s in scaled]
     total = 0
     for j in range(count):
         part = _sum_lines([_by_terms(a, w[j], True) for a, w in narrow
-                           if not w[j].is_zero],
-                          [(k, w[j]) for k, w in scales if not w[j].is_zero],
-                          lo, hi)
+                           if not w[j].is_zero], lo, hi)
         if part.is_zero:
             continue
         part = part.arr.astype(object)
@@ -600,14 +590,12 @@ def _limb_sum(pairs, scaled, lo: int, hi: int, width: int,
 
 # -- term-map route: dict sums -------------------------------------------
 
-def _sum_terms(pairs, scaled) -> "Slot":
-    """Exact sum of the pair products and scaled slots, term by term,
-    wrapped (:meth:`Slot.wrap`) so a dense one keeps its line once built."""
+def _sum_terms(pairs) -> "Slot":
+    """Exact sum of the pair products, term by term, wrapped
+    (:meth:`Slot.wrap`) so a dense one keeps its line once built."""
     acc: Terms = {}
     for a, b in pairs:
         _accumulate_product(acc, a.to_terms(), b.to_terms(), 1)
-    for k, s in scaled:
-        _accumulate_product(acc, {(0,): k}, s.to_terms(), 1)
     return Slot.wrap({e: c for e, c in acc.items() if c})
 
 
@@ -691,21 +679,21 @@ def _unpack(rows: Sequence[Tuple[int, int, int]], width: int) -> Rows:
     return Rows(ks, cs, np.searchsorted(at, starts).tolist())
 
 
-def _packed_sum(pairs, scaled, bound: int) -> Terms:
-    """Exact sum of the pair products and scaled slots on packed integers.
+def _packed_sum(pairs, bound: int) -> Terms:
+    """Exact sum of the pair products on packed integers.
 
     ``bound`` must be the exact bound B of the sum; the digit width is
     its bit length plus a sign bit, in whole bytes.  Each pair is either
     one integer multiply or, by :func:`_by_terms`, applied term by term.
     """
-    origin, top = _corners(pairs, scaled)
+    origin, top = _corners(pairs)
     width = max(_MIN_WIDTH, (bound.bit_length() + 1 + 7) // 8 * 8)
     acc = 0
     for a, b in pairs:
         a, b, at, by_terms, _ = _by_terms(a, b, False)
         at -= origin
         if by_terms:
-            packed = b.packed(width)
+            packed = _pack(b, width)
             for k, c in a.spread():
                 if c == 1:
                     acc += packed << (width * (k + at))
@@ -714,9 +702,7 @@ def _packed_sum(pairs, scaled, bound: int) -> Terms:
                 else:
                     acc += (packed * c) << (width * (k + at))
         else:
-            acc += (a.packed(width) * b.packed(width)) << (width * at)
-    for k, s in scaled:
-        acc += (s.packed(width) * k) << (width * (s.stats[2][0] - origin))
+            acc += (_pack(a, width) * _pack(b, width)) << (width * at)
     ks, cs, _ = _unpack([(acc, top - origin + 1, origin)], width)
     return dict(zip(zip(ks.tolist()), cs))
 
@@ -727,10 +713,10 @@ def _packed_sum(pairs, scaled, bound: int) -> Terms:
 _conv_limbs = _packed_sum
 
 
-def _corners(pairs, scaled) -> Tuple[int, int]:
-    """Lowest and highest index of a sum of products and scaled slots."""
+def _corners(pairs) -> Tuple[int, int]:
+    """Lowest and highest index of a sum of products."""
     ends = [(a.stats[2][0] + b.stats[2][0], a.stats[3][0] + b.stats[3][0])
-            for a, b in pairs] + [(s.stats[2][0], s.stats[3][0]) for _, s in scaled]
+            for a, b in pairs]
     return min(e[0] for e in ends), max(e[1] for e in ends)
 
 
@@ -750,8 +736,7 @@ class Slot:
     range, or the term map's exact hull.
     """
 
-    __slots__ = ("lined", "terms", "stats", "_arr", "_packed", "_limbs",
-                 "_spread")
+    __slots__ = ("lined", "terms", "stats", "_arr", "_limbs", "_spread")
 
     def __init__(self, terms: Optional[Terms] = None,
                  arr: Optional[np.ndarray] = None, lo: int = 0,
@@ -770,7 +755,6 @@ class Slot:
                           min(terms), max(terms))
         else:
             self.stats = (0, 0, (0,), (0,))
-        self._packed = None
         self._limbs = None
         self._spread = None
 
@@ -814,13 +798,6 @@ class Slot:
         if self.lined:
             self._arr = line
         return line
-
-    def packed(self, width: int) -> int:
-        """The slot as one integer at this digit width (cached)."""
-        p = self._packed
-        if p is None or p[0] != width:
-            p = self._packed = (width, _pack(self, width))
-        return p[1]
 
     def limbs(self, width: int, count: int) -> List["Slot"]:
         """The slot as ``count`` signed limbs of ``width`` bits (cached)."""
@@ -886,19 +863,26 @@ class Slot:
                     stats=stats)
 
 
-class SlotAccumulator:
-    """Sum of products of slot pairs and of scaled slots, computed on one
-    route when read (see the module docstring): term maps, an int64
-    line, int64 limbs of the wide sides, or packed integers.
+@lru_cache(maxsize=None)
+def _one_term(k: int) -> Slot:
+    """The constant slot k, shared by every scaled entry k*s: the
+    multipliers are step indices, so there are few of them."""
+    return Slot.wrap({(0,): k} if k else {})
 
-    ``add_pair(a, b)`` records a*b and ``add(k, s)`` records k*s; each
-    only adds its share of the exact bound B and of the count of term
-    products.  Scaled slots are never convolved.
+
+class SlotAccumulator:
+    """Sum of products of slot pairs, computed on one route when read
+    (see the module docstring): term maps, an int64 line, int64 limbs of
+    the wide sides, or packed integers.
+
+    ``add_pair(a, b)`` records a*b, unless a or b is zero, and adds only
+    its share of the exact bound B and of the count of term products.
+    ``add(k, s)`` records k*s as the pair of the shared constant slot k
+    (:func:`_one_term`) and s.
     """
 
     def __init__(self):
         self.pairs: List[Tuple[Slot, Slot]] = []
-        self.scaled: List[Tuple[int, Slot]] = []
         self.bound = 0
         self.products = 0
 
@@ -912,25 +896,22 @@ class SlotAccumulator:
         self.pairs.append((a, b))
 
     def add(self, k: int, s: Slot):
-        if k and not s.is_zero:
-            self.bound += abs(k) * s.stats[1]
-            self.products += s.stats[0]
-            self.scaled.append((k, s))
+        self.add_pair(_one_term(k), s)
 
     def result(self) -> Slot:
-        pairs, scaled = self.pairs, self.scaled
-        if not pairs and not scaled:
+        pairs = self.pairs
+        if not pairs:
             return Slot.zero()
-        lo, hi = _corners(pairs, scaled)
-        steps = _line_steps(pairs, scaled, self.products, hi - lo + 1)
+        lo, hi = _corners(pairs)
+        steps = _line_steps(pairs, self.products, hi - lo + 1)
         if steps is None:
-            return _sum_terms(pairs, scaled)
+            return _sum_terms(pairs)
         if self.bound < _INT64_LIMIT:
-            return _sum_lines(steps, scaled, lo, hi)
-        plan = _limb_plan(pairs, scaled, hi - lo + 1)
+            return _sum_lines(steps, lo, hi)
+        plan = _limb_plan(pairs, hi - lo + 1)
         if plan is not None:
-            return _limb_sum(pairs, scaled, lo, hi, *plan)
-        return Slot.wrap(_packed_sum(pairs, scaled, self.bound))
+            return _limb_sum(pairs, lo, hi, *plan)
+        return Slot.wrap(_packed_sum(pairs, self.bound))
 
 
 def slot_product(a: Slot, b: Slot) -> Slot:

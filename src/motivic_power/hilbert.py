@@ -20,7 +20,8 @@ Euler exponents and assembles them with the exponent e_X.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from collections.abc import Mapping
+from typing import Dict, List, Optional
 
 from . import localdata
 from .localdata import MOTIVIC_RING
@@ -138,9 +139,9 @@ def _bundled_series(dimension: int, order: int) -> Series:
     must agree with the bundled file, which was generated from the
     partition-sum oracle.
     """
-    L = Polynomial.variable(MOTIVIC_RING, "L")
     exponents = ([1] + [0] * order if dimension == 1 else
-                 [L ** (k - 1) for k in range(1, order + 1)])[:order]
+                 [Polynomial.monomial(MOTIVIC_RING, (k - 1,))
+                  for k in range(1, order + 1)])[:order]
     product = EulerProduct(MOTIVIC_RING, order, exponents)
     series = assemble(product)
     if dimension == 2:

@@ -325,8 +325,7 @@ def _solve_forward(b: List[Slot], order: int) -> List[Slot]:
             [(i, b[i - 1].scale_exponents(n // i)) for i in divisors[n]]))
         acc = gridops.SlotAccumulator()
         for m in range(1, n + 1):
-            if not g[m].is_zero:
-                acc.add_pair(g[m], f[n - m])
+            acc.add_pair(g[m], f[n - m])
         f.append(acc.result().divide_exact(n))
     return f
 
@@ -344,8 +343,7 @@ def _solve_reverse(neg: List[Slot], order: int) -> List[Slot]:
     for n in range(1, order + 1):
         acc = gridops.SlotAccumulator()
         for m in range(1, n):
-            if not g[m].is_zero:
-                acc.add_pair(g[m], neg[n - m])
+            acc.add_pair(g[m], neg[n - m])
         acc.add(-n, neg[n])
         g.append(acc.result())
         pieces = [(1, g[n])]

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterable, Tuple
 
 from .gridops import Fold, _accumulate_product, _product_lined, slot_product
 

@@ -109,8 +109,7 @@ class Series(_Frozen):
         for k in range(self.order + 1):
             acc = SlotAccumulator()
             for i in range(k + 1):
-                if not a[i].is_zero and not b[k - i].is_zero:
-                    acc.add_pair(a[i], b[k - i])
+                acc.add_pair(a[i], b[k - i])
             out.append(acc.result())
         return Series._raw(ring, self.order, fold.polynomials(ring, out))
 

@@ -35,7 +35,7 @@ def exact_conv_terms(a, b):
         return {}
     assert a.arr is not None and b.arr is not None
     (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
-    return _packed_sum([(a, b)], [], min(na, nb) * ma * mb)
+    return _packed_sum([(a, b)], min(na, nb) * ma * mb)
 
 
 def random_terms(rng, ring, bound, degree=3):
@@ -252,3 +252,22 @@ def test_zero_and_unit_slots():
         assert Slot.zero().is_zero
         one = Slot.one()
         assert one.to_terms() == fold({(0,) * ring.nvars: 1}, ring.nvars)
+
+
+def test_scaled_slots_share_one_term_slots():
+    # k*s enters as the pair (k, s), and every k*s with the same k, in any
+    # accumulator, has the same one-term slot k
+    a, b = Slot.wrap({(0,): 1, (2,): -4}), Slot.wrap({(1,): 5})
+    acc = SlotAccumulator()
+    acc.add(3, a)
+    acc.add(3, b)
+    acc.add(-3, a)
+    acc.add(0, b)
+    (k1, s1), (k2, s2), (k3, s3) = acc.pairs
+    assert (s1, s2, s3) == (a, b, a)
+    assert k1 is k2 and k3 is not k1
+    assert k1.to_terms() == {(0,): 3} and k3.to_terms() == {(0,): -3}
+    other = SlotAccumulator()
+    other.add(3, b)
+    assert other.pairs[0][0] is k1
+    assert acc.result().to_terms() == {(1,): 15}

@@ -14,6 +14,7 @@ divisions.  Inputs in several variables are folded into one
 (``conftest.fold``) before they reach slots.
 """
 
+import random
 from contextlib import contextmanager
 from itertools import product
 
@@ -118,7 +119,7 @@ def recording(name, record):
 
 def packed_sums():
     """The exact bound of every sum that runs on packed integers."""
-    return recording("_packed_sum", lambda pairs, scaled, bound: bound)
+    return recording("_packed_sum", lambda pairs, bound: bound)
 
 
 def limb_sums():
@@ -134,18 +135,17 @@ def convolutions():
 def line_sum_bounds():
     """The exact bound of every int64 line sum (the limb route makes one
     per nonzero limb), from its pairs as ``_by_terms`` gives them."""
-    def bound(steps, scaled, lo, hi):
-        return (sum(min(a.stats[0], b.stats[0]) * a.stats[1] * b.stats[1]
-                    for a, b, *_ in steps)
-                + sum(abs(k) * s.stats[1] for k, s in scaled))
+    def bound(steps, lo, hi):
+        return sum(min(a.stats[0], b.stats[0]) * a.stats[1] * b.stats[1]
+                   for a, b, *_ in steps)
     return recording("_sum_lines", bound)
 
 
 def big_route(acc):
     """The route of a lined sum whose exact bound reaches 2^62: int64
     limbs when the limb plan finds a width and count, else packed."""
-    lo, hi = _corners(acc.pairs, acc.scaled)
-    plan = _limb_plan(acc.pairs, acc.scaled, hi - lo + 1)
+    lo, hi = _corners(acc.pairs)
+    plan = _limb_plan(acc.pairs, hi - lo + 1)
     return "packed" if plan is None else "limbs"
 
 
@@ -165,7 +165,7 @@ def test_sum_of_products_matches_dict(data):
     # the packed route itself, whatever the size of the values
     live = [(a, b) for a, b in slots if not a.is_zero and not b.is_zero]
     if live:
-        assert _packed_sum(live, [], acc.bound) == want
+        assert _packed_sum(live, acc.bound) == want
     # an array exactly when the terms are small and dense enough for one
     for s in (s for pair in slots for s in pair if not s.is_zero):
         nnz, top, (lo,), (hi,) = s.stats
@@ -189,7 +189,7 @@ def test_exact_conv_of_grids_matches_dict(data):
     else:
         assert a.arr is not None and b.arr is not None
         (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
-        assert _packed_sum([(a, b)], [], min(na, nb) * ma * mb) == want
+        assert _packed_sum([(a, b)], min(na, nb) * ma * mb) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +208,7 @@ def test_frobenius_spread_operand_matches_dict(data):
     if not a.is_zero and not b.is_zero:
         na, ma, _, _ = a.stats
         nb, mb, _, _ = b.stats
-        assert _packed_sum([(a, b)], [], min(na, nb) * ma * mb) == want
+        assert _packed_sum([(a, b)], min(na, nb) * ma * mb) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -250,8 +250,7 @@ def test_frobenius_spread_pairs_on_lines_match_dict(data):
     if acc.pairs:
         lo = min(a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs)
         hi = max(a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs)
-        lined = _line_steps(acc.pairs, [], acc.products,
-                            hi - lo + 1) is not None
+        lined = _line_steps(acc.pairs, acc.products, hi - lo + 1) is not None
         big = lined and acc.bound >= 2 ** 62
         assert len(limbs) == (big and big_route(acc) == "limbs")
         assert len(packed) == (big and big_route(acc) == "packed")
@@ -350,14 +349,11 @@ def test_pairs_and_scaled_slots_match_dict(data):
     with packed_sums() as packed, limb_sums() as limbs:
         got = acc.result()
     assert got.to_terms() == want
-    operands = [s for pair in acc.pairs for s in pair]
-    operands += [s for _, s in acc.scaled]
+    # a scaled slot k*s is the pair of the one-term slot k and s
     ends = [a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs]
     ends += [a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs]
-    ends += [s.stats[i][0] for _, s in acc.scaled for i in (2, 3)]
-    lined = bool(operands) and _line_steps(
-        acc.pairs, acc.scaled, acc.products,
-        max(ends) - min(ends) + 1) is not None
+    lined = bool(acc.pairs) and _line_steps(
+        acc.pairs, acc.products, max(ends) - min(ends) + 1) is not None
     big = lined and acc.bound >= 2 ** 62
     assert len(limbs) == (big and big_route(acc) == "limbs")
     assert len(packed) == (big and big_route(acc) == "packed")
@@ -365,7 +361,80 @@ def test_pairs_and_scaled_slots_match_dict(data):
         assert all(abs(c) < 2 ** 62 for c in got.to_terms().values())
     if acc.bound:
         # the packed route itself, whatever the size of the values
-        assert _packed_sum(acc.pairs, acc.scaled, acc.bound) == want
+        assert _packed_sum(acc.pairs, acc.bound) == want
+
+
+# per route, the scaled sums that take it: (term count of each slot, bit
+# lengths of its values, bit lengths of the multipliers).  Few terms
+# make a dict sum; 30-60 dense cells a line, an int64 one while every
+# |k| * max|s| is small, else packed (shorter than _LIMB_CELLS); 400 or
+# more cells with one side past 2^62 and the other below 2^21, limbs
+SCALED_ROUTES = {
+    "_sum_terms": ((1, 4), (1, 70), (0, 70)),
+    "_sum_lines": ((30, 60), (1, 20), (1, 10)),
+    "_limb_sum": ((400, 440), (1, 20), (63, 130)),
+    "_packed_sum": ((30, 60), (1, 20), (63, 300)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SCALED_ROUTES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scaled_slots_match_dict_on_every_route(route, data):
+    # sums of scaled slots k*s alone, as slot_linear and the recurrences'
+    # n f_n make them, with k of either sign; the first entry's k is the
+    # wide side on the limb and packed routes (|k| > max|s|, past 2^62),
+    # later entries there may have it the other way round
+    (least, most), value_bits, k_bits = SCALED_ROUTES[route]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+
+    def value(bits, sign=0):
+        """A value of this bit length and sign, of a random sign if 0."""
+        if not bits:
+            return 0
+        sign = sign or rng.choice((1, -1))
+        return sign * ((1 << (bits - 1)) + rng.getrandbits(bits - 1))
+
+    entries = []
+    for i in range(data.draw(st.integers(1, 3))):
+        cells = data.draw(st.integers(least, most))
+        bits, kbits = value_bits, k_bits
+        if route in ("_limb_sum", "_packed_sum") and i and data.draw(
+                st.booleans()):
+            bits, kbits = k_bits, value_bits  # the wide side is s
+        top = data.draw(st.integers(*bits))
+        lo = data.draw(st.integers(-20, 20))
+        terms = {(lo + j,): value(rng.randint(1, top)) for j in range(cells)}
+        terms[(lo,)] = value(top)
+        k = value(data.draw(st.integers(*kbits)),
+                  data.draw(st.sampled_from([1, -1])))
+        entries.append((k, Slot.wrap(terms)))
+    want = {}
+    for k, s in entries:
+        for e, c in s.to_terms().items():
+            want[e] = want.get(e, 0) + k * c
+    want = {e: c for e, c in want.items() if c}
+    acc = SlotAccumulator()
+    for k, s in entries:
+        acc.add(k, s)
+    with recording(route, lambda *args: True) as taken, \
+            line_sum_bounds() as passes:
+        got = acc.result()
+    assert got.to_terms() == want
+    # k = 0 enters nothing, on its own or not
+    assert len(acc.pairs) == sum(1 for k, _ in entries if k)
+    assert len(taken) == bool(acc.pairs)
+    assert slot_linear(entries).to_terms() == want
+    if route == "_limb_sum":
+        # the narrow side of k*s is whichever of k and s is smaller
+        narrow = sum(min(abs(k), s.stats[1]) for k, s in entries)
+        lo, hi = _corners(acc.pairs)
+        assert _limb_plan(acc.pairs, hi - lo + 1)[0] == \
+            61 - narrow.bit_length()
+        assert abs(entries[0][0]) > entries[0][1].stats[1]
+        assert passes and all(bound < 2 ** 61 for bound in passes)
+    if route == "_packed_sum":
+        assert abs(entries[0][0]) >= 2 ** 62
 
 
 @pytest.mark.parametrize("top,extra,route", [(2 ** 31, 20, "packed"),
@@ -415,10 +484,11 @@ def test_sparse_operand_is_applied_term_by_term(route):
         a = Slot.wrap(ta).scale_exponents(5)
         b = Slot.wrap(tb)
         spread = {tuple(x * 5 for x in k): c for k, c in ta.items()}
-        with convolutions() as convolved, packed_sums() as packed:
+        with convolutions() as convolved, packed_sums() as packed, \
+                recording("_pack", lambda slot, width: slot) as packs:
             got = slot_product(a, b).to_terms()
         assert got == dict_sum([(spread, tb)], 1)
-        assert a._spread is not None and a._packed is None
+        assert a._spread is not None and all(s is not a for s in packs)
         assert convolved == [] and len(packed) == (route == "packed")
 
 
@@ -450,10 +520,11 @@ def test_digit_width_grows_mid_solve():
     s = Slot.wrap({(0,): 2 ** 70, (2,): -5})
     small = Slot.wrap({(k,): 1 + k % 3 for k in range(20)})
     huge = Slot.wrap({(0,): 2 ** 300, **{(k,): (-1) ** k for k in range(1, 20)}})
-    first = slot_product(s, small).to_terms()
-    width = s._packed[0]
-    second = slot_product(s, huge).to_terms()
-    assert s._packed[0] > width
+    with recording("_pack", lambda slot, width: (slot, width)) as packs:
+        first = slot_product(s, small).to_terms()
+        second = slot_product(s, huge).to_terms()
+    widths = [width for slot, width in packs if slot is s]
+    assert len(widths) == 2 and widths[1] > widths[0]
     ts = s.to_terms()
     assert first == dict_sum([(ts, small.to_terms())], 1)
     assert second == dict_sum([(ts, huge.to_terms())], 1)
@@ -621,19 +692,21 @@ def test_limb_route_matches_dict(data):
                           nvars, 20))
     pairs = [(Slot.wrap(ta), Slot.wrap(tb)) for ta, tb in zip(narrows, wides)]
     scaled = [(k, Slot.wrap(t)) for k, t in zip(ks, wides[npairs:])]
+    # a scaled slot k*s enters the routes as the pair (k, s), k narrow
+    entries = pairs + [(gridops._one_term(k), s) for k, s in scaled]
     want = dict_sum(list(zip(narrows, wides)), 1)
     for k, t in zip(ks, wides[npairs:]):
         for e, c in t.items():
             want[e] = want.get(e, 0) + k * c
     want = {e: c for e, c in want.items() if c}
-    lo, hi = _corners(pairs, scaled)
-    plan = _limb_plan(pairs, scaled, gridops._LIMB_CELLS)
+    lo, hi = _corners(entries)
+    plan = _limb_plan(entries, gridops._LIMB_CELLS)
     used = -(-max(s.stats[1] for s in [b for _, b in pairs]
                   + [s for _, s in scaled]).bit_length() // width)
     assert plan == ((width, used) if used <= gridops._MAX_LIMBS else None)
     # the limb sum itself at the plan's width, whatever the count
     with line_sum_bounds() as passes:
-        got = gridops._limb_sum(pairs, scaled, lo, hi, width, used)
+        got = gridops._limb_sum(entries, lo, hi, width, used)
     assert got.to_terms() == want
     assert passes and all(bound < 2 ** 61 for bound in passes)
     for s in [b for _, b in pairs] + [s for _, s in scaled]:
@@ -653,7 +726,7 @@ def test_limb_route_matches_dict(data):
     if limbs:
         assert all(bound < 2 ** 61 for bound in passes)
     big = (acc.bound >= 2 ** 62 and _line_steps(
-        acc.pairs, acc.scaled, acc.products, hi - lo + 1) is not None)
+        acc.pairs, acc.products, hi - lo + 1) is not None)
     assert len(limbs) == (big and big_route(acc) == "limbs")
     assert len(packed) == (big and big_route(acc) == "packed")
 
@@ -663,8 +736,8 @@ def test_limb_plan_takes_the_smaller_side_as_narrow():
     # position: N = 1 gives W = 60, and one limb covers the other's 2
     a, b = Slot.wrap({(0,): 2}), Slot.wrap({(0,): 1})
     cells = gridops._LIMB_CELLS
-    assert _limb_plan([(a, b)], [], cells) == (60, 1)
-    assert _limb_plan([(b, a)], [], cells) == (60, 1)
+    assert _limb_plan([(a, b)], cells) == (60, 1)
+    assert _limb_plan([(b, a)], cells) == (60, 1)
 
 
 def test_limb_sum_of_cancelling_pairs_is_zero():
