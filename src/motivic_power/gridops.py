@@ -7,15 +7,15 @@ into one variable once (:class:`Fold`): a Kronecker substitution into z,
 then z^g -> y, g the gcd of the indices of the solve's inputs, which is
 1 for generic inputs, 2 for the even classes such as K3's e(X) and 82
 for a polynomial in uv at order 40.  Every polynomial of the solve is a
-:class:`Slot` in y: a dense int64 array when
-it is dense enough for one (:func:`_lined`) and its coefficients are
-below 2**62 in magnitude, a term map otherwise.  :class:`SlotAccumulator`
-holds each sum as one list of pairs a*b; a scaled slot k*s is the pair
-of a shared one-term slot k and s, priced and summed like any other.
-It computes the sum on one of four exact routes, chosen from its
-density and the bound B = sum over pairs of min(nnz(a), nnz(b)) *
-max|a| * max|b| (|k| * max|s| for a scaled slot), which no coefficient
-of the sum can exceed in magnitude:
+:class:`Slot` in y, indexed by plain ints: a dense int64 array when it
+is dense enough for one (:func:`_lined`) and its coefficients are below
+2**62 in magnitude, a term map {index: coefficient} otherwise.
+:class:`SlotAccumulator` holds each sum as one list of pairs a*b (a
+scaled slot k*s is the pair of the shared one-term slot k and s, so
+every rule below covers it as a pair).  It computes the sum on one of
+four exact routes, chosen from its density and the bound B = sum over
+pairs of min(nnz(a), nnz(b)) * max|a| * max|b|, which no coefficient of
+the sum can exceed in magnitude:
 
 * **term maps** when the sum's term products, at ``_TERM_CELLS`` cells
   each, cost less than the work of its line (:func:`_line_steps`), as
@@ -29,11 +29,10 @@ of the sum can exceed in magnitude:
   before its first element, in convolution cells.
 * **int64 limbs** when B >= 2**62 and :func:`_limb_plan` finds a plan:
   with N the share of B from each product's narrow side (the operand
-  with the smaller max |c|, for a scaled slot k or s, whichever is
-  smaller), every wide operand is split into signed limbs of
-  W = 61 - bitlen(N) bits (``Slot.limbs``), so that each limb's sum is
-  an int64 line sum below 2**61, and the sums T_j are recombined once
-  as sum_j T_j 2^(W j).  A sum needing more than ``_MAX_LIMBS`` limbs,
+  with the smaller max |c|), every wide operand is split into signed
+  limbs of W = 61 - bitlen(N) bits (``Slot.limbs``), so that each limb's
+  sum is an int64 line sum below 2**61, and the sums T_j are recombined
+  once as sum_j T_j 2^(W j).  A sum needing more than ``_MAX_LIMBS`` limbs,
   or whose line is shorter than ``_LIMB_CELLS``, packs instead.
 * **packed integers** otherwise: y -> 2^W makes each slot one Python
   integer, W the bit length of B plus a sign bit, and the sum is added
@@ -55,7 +54,7 @@ then priced and routed like any other; it multiplies in dicts
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, prod
 from operator import add, itemgetter, mul
@@ -126,9 +125,8 @@ def _accumulate_product(acc: Dict[Exps, int], pterms, qterms, nvars: int):
     """Add the expanded product of two term maps into ``acc``.
 
     The dict product: ``Polynomial.__mul__`` (products too small for a
-    line), the term-map route of :class:`SlotAccumulator` (sums cheaper in
-    dicts), the reference recurrence ``power._monomial_base_exact``
-    and the tests' references run through here.  The exponent addition
+    line), the reference recurrence ``power._monomial_base_exact`` and
+    the tests' references run through here.  The exponent addition
     is unrolled for zero, one and two variables (Z, Z[L] and Z[u,v]).
     """
     if len(pterms) > len(qterms):
@@ -192,9 +190,9 @@ class Fold:
     shifts keep it there), so its index is a multiple of g, and z^g -> y
     is one-to-one on the window too.  It leaves y dense where z is
     spread: at order 40, a polynomial in uv (P^2, the diamonds with q =
-    p_g = 0) folds with g = 82 and K3's even e(X) with g = 2.  In one
-    variable with g = 1 the fold is the identity; over Z it sends () to
-    0.
+    p_g = 0) folds with g = 82 and K3's even e(X) with g = 2.  A slot's
+    index is a plain int: in one variable with g = 1 it is the exponent,
+    and over Z it is 0.
 
     Both directions cross between term maps and slots in numpy passes,
     not one Python step per term: one per polynomial to encode
@@ -261,9 +259,9 @@ class Fold:
         """The slot of the term map's image in y, whose exponents must lie
         in the window.
 
-        In one variable the slot wraps the term map itself when g = 1,
-        else a copy with every index divided by g (over Z, () becomes the
-        index 0).  In more, one pass reads the exponents into a matrix
+        In one variable the slot wraps the term map rekeyed by int
+        indices, each exponent divided by g (over Z, () becomes the index
+        0).  In more, one pass reads the exponents into a matrix
         and the coefficients into an array (``np.fromiter``; object dtype
         past int64), takes the indices as the matrix times the strides,
         divided by g, and builds an int64 line
@@ -272,13 +270,11 @@ class Fold:
         """
         nvars, g = len(self.strides), self.gcd
         if nvars < 2:
-            if g != 1:
-                terms = {(k // g,): c for (k,), c in terms.items()}
-            return Slot.wrap(terms if nvars else
-                             {(0,): c for c in terms.values()})
+            return Slot.wrap({k // g: c for (k,), c in terms.items()} if nvars
+                             else {0: c for c in terms.values()})
         n = len(terms)
         if not n:
-            return Slot.zero()
+            return _one_term(0)
         exps = _ints(lambda: chain.from_iterable(terms), n * nvars)
         exps = exps.reshape(n, nvars)
         ks = exps @ self._steps
@@ -300,13 +296,12 @@ class Fold:
             ks //= g
             lo, hi = lo // g, hi // g
         top = max(c_hi, -c_lo)
-        stats = (n, top, (lo,), (hi,))
+        stats = (n, top, lo, hi)
         if top < _INT64_LIMIT and _lined(n, hi - lo + 1):
             line = np.zeros(hi - lo + 1, dtype=np.int64)
             line[(ks - lo).astype(np.int64, copy=False)] = cs
             return Slot(arr=line, lo=lo, stats=stats)
-        return Slot(terms=dict(zip(zip(ks.tolist()), terms.values())),
-                    stats=stats)
+        return Slot(terms=dict(zip(ks.tolist(), terms.values())), stats=stats)
 
     def _vectors(self, ks: np.ndarray) -> np.ndarray:
         """The exponent vectors in the window with the ascending indices
@@ -334,7 +329,7 @@ class Fold:
         return np.fromiter(zip(*columns), dtype=object, count=n)
 
     def polynomials(self, ring: RingDescriptor,
-                    xs: Union["Rows", Sequence[Union["Slot", Terms]]]
+                    xs: Union["Rows", Sequence[Union["Slot", Dict[int, int]]]]
                     ) -> List[Polynomial]:
         """The polynomials whose images in y are the rows ``xs`` (from
         :func:`_unpack`) or the slots or term maps ``xs``, whose exponents
@@ -364,7 +359,7 @@ class Rows(NamedTuple):
     cuts: List[int]
 
 
-def _rows(xs: Sequence[Union["Slot", Terms]]) -> Rows:
+def _rows(xs: Sequence[Union["Slot", Dict[int, int]]]) -> Rows:
     """The nonzero terms of the slots or term maps ``xs`` as rows: each
     array slot's in a few numpy calls, each term map's read with
     ``np.fromiter``, all joined by one concatenation."""
@@ -374,11 +369,11 @@ def _rows(xs: Sequence[Union["Slot", Terms]]) -> Rows:
         if terms is None:
             line = x.line()
             at = np.flatnonzero(line)
-            ks.append(_shifted(at, x.stats[2][0]))
+            ks.append(_shifted(at, x.stats[2]))
             cs.append(line[at])
         else:
             n = len(terms)
-            ks.append(_ints(partial(chain.from_iterable, terms), n))
+            ks.append(_ints(terms.keys, n))
             cs.append(_ints(terms.values, n))
         cuts.append(cuts[-1] + ks[-1].shape[0])
     if not ks:
@@ -439,8 +434,8 @@ def _by_terms(a: "Slot", b: "Slot", lines: bool):
     len_a, unpriced (0)."""
     if b.stats[0] < a.stats[0]:
         a, b = b, a
-    nnz_a, _, (lo_a,), (hi_a,) = a.stats
-    _, _, (lo_b,), (hi_b,) = b.stats
+    nnz_a, _, lo_a, hi_a = a.stats
+    _, _, lo_b, hi_b = b.stats
     len_a, len_b = hi_a - lo_a + 1, hi_b - lo_b + 1
     if not lines:
         return a, b, lo_a + lo_b, 3 * nnz_a <= len_a, 0
@@ -508,10 +503,10 @@ def _limb_plan(pairs, cells: int) -> Optional[Tuple[int, int]]:
     """The limb width W and limb count of the limb route for a sum over
     ``cells`` indices, or None when it should pack.
 
-    The narrow side of a pair is its operand with the smaller max |c|:
-    for a scaled slot k*s, whichever of |k| and max|s| is smaller.  With N = sum over pairs of min(nnz_a, nnz_b) * max|narrow|,
-    limbs of W = 61 - bitlen(N) bits keep every limb sum below
-    N * 2^W < 2^61; the count covers the widest wide side.
+    The narrow side of a pair is its operand with the smaller max |c|.
+    With N = sum over pairs of min(nnz_a, nnz_b) * max|narrow|, limbs of
+    W = 61 - bitlen(N) bits keep every limb sum below N * 2^W < 2^61;
+    the count covers the widest wide side.
     """
     if cells < _LIMB_CELLS:
         return None
@@ -536,18 +531,19 @@ def _split(slot: "Slot", width: int, count: int) -> List["Slot"]:
     with every |s_j| < 2^width and s_j of the sign of s: lines when the
     slot is dense enough for one (:func:`_lined`), else term maps."""
     mask = (1 << width) - 1
-    nnz, _, (lo,), (hi,) = slot.stats
+    nnz, _, lo, hi = slot.stats
     dense = slot.lined or _lined(nnz, hi - lo + 1)
     at = None
     if slot.lined:  # int64 magnitudes: numpy shifts past 63 bits give 0
         line = slot.line()
         mag, neg = np.abs(line), line < 0
     else:
-        ks, cs = slot.items()
+        terms = slot.terms
+        cs = list(terms.values())
         mag = np.array(list(map(abs, cs)), dtype=object)
         neg = np.array(cs, dtype=object) < 0
         if dense:  # offsets within a line: int64 whatever the indices
-            at = (_ints(ks.__iter__, nnz) - lo).astype(np.int64, copy=False)
+            at = (_ints(terms.keys, nnz) - lo).astype(np.int64, copy=False)
     out = []
     for j in range(count):
         limb = ((mag >> (width * j)) & mask).astype(np.int64)
@@ -560,7 +556,7 @@ def _split(slot: "Slot", width: int, count: int) -> List["Slot"]:
             out.append(Slot(arr=limb, lo=lo))
         else:
             nz = limb != 0
-            out.append(Slot(terms=dict(zip(zip(compress(ks, nz.tolist())),
+            out.append(Slot(terms=dict(zip(compress(terms, nz.tolist()),
                                            limb[nz].tolist()))))
     return out
 
@@ -577,15 +573,14 @@ def _limb_sum(pairs, lo: int, hi: int, width: int, count: int) -> "Slot":
                            if not w[j].is_zero], lo, hi)
         if part.is_zero:
             continue
-        part = part.arr.astype(object)
+        part = part.line().astype(object)
         if j:
             part <<= width * j
         total += part  # in place once an array: one object array less
     if type(total) is int:
-        return Slot.zero()
+        return _one_term(0)
     nz = np.flatnonzero(total)
-    return Slot.wrap(dict(zip(zip(_shifted(nz, lo).tolist()),
-                              total[nz].tolist())))
+    return Slot.wrap(dict(zip(_shifted(nz, lo).tolist(), total[nz].tolist())))
 
 
 # -- term-map route: dict sums -------------------------------------------
@@ -593,10 +588,17 @@ def _limb_sum(pairs, lo: int, hi: int, width: int, count: int) -> "Slot":
 def _sum_terms(pairs) -> "Slot":
     """Exact sum of the pair products, term by term, wrapped
     (:meth:`Slot.wrap`) so a dense one keeps its line once built."""
-    acc: Terms = {}
+    acc: Dict[int, int] = {}
+    get = acc.get
     for a, b in pairs:
-        _accumulate_product(acc, a.to_terms(), b.to_terms(), 1)
-    return Slot.wrap({e: c for e, c in acc.items() if c})
+        p, q = a.to_terms(), b.to_terms()
+        if len(p) > len(q):
+            p, q = q, p
+        for x, c1 in p.items():
+            for y, c2 in q.items():
+                k = x + y
+                acc[k] = get(k, 0) + c1 * c2
+    return Slot.wrap({k: c for k, c in acc.items() if c})
 
 
 # -- packed route: Kronecker substitution into Python integers -------------
@@ -604,8 +606,8 @@ def _sum_terms(pairs) -> "Slot":
 def _pack(slot: "Slot", width: int) -> int:
     """The slot as sum c * 2^(width * (k - lo)), signed digits."""
     w = width >> 3
-    if slot.arr is not None:
-        flat = slot.arr
+    if slot.lined:
+        flat = slot.line()
         buf = np.zeros((flat.shape[0], w), dtype=np.uint8)
         buf[:, :8] = np.maximum(flat, 0).astype("<u8").view(np.uint8) \
             .reshape(-1, 8)
@@ -613,11 +615,11 @@ def _pack(slot: "Slot", width: int) -> int:
         buf[:, :8] = np.maximum(-flat, 0).astype("<u8").view(np.uint8) \
             .reshape(-1, 8)
         return pos - int.from_bytes(buf.tobytes(), "little")
-    _, _, (lo,), (hi,) = slot.stats
+    _, _, lo, hi = slot.stats
     size = (hi - lo + 1) * w
     pos = bytearray(size)
     neg = bytearray(size)
-    for (k,), c in slot.terms.items():
+    for k, c in slot.terms.items():
         k = (k - lo) * w
         if c > 0:
             pos[k:k + w] = c.to_bytes(w, "little")
@@ -679,7 +681,7 @@ def _unpack(rows: Sequence[Tuple[int, int, int]], width: int) -> Rows:
     return Rows(ks, cs, np.searchsorted(at, starts).tolist())
 
 
-def _packed_sum(pairs, bound: int) -> Terms:
+def _packed_sum(pairs, bound: int) -> Dict[int, int]:
     """Exact sum of the pair products on packed integers.
 
     ``bound`` must be the exact bound B of the sum; the digit width is
@@ -704,7 +706,7 @@ def _packed_sum(pairs, bound: int) -> Terms:
         else:
             acc += (_pack(a, width) * _pack(b, width)) << (width * at)
     ks, cs, _ = _unpack([(acc, top - origin + 1, origin)], width)
-    return dict(zip(zip(ks.tolist()), cs))
+    return dict(zip(ks.tolist(), cs))
 
 
 # The packed route keeps the name of the limb route it replaced, so that
@@ -715,7 +717,7 @@ _conv_limbs = _packed_sum
 
 def _corners(pairs) -> Tuple[int, int]:
     """Lowest and highest index of a sum of products."""
-    ends = [(a.stats[2][0] + b.stats[2][0], a.stats[3][0] + b.stats[3][0])
+    ends = [(a.stats[2] + b.stats[2], a.stats[3] + b.stats[3])
             for a, b in pairs]
     return min(e[0] for e in ends), max(e[1] for e in ends)
 
@@ -725,20 +727,21 @@ def _corners(pairs) -> Tuple[int, int]:
 class Slot:
     """One polynomial in y travelling through a solver pipeline.
 
-    ``arr`` is a dense int64 array, every value below 2**62 in magnitude,
-    indexed by exponent minus the low end (zeros allowed), or None for a
-    term-map slot; ``lined`` says which, and a slot wrapped from terms
-    builds its array on first use.  ``terms`` is the term map: a term-map
-    slot's own, of any magnitude and density, or an array slot's once
-    read.
+    An array slot holds a dense int64 line, every value below 2**62 in
+    magnitude, indexed by index minus the low end (zeros allowed), read by
+    :meth:`line`; ``lined`` says whether a slot is one, and a slot wrapped
+    from terms builds its line on first use.  ``terms`` is the term map
+    {index: coefficient}: a term-map slot's own, of any magnitude and
+    density, or an array slot's once read (:meth:`to_terms`).
     ``stats`` is (nnz, max |coefficient|, low end, high end), where the
-    ends, one-tuples like the exponents, bound the exponents: the array's
-    range, or the term map's exact hull.
+    ends are ints that bound the indices: the line's range, or the term
+    map's exact hull.  The constant slots 0 and k are ``_one_term(0)``
+    and ``_one_term(k)``.
     """
 
     __slots__ = ("lined", "terms", "stats", "_arr", "_limbs", "_spread")
 
-    def __init__(self, terms: Optional[Terms] = None,
+    def __init__(self, terms: Optional[Dict[int, int]] = None,
                  arr: Optional[np.ndarray] = None, lo: int = 0,
                  stats: Optional[tuple] = None):
         self._arr = arr
@@ -749,50 +752,38 @@ class Slot:
         elif arr is not None:
             nnz = int(np.count_nonzero(arr))
             top = int(max(arr.max(), -arr.min())) if nnz else 0
-            self.stats = (nnz, top, (lo,), (lo + arr.shape[0] - 1,))
+            self.stats = (nnz, top, lo, lo + arr.shape[0] - 1)
         elif terms:
             self.stats = (len(terms), max(map(abs, terms.values())),
                           min(terms), max(terms))
         else:
-            self.stats = (0, 0, (0,), (0,))
+            self.stats = (0, 0, 0, 0)
         self._limbs = None
         self._spread = None
 
     @classmethod
-    def wrap(cls, terms: Terms) -> "Slot":
+    def wrap(cls, terms: Dict[int, int]) -> "Slot":
         """The slot of a term map (shared, not copied): an int64 array when
         the terms are dense enough for a line (:func:`_lined`) and every
         coefficient is below 2**62, else a term map."""
         slot = cls(terms=terms)
-        nnz, top, (lo,), (hi,) = slot.stats
+        nnz, top, lo, hi = slot.stats
         slot.lined = nnz > 0 and top < _INT64_LIMIT and _lined(nnz, hi - lo + 1)
         return slot
-
-    @classmethod
-    def zero(cls) -> "Slot":
-        return cls(terms={})
-
-    @classmethod
-    def one(cls) -> "Slot":
-        return cls.wrap({(0,): 1})
 
     @property
     def is_zero(self) -> bool:
         return self.stats[0] == 0
-
-    @property
-    def arr(self) -> Optional[np.ndarray]:
-        return self.line() if self.lined else None
 
     def line(self) -> np.ndarray:
         """The slot's values over its range as an int64 line (kept for an
         array slot)."""
         if self._arr is not None:
             return self._arr
-        nnz, _, (lo,), (hi,) = self.stats
+        nnz, _, lo, hi = self.stats
         line = np.zeros(hi - lo + 1, dtype=np.int64)
         terms = self.terms
-        at = _ints(lambda: chain.from_iterable(terms), nnz) - lo
+        at = _ints(terms.keys, nnz) - lo
         line[at.astype(np.int64, copy=False)] = np.fromiter(
             terms.values(), dtype=np.int64, count=nnz)
         if self.lined:
@@ -809,65 +800,63 @@ class Slot:
     def spread(self) -> List[Tuple[int, int]]:
         """(index past the low end, coefficient) of every term (cached)."""
         if self._spread is None:
-            ks, cs = self.items()
-            lo = self.stats[2][0]
-            self._spread = list(zip([k - lo for k in ks], cs))
+            if self.terms is None:
+                nz = np.flatnonzero(self._arr)
+                self._spread = list(zip(nz.tolist(), self._arr[nz].tolist()))
+            else:
+                lo = self.stats[2]
+                self._spread = [(k - lo, c) for k, c in self.terms.items()]
         return self._spread
 
-    def items(self) -> Tuple[List[int], List[int]]:
-        """The indices and coefficients of the nonzero terms."""
-        if self.terms is not None:
-            terms = self.terms
-            return list(chain.from_iterable(terms)), list(terms.values())
-        nz = np.flatnonzero(self.arr)
-        return _shifted(nz, self.stats[2][0]).tolist(), self.arr[nz].tolist()
-
-    def to_terms(self) -> Terms:
+    def to_terms(self) -> Dict[int, int]:
         """The term map (shared, not copied; read once from an array)."""
         if self.terms is None:
-            ks, cs = self.items()
-            self.terms = dict(zip(zip(ks), cs))
+            nz = np.flatnonzero(self._arr)
+            self.terms = dict(zip(_shifted(nz, self.stats[2]).tolist(),
+                                  self._arr[nz].tolist()))
         return self.terms
 
     def to_polynomial(self, ring: RingDescriptor) -> Polynomial:
         """The slot as a polynomial of a ring in one variable."""
         from .rings import Polynomial
-        return Polynomial._raw(ring, self.to_terms())
+        return Polynomial._raw(ring, {(k,): c
+                                      for k, c in self.to_terms().items()})
 
     def scale_exponents(self, j: int) -> "Slot":
-        """The slot at y -> y^j: every exponent times j.  The spread
-        values stay an array only while they are dense enough for one."""
-        nnz, top, (lo,), (hi,) = self.stats
+        """The slot at y -> y^j: every index times j.  The spread values
+        stay an array only while they are dense enough for one."""
+        nnz, top, lo, hi = self.stats
         if j == 1 or self.is_zero or lo == hi == 0:
-            return self  # a constant has only the exponent 0
-        stats = (nnz, top, (lo * j,), (hi * j,))
-        if self.arr is not None and _lined(nnz, (hi - lo) * j + 1):
+            return self  # a constant has only the index 0
+        stats = (nnz, top, lo * j, hi * j)
+        if self.lined and _lined(nnz, (hi - lo) * j + 1):
             out = np.zeros((hi - lo) * j + 1, dtype=np.int64)
-            out[::j] = self.arr
+            out[::j] = self.line()
             return Slot(arr=out, lo=lo * j, stats=stats)
-        return Slot(terms={(k * j,): c for (k,), c in self.to_terms().items()},
+        return Slot(terms={k * j: c for k, c in self.to_terms().items()},
                     stats=stats)
 
     def divide_exact(self, n: int) -> "Slot":
         if n == 1 or self.is_zero:
             return self
-        arr = self.arr
+        arr = self.line() if self.lined else None
         if ((arr % n).any() if arr is not None
                 else any(c % n for c in self.terms.values())):
             raise ArithmeticError("expected an exact division by %d" % n)
         nnz, top, lo, hi = self.stats
         stats = (nnz, abs(top // n), lo, hi)
         if arr is not None:
-            return Slot(arr=arr // n, lo=lo[0], stats=stats)
-        return Slot(terms={e: c // n for e, c in self.terms.items()},
+            return Slot(arr=arr // n, lo=lo, stats=stats)
+        return Slot(terms={k: c // n for k, c in self.terms.items()},
                     stats=stats)
 
 
 @lru_cache(maxsize=None)
 def _one_term(k: int) -> Slot:
-    """The constant slot k, shared by every scaled entry k*s: the
-    multipliers are step indices, so there are few of them."""
-    return Slot.wrap({(0,): k} if k else {})
+    """The constant slot k, shared by every scaled entry k*s and by every
+    use of the slots 0 and 1: the multipliers are step indices, so there
+    are few of them."""
+    return Slot.wrap({0: k} if k else {})
 
 
 class SlotAccumulator:
@@ -901,7 +890,7 @@ class SlotAccumulator:
     def result(self) -> Slot:
         pairs = self.pairs
         if not pairs:
-            return Slot.zero()
+            return _one_term(0)
         lo, hi = _corners(pairs)
         steps = _line_steps(pairs, self.products, hi - lo + 1)
         if steps is None:

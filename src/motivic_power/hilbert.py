@@ -40,6 +40,7 @@ from .rings import (
     Polynomial,
     RingMismatchError,
     _Frozen,
+    _check_count,
     _json_int,
 )
 from .series import Series
@@ -60,8 +61,7 @@ class VarietyClass(_Frozen):
             representation = Polynomial.constant(INTEGERS, representation)
         if not isinstance(representation, Polynomial):
             raise TypeError("representation must be a Polynomial or int")
-        if not isinstance(dimension, int) or dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        _check_count(dimension, "dimension", 1)
         object.__setattr__(self, "representation", representation)
         object.__setattr__(self, "dimension", dimension)
 
@@ -80,8 +80,7 @@ class LocalHilbertData(_Frozen):
     __slots__ = ("dimension", "series")
 
     def __init__(self, dimension: int, series: Series):
-        if not isinstance(dimension, int) or dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        _check_count(dimension, "dimension", 1)
         if series.ring.nvars != 1:
             raise ValueError("local data must live in a one-variable ring (L)")
         if not series.is_unital():
@@ -120,7 +119,7 @@ class LocalHilbertData(_Frozen):
     def from_json(cls, obj) -> "LocalHilbertData":
         if not isinstance(obj, Mapping):
             raise ValueError("local data must be a JSON object")
-        if "source" not in obj:
+        if not isinstance(obj.get("source"), str):
             raise ValueError("local data files must carry a 'source' string")
         for key in ("dimension", "series"):
             if key not in obj:
@@ -173,10 +172,8 @@ def local_series(dimension: int, order: int,
     Higher dimensions have no bundled closed form and require
     ``user_data``, which is returned truncated and never cached.
     """
-    if not isinstance(dimension, int) or dimension < 1:
-        raise ValueError("dimension must be a positive integer")
-    if not isinstance(order, int) or order < 0:
-        raise ValueError("order must be a nonnegative integer")
+    _check_count(dimension, "dimension", 1)
+    _check_count(order, "order")
     if user_data is not None:
         if user_data.dimension != dimension:
             raise ValueError(

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .rings import (
     RingMismatchError,
     _Frozen,
     _accumulate_product,
+    _check_count,
     _json_get,
     _json_int,
     _json_list,
@@ -185,7 +186,7 @@ def _multiplies_out(b: Sequence[Slot], order: int) -> bool:
     constant = True
     o = h = 0
     for i, x in enumerate(b, start=1):
-        nnz, _, (lo,), (hi,) = x.stats
+        nnz, _, lo, hi = x.stats
         if nnz:
             if not gridops._lined(nnz, hi - lo + 1):
                 return False
@@ -214,7 +215,7 @@ def _passes(x: Slot, k: int) -> int:
     return sum(min(abs(c), k) for c in x.terms.values())
 
 
-def _digit_width(b: Sequence[Terms], order: int) -> int:
+def _digit_width(b: Sequence[Dict[int, int]], order: int) -> int:
     """Packed digit width of :func:`_euler_product`, in whole bytes.
 
     The majorant M = prod_i (1-t^i)^(-||b_i||_1) bounds every coefficient
@@ -234,7 +235,7 @@ def _digit_width(b: Sequence[Terms], order: int) -> int:
     return (max(M).bit_length() + 1 + 7) // 8 * 8
 
 
-def _euler_product(b: Sequence[Terms], order: int) -> gridops.Rows:
+def _euler_product(b: Sequence[Dict[int, int]], order: int) -> gridops.Rows:
     """Coefficients f_0..f_N of prod_i (1-t^i)^{-b_i}, in one variable u
     (a fold's y), one factor (1 - u^e t^i)^{-c} at a time, from i = N
     down to i = 1.
@@ -260,7 +261,7 @@ def _euler_product(b: Sequence[Terms], order: int) -> gridops.Rows:
     at = [0] * (order + 1)  # each row's origin, times W: a shift in bits
     for i in range(order, 0, -1):
         k_max = order // i
-        for (e,), c in b[i - 1].items():
+        for e, c in b[i - 1].items():
             s = e * width
             if c > k_max or -c > k_max:
                 binom = [1]
@@ -318,7 +319,7 @@ def _solve_forward(b: List[Slot], order: int) -> List[Slot]:
     n f_n = sum_{m=1..n} g_m f_{n-m}, with f_0 = 1.
     """
     divisors = _divisor_table(order)
-    f = [Slot.one()]
+    f = [gridops._one_term(1)]
     g: List[Optional[Slot]] = [None]
     for n in range(1, order + 1):
         g.append(gridops.slot_linear(
@@ -421,8 +422,7 @@ MONOMIAL_KERNEL = Kernel("monomial", _monomial_base)
 
 def base_series(a: Polynomial, order: int) -> Series:
     """The kernel series (1-t)^{-a} truncated at the given order."""
-    if not isinstance(order, int) or order < 0:
-        raise ValueError("order must be a nonnegative integer")
+    _check_count(order, "order")
     return _monomial_base(a, order)
 
 
@@ -433,8 +433,7 @@ class EulerProduct(_Frozen):
 
     def __init__(self, ring: RingDescriptor, order: int,
                  exponents: Sequence[Union[Polynomial, int]]):
-        if not isinstance(order, int) or order < 0:
-            raise ValueError("order must be a nonnegative integer")
+        _check_count(order, "order")
         exps: List[Polynomial] = []
         for b in exponents:
             if isinstance(b, int):

@@ -54,6 +54,15 @@ def _json_int(value, what: str, decimal: bool = False) -> int:
     raise ValueError("%s must be an integer, got %s" % (what, _shown(value)))
 
 
+def _check_count(value, what: str, least: int = 0):
+    """Refuse ``value`` unless it is an int (not a bool) of at least
+    ``least``, 0 or 1: ValueError "<what> must be a nonnegative (or
+    positive) integer"."""
+    if type(value) is not int or value < least:
+        raise ValueError("%s must be a %s integer"
+                         % (what, "positive" if least else "nonnegative"))
+
+
 def _json_get(obj, key: str, path: str):
     """``obj[key]`` of the JSON object at ``path``; a ValueError naming the
     path when ``obj`` is not an object or has no such key."""

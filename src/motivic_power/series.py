@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from typing import Callable, List, Mapping, Sequence, Union
 
-from .gridops import Fold, Slot, SlotAccumulator
+from .gridops import Fold, SlotAccumulator, _one_term
 from .rings import (
     Polynomial,
     RingDescriptor,
     RingMismatchError,
     _Frozen,
+    _check_count,
     _json_get,
     _json_int,
     _json_list,
@@ -35,8 +36,7 @@ class Series(_Frozen):
 
     def __init__(self, ring: RingDescriptor, order: int,
                  coefficients: Sequence[Union[Polynomial, int]]):
-        if not isinstance(order, int) or order < 0:
-            raise ValueError("order must be a nonnegative integer")
+        _check_count(order, "order")
         coeffs: List[Polynomial] = []
         for c in coefficients:
             if isinstance(c, int):
@@ -128,7 +128,7 @@ class Series(_Frozen):
                            [p._terms for p in self.coefficients[1:]])
         negated = [fold.slot({e: -c for e, c in p._terms.items()})
                    for p in self.coefficients]
-        inv = [Slot.one()]
+        inv = [_one_term(1)]
         for k in range(1, self.order + 1):
             acc = SlotAccumulator()
             for j in range(1, k + 1):
@@ -153,8 +153,7 @@ class Series(_Frozen):
         """The series mod t^(order+1), keeping a cached factorization cut
         to its first ``order`` exponents: every factor (1-t^i)^(-b_i)
         with i > order is 1 mod t^(order+1)."""
-        if not isinstance(order, int) or order < 0:
-            raise ValueError("order must be a nonnegative integer")
+        _check_count(order, "order")
         if order > self.order:
             raise ValueError(
                 "cannot extend a series of order %d to order %d"

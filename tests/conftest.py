@@ -79,20 +79,31 @@ def ring(request):
 def fold(terms, nvars, reach=8):
     """``terms`` in one variable, as a solve folds them (Kronecker
     substitution), with the window [-reach, reach] on every axis after
-    the first.  Products and sums commute with the fold, so a dict
-    reference computed on folded inputs is the fold of the reference."""
+    the first: a term map {index: coefficient}.  Products and sums
+    commute with the fold, so a dict reference computed on folded inputs
+    (:func:`int_product`) is the fold of the reference."""
     edge = (reach,) * (nvars - 1)
     return Fold(nvars, tuple(-x for x in edge), edge).slot(terms).to_terms()
+
+
+def int_product(*pairs):
+    """The sum of the products of the pairs of int-keyed term maps,
+    summed in a plain dict with zero terms dropped: the reference of
+    every slot sum."""
+    acc = {}
+    for ta, tb in pairs:
+        for x, c1 in ta.items():
+            for y, c2 in tb.items():
+                acc[x + y] = acc.get(x + y, 0) + c1 * c2
+    return {k: c for k, c in acc.items() if c}
 
 
 def reference_slot(fold, terms):
     """The fold's slot of ``terms`` built one term at a time, as the fold
     did before its numpy pass: each index a Python sum of exponents times
-    strides, a term map of 1-tuples, and :meth:`Slot.wrap`'s scan for the
-    stats and the choice of a line."""
-    if fold.strides == (1,):
-        return Slot.wrap(terms)
-    return Slot.wrap({(sum(map(mul, e, fold.strides)),): c
+    strides, and :meth:`Slot.wrap`'s scan for the stats and the choice of
+    a line."""
+    return Slot.wrap({sum(map(mul, e, fold.strides)): c
                       for e, c in terms.items()})
 
 
@@ -109,13 +120,13 @@ def reference_unpack(value, digits, width, origin):
     nonzero = np.flatnonzero((rows[:, -1] != 0x80)
                              | rows[:, :-1].any(axis=1)).tolist()
     from_bytes = int.from_bytes
-    return {(origin + k,): from_bytes(data[k * w:(k + 1) * w], "little") - half
+    return {origin + k: from_bytes(data[k * w:(k + 1) * w], "little") - half
             for k in nonzero}
 
 
 def row_maps(rows):
-    """The term map of each row of a flat ``gridops.Rows``, keyed by
-    1-tuples of its indices: the per-row form that ``gridops._unpack`` and
+    """The term map of each row of a flat ``gridops.Rows``, keyed by its
+    indices: the per-row form that ``gridops._unpack`` and
     ``power._euler_product`` returned before they went flat.  Checks on
     the way that the three parts agree, that no row repeats an index and
     that every coefficient is a Python integer."""
@@ -123,7 +134,7 @@ def row_maps(rows):
     assert ks.dtype in (np.int64, object)
     assert ks.shape == (len(cs),) and cuts[0] == 0 and cuts[-1] == len(cs)
     assert all(type(c) is int for c in cs)
-    maps = [dict(zip(zip(ks[a:b].tolist()), cs[a:b]))
+    maps = [dict(zip(ks[a:b].tolist(), cs[a:b]))
             for a, b in zip(cuts, cuts[1:])]
     assert [len(m) for m in maps] == [b - a for a, b in zip(cuts, cuts[1:])]
     return maps
@@ -151,7 +162,7 @@ def reference_polynomials(fold, ring, xs):
     for x in xs:
         terms = x if isinstance(x, dict) else x.to_terms()
         out.append(Polynomial(ring, {reference_vector(fold, k): c
-                                     for (k,), c in terms.items()}))
+                                     for k, c in terms.items()}))
     return out
 
 

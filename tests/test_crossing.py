@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivic_power.gridops import Fold, Rows, Slot, _rows, _unpack
+from motivic_power.gridops import Fold, Rows, Slot, _one_term, _rows, _unpack
 from motivic_power.rings import INTEGERS, Polynomial, RingDescriptor
 from motivic_power.series import Series
 
@@ -79,7 +79,7 @@ def test_slot_round_trip_matches_the_per_term_reference(case):
 
 
 def test_empty_and_integer_slots_round_trip():
-    assert Fold(2, (0,), (3,)).slot({}).stats == (0, 0, (0,), (0,))
+    assert Fold(2, (0,), (3,)).slot({}).stats == (0, 0, 0, 0)
     z = RingDescriptor()
     for c in (0, 5, -(2 ** 63), 10 ** 30):
         terms = {(): c} if c else {}
@@ -120,7 +120,7 @@ def folded_rows(draw):
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["slot", "terms", "zero", "zero line"]))
         if kind == "zero":
-            xs.append(Slot.zero())
+            xs.append(_one_term(0))
         elif kind == "zero line":
             xs.append(Slot(arr=np.zeros(draw(st.integers(1, 5)),
                                         dtype=np.int64),
@@ -151,11 +151,11 @@ def test_decode_matches_the_per_polynomial_reference(case):
     # and so do unpacked rows: one per term at its own origin, each
     # between two rows of zero digits
     terms = [(k, c) for x in xs
-             for (k,), c in (x if isinstance(x, dict) else x.to_terms()).items()]
+             for k, c in (x if isinstance(x, dict) else x.to_terms()).items()]
     width = max([64] + [(abs(c).bit_length() + 8) // 8 * 8 for _, c in terms])
     rows = [(0, 3, -1)] + [r for k, c in terms for r in ((c, 1, k), (0, 2, k))]
     want = reference_polynomials(fold, ring, [{}] + [
-        m for k, c in terms for m in ({(k,): c}, {})])
+        m for k, c in terms for m in ({k: c}, {})])
     assert fold.polynomials(ring, _unpack(rows, width)) == want
 
 
@@ -195,7 +195,7 @@ def test_decode_of_no_rows_and_of_zero_rows(nvars):
     zero = Polynomial.zero(ring)
     assert fold.polynomials(ring, _unpack([(0, 4, -2), (0, 0, 0)], 64)) \
         == [zero, zero]
-    assert fold.polynomials(ring, [Slot.zero(), {}, Slot(
+    assert fold.polynomials(ring, [_one_term(0), {}, Slot(
         arr=np.zeros(3, dtype=np.int64), lo=-1)]) == [zero] * 3
 
 
@@ -239,7 +239,7 @@ def test_unpack_reads_every_edge_digit(width):
     got = row_maps(flat)
     assert got == [reference_unpack(v, n, width, origin)
                    for v, n, origin in rows]
-    assert got[0] == {(k - 7,): d for k, d in enumerate(edges) if d}
+    assert got[0] == {k - 7: d for k, d in enumerate(edges) if d}
     assert got[1] == {} and got[3] == {}
     assert row_maps(_unpack([], width)) == []
     flat = _unpack(rows[:4], width)

@@ -192,7 +192,7 @@ def test_indices_past_int64_after_multiplying_back():
         a = Polynomial(X_RING, {(e,): 1, (g,): 2})
         fold = Fold.graded(1, 3, [a.terms])
         assert fold.gcd == g
-        assert fold.slot(a.terms).stats[3] == (e // g,)
+        assert fold.slot(a.terms).stats[3] == e // g
         assert base_series(a, 3) == _monomial_base_exact(a, 3)
         assert fold.polynomials(X_RING, [fold.slot(a.terms)]) == [a]
 

@@ -70,7 +70,7 @@ class TestLocalSeries:
         with pytest.raises(ValueError, match="no closed form"):
             local_series(3, 4)
 
-    @pytest.mark.parametrize("dimension", [0, -1, 1.5])
+    @pytest.mark.parametrize("dimension", [0, -1, 1.5, True])
     def test_dimension_must_be_a_positive_integer(self, dimension):
         with pytest.raises(ValueError,
                            match="^dimension must be a positive integer$"):
@@ -123,6 +123,10 @@ class TestLocalDataInvariants:
         payload = local_series(1, 2).to_json()
         del payload["source"]
         with pytest.raises(ValueError, match="source"):
+            LocalHilbertData.from_json(payload)
+        payload["source"] = 5
+        with pytest.raises(ValueError, match="^local data files must carry "
+                                             "a 'source' string$"):
             LocalHilbertData.from_json(payload)
 
 
@@ -334,6 +338,7 @@ RAMP = Series(MOTIVIC_RING, 3, [1, 1, 1 + L, 1 + L + L ** 2])
 
 
 ORDER = (ValueError, "^order must be a nonnegative integer$")
+DIMENSION = (ValueError, "^dimension must be a positive integer$")
 EXPONENT = (TypeError, "^the exponent must be an int or a Polynomial")
 CLASS = (TypeError, "^the class must be an int, a Polynomial or a VarietyClass")
 
@@ -355,6 +360,23 @@ CLASS = (TypeError, "^the class must be an int, a Polynomial or a VarietyClass")
                  ORDER, id="global_series"),
     pytest.param(lambda: LocalHilbertData(2, RAMP).truncate(-1), ORDER,
                  id="LocalHilbertData.truncate"),
+    # a bool is no order or dimension, so no JSON file is written with one
+    pytest.param(lambda: Series.from_json(
+        Series(INTEGERS, True, [1, 1]).to_json()), ORDER,
+        id="Series-bool-round-trip"),
+    pytest.param(lambda: EulerProduct.from_json(factor(
+        exp_map([1], order=True, ring=INTEGERS)).to_json()), ORDER,
+        id="EulerProduct-bool-round-trip"),
+    pytest.param(lambda: base_series(L, True), ORDER, id="base_series-bool"),
+    pytest.param(lambda: RAMP.truncate(False), ORDER,
+                 id="Series.truncate-bool"),
+    pytest.param(lambda: local_series(2, True), ORDER, id="local_series-bool"),
+    pytest.param(lambda: local_series(True, 3), DIMENSION,
+                 id="local_series-bool-dimension"),
+    pytest.param(lambda: VarietyClass(L, True), DIMENSION,
+                 id="VarietyClass-bool"),
+    pytest.param(lambda: LocalHilbertData(True, RAMP), DIMENSION,
+                 id="LocalHilbertData-bool"),
     pytest.param(lambda: pow_series(RAMP, 1.5), EXPONENT, id="pow_series"),
     pytest.param(lambda: transport_check(MonomialMap.identity(MOTIVIC_RING),
                                          RAMP, 1.5),

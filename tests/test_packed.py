@@ -2,7 +2,7 @@
 integers, against dict arithmetic.
 
 Every result is compared with ``==`` against a plain dict reference:
-``_accumulate_product`` for sums of products, ``_monomial_base_exact``
+``conftest.int_product`` for sums of products, ``_monomial_base_exact``
 for the kernel series, ``dict_series_product`` for series products, and
 ``_factor_peeling`` / ``_assemble_blocks`` (run with dict series
 products and inverses) for factor and assemble.  Inputs aim at the
@@ -57,6 +57,7 @@ from conftest import (
     dict_inverse,
     dict_series_product,
     fold,
+    int_product,
 )
 
 LAURENT_UV = RingDescriptor(("u", "v"), laurent=True)
@@ -156,7 +157,7 @@ def test_sum_of_products_matches_dict(data):
     pairs = data.draw(st.lists(st.tuples(term_maps(ring), term_maps(ring)),
                                min_size=1, max_size=4))
     pairs = [(fold(ta, ring.nvars), fold(tb, ring.nvars)) for ta, tb in pairs]
-    want = dict_sum(pairs, 1)
+    want = int_product(*pairs)
     slots = [(Slot.wrap(ta), Slot.wrap(tb)) for ta, tb in pairs]
     acc = SlotAccumulator()
     for a, b in slots:
@@ -168,8 +169,8 @@ def test_sum_of_products_matches_dict(data):
         assert _packed_sum(live, acc.bound) == want
     # an array exactly when the terms are small and dense enough for one
     for s in (s for pair in slots for s in pair if not s.is_zero):
-        nnz, top, (lo,), (hi,) = s.stats
-        assert (s.arr is not None) == (top < 2 ** 62 and _lined(nnz, hi - lo + 1))
+        nnz, top, lo, hi = s.stats
+        assert s.lined == (top < 2 ** 62 and _lined(nnz, hi - lo + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,11 +184,11 @@ def test_exact_conv_of_grids_matches_dict(data):
                                              max_size=5)), ring.nvars)
               for _ in range(2))
     a, b = Slot.wrap(ta), Slot.wrap(tb)
-    want = dict_sum([(ta, tb)], 1)
+    want = int_product((ta, tb))
     if a.is_zero or b.is_zero:
         assert want == {}
     else:
-        assert a.arr is not None and b.arr is not None
+        assert a.lined and b.lined
         (na, ma, _, _), (nb, mb, _, _) = a.stats, b.stats
         assert _packed_sum([(a, b)], min(na, nb) * ma * mb) == want
 
@@ -200,8 +201,8 @@ def test_frobenius_spread_operand_matches_dict(data):
     j = data.draw(st.integers(2, 7))
     ta = fold(data.draw(term_maps(ring, max_size=3)), nvars)
     tb = fold(data.draw(term_maps(ring, max_size=8)), nvars)
-    spread = {tuple(x * j for x in e): c for e, c in ta.items()}
-    want = dict_sum([(spread, tb)], 1)
+    spread = {e * j: c for e, c in ta.items()}
+    want = int_product((spread, tb))
     a = Slot.wrap(ta).scale_exponents(j)
     b = Slot.wrap(tb)
     assert slot_product(a, b).to_terms() == want
@@ -236,7 +237,7 @@ def test_frobenius_spread_pairs_on_lines_match_dict(data):
         j = data.draw(st.integers(2, 8))
         ta, tb = data.draw(maps(4, 3)), data.draw(maps(wide, 12))
         ta, tb = fold(ta, nvars), fold(tb, nvars)
-        spread = {tuple(x * j for x in e): c for e, c in ta.items()}
+        spread = {e * j: c for e, c in ta.items()}
         pairs.append((spread, tb, Slot.wrap(ta).scale_exponents(j),
                       Slot.wrap(tb)))
     acc = SlotAccumulator()
@@ -244,12 +245,12 @@ def test_frobenius_spread_pairs_on_lines_match_dict(data):
         acc.add_pair(a, b)
     with packed_sums() as packed, limb_sums() as limbs:
         got = acc.result().to_terms()
-    assert got == dict_sum([(ta, tb) for ta, tb, _, _ in pairs], 1)
+    assert got == int_product(*[(ta, tb) for ta, tb, _, _ in pairs])
     # a sum too sparse for a line is a dict sum, whatever its bound; a
     # lined one past 2^62 runs on limbs or packs, by the limb plan
     if acc.pairs:
-        lo = min(a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs)
-        hi = max(a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs)
+        lo = min(a.stats[2] + b.stats[2] for a, b in acc.pairs)
+        hi = max(a.stats[3] + b.stats[3] for a, b in acc.pairs)
         lined = _line_steps(acc.pairs, acc.products, hi - lo + 1) is not None
         big = lined and acc.bound >= 2 ** 62
         assert len(limbs) == (big and big_route(acc) == "limbs")
@@ -278,11 +279,11 @@ def test_short_one_variable_pair_is_convolved():
     for i in (1, 2, 4, 5, 8, 10, 20, 40):
         j = 40 // i
         for e, c in ((i + 1, 1), (i, 3), (i - 1, 1)):
-            g[(e * j,)] = g.get((e * j,), 0) + i * c
-    tf = {(k,): 1 + k % 5 for k in range(161)}
+            g[e * j] = g.get(e * j, 0) + i * c
+    tf = {k: 1 + k % 5 for k in range(161)}
     with convolutions() as convolved:
         got = slot_product(Slot.wrap(g), Slot.wrap(tf)).to_terms()
-    assert got == dict_sum([(g, tf)], 1)
+    assert got == int_product((g, tf))
     assert convolved == [(81, 161)]
 
 
@@ -336,7 +337,7 @@ def test_pairs_and_scaled_slots_match_dict(data):
                                 min_size=1, max_size=4))
     pairs = [(fold(ta, nvars), fold(tb, nvars)) for ta, tb in pairs]
     scaled = [(k, fold(terms, nvars)) for k, terms in scaled]
-    want = dict_sum(pairs, 1)
+    want = int_product(*pairs)
     for k, terms in scaled:
         for e, c in terms.items():
             want[e] = want.get(e, 0) + k * c
@@ -350,14 +351,14 @@ def test_pairs_and_scaled_slots_match_dict(data):
         got = acc.result()
     assert got.to_terms() == want
     # a scaled slot k*s is the pair of the one-term slot k and s
-    ends = [a.stats[2][0] + b.stats[2][0] for a, b in acc.pairs]
-    ends += [a.stats[3][0] + b.stats[3][0] for a, b in acc.pairs]
+    ends = [a.stats[2] + b.stats[2] for a, b in acc.pairs]
+    ends += [a.stats[3] + b.stats[3] for a, b in acc.pairs]
     lined = bool(acc.pairs) and _line_steps(
         acc.pairs, acc.products, max(ends) - min(ends) + 1) is not None
     big = lined and acc.bound >= 2 ** 62
     assert len(limbs) == (big and big_route(acc) == "limbs")
     assert len(packed) == (big and big_route(acc) == "packed")
-    if got.arr is not None:
+    if got.lined:
         assert all(abs(c) < 2 ** 62 for c in got.to_terms().values())
     if acc.bound:
         # the packed route itself, whatever the size of the values
@@ -404,8 +405,8 @@ def test_scaled_slots_match_dict_on_every_route(route, data):
             bits, kbits = k_bits, value_bits  # the wide side is s
         top = data.draw(st.integers(*bits))
         lo = data.draw(st.integers(-20, 20))
-        terms = {(lo + j,): value(rng.randint(1, top)) for j in range(cells)}
-        terms[(lo,)] = value(top)
+        terms = {lo + j: value(rng.randint(1, top)) for j in range(cells)}
+        terms[lo] = value(top)
         k = value(data.draw(st.integers(*kbits)),
                   data.draw(st.sampled_from([1, -1])))
         entries.append((k, Slot.wrap(terms)))
@@ -446,13 +447,13 @@ def test_exact_bound_alone_picks_the_route(top, extra, route):
     # line: for two limbs of 29 bits (N = 2 * 2^30) when its line spans
     # _LIMB_CELLS or more, else for a packing; tb's extra terms make the
     # sum dense enough for a line, over 45 or 405 cells
-    ta = {(0,): 2 ** 30, (1,): 2 ** 30}
-    tb = {(0,): top, **{(2 * k + 5,): 1 for k in range(extra)}}
+    ta = {0: 2 ** 30, 1: 2 ** 30}
+    tb = {0: top, **{2 * k + 5: 1 for k in range(extra)}}
     acc = SlotAccumulator()
     acc.add_pair(Slot.wrap(ta), Slot.wrap(tb))
     with packed_sums() as packed, limb_sums() as limbs:
         got = acc.result()
-    assert got.to_terms() == dict_sum([(ta, tb)], 1)
+    assert got.to_terms() == int_product((ta, tb))
     assert max(got.to_terms().values()) <= 2 ** 61
     assert len(packed) == (route == "packed")
     assert limbs == ([(29, 2)] if route == "limbs" else [])
@@ -483,18 +484,18 @@ def test_sparse_operand_is_applied_term_by_term(route):
         ta, tb = fold(ta, nvars, 20), fold(tb, nvars, 20)
         a = Slot.wrap(ta).scale_exponents(5)
         b = Slot.wrap(tb)
-        spread = {tuple(x * 5 for x in k): c for k, c in ta.items()}
+        spread = {k * 5: c for k, c in ta.items()}
         with convolutions() as convolved, packed_sums() as packed, \
                 recording("_pack", lambda slot, width: slot) as packs:
             got = slot_product(a, b).to_terms()
-        assert got == dict_sum([(spread, tb)], 1)
+        assert got == int_product((spread, tb))
         assert a._spread is not None and all(s is not a for s in packs)
         assert convolved == [] and len(packed) == (route == "packed")
 
 
 def test_zero_and_constant_slots():
     for nvars in (0, 1, 2, 3):
-        zero = Slot.zero()
+        zero = gridops._one_term(0)
         big = Slot.wrap(fold({(0,) * nvars: -(2 ** 200) - 1}, nvars))
         assert slot_product(zero, big).is_zero
         assert slot_product(big, zero).is_zero
@@ -517,17 +518,17 @@ def test_digit_width_grows_mid_solve():
                               (0,) * nvars: -7})
         assert _monomial_base(a, 9) == _monomial_base_exact(a, 9)
     # twenty terms a side make the products dense enough to pack
-    s = Slot.wrap({(0,): 2 ** 70, (2,): -5})
-    small = Slot.wrap({(k,): 1 + k % 3 for k in range(20)})
-    huge = Slot.wrap({(0,): 2 ** 300, **{(k,): (-1) ** k for k in range(1, 20)}})
+    s = Slot.wrap({0: 2 ** 70, 2: -5})
+    small = Slot.wrap({k: 1 + k % 3 for k in range(20)})
+    huge = Slot.wrap({0: 2 ** 300, **{k: (-1) ** k for k in range(1, 20)}})
     with recording("_pack", lambda slot, width: (slot, width)) as packs:
         first = slot_product(s, small).to_terms()
         second = slot_product(s, huge).to_terms()
     widths = [width for slot, width in packs if slot is s]
     assert len(widths) == 2 and widths[1] > widths[0]
     ts = s.to_terms()
-    assert first == dict_sum([(ts, small.to_terms())], 1)
-    assert second == dict_sum([(ts, huge.to_terms())], 1)
+    assert first == int_product((ts, small.to_terms()))
+    assert second == int_product((ts, huge.to_terms()))
 
 
 def test_inexact_division_raises():
@@ -694,7 +695,7 @@ def test_limb_route_matches_dict(data):
     scaled = [(k, Slot.wrap(t)) for k, t in zip(ks, wides[npairs:])]
     # a scaled slot k*s enters the routes as the pair (k, s), k narrow
     entries = pairs + [(gridops._one_term(k), s) for k, s in scaled]
-    want = dict_sum(list(zip(narrows, wides)), 1)
+    want = int_product(*zip(narrows, wides))
     for k, t in zip(ks, wides[npairs:]):
         for e, c in t.items():
             want[e] = want.get(e, 0) + k * c
@@ -734,7 +735,7 @@ def test_limb_route_matches_dict(data):
 def test_limb_plan_takes_the_smaller_side_as_narrow():
     # the narrow side is the operand with the smaller max |c|, in either
     # position: N = 1 gives W = 60, and one limb covers the other's 2
-    a, b = Slot.wrap({(0,): 2}), Slot.wrap({(0,): 1})
+    a, b = Slot.wrap({0: 2}), Slot.wrap({0: 1})
     cells = gridops._LIMB_CELLS
     assert _limb_plan([(a, b)], cells) == (60, 1)
     assert _limb_plan([(b, a)], cells) == (60, 1)
@@ -744,8 +745,8 @@ def test_limb_sum_of_cancelling_pairs_is_zero():
     # (a, w) and (-a, w) over a dense line past 2^62: every limb pass
     # sums to zero, so the limb route returns the zero slot
     cells = gridops._LIMB_CELLS + 10
-    w = {(k,): (2 ** 70 + 7 * k) * (-1) ** k for k in range(cells)}
-    a = {(0,): 3, (1,): -1}
+    w = {k: (2 ** 70 + 7 * k) * (-1) ** k for k in range(cells)}
+    a = {0: 3, 1: -1}
     neg = {e: -c for e, c in a.items()}
     acc = SlotAccumulator()
     acc.add_pair(Slot.wrap(a), Slot.wrap(w))
@@ -755,7 +756,7 @@ def test_limb_sum_of_cancelling_pairs_is_zero():
         got = acc.result()
     assert len(limbs) == 1 and packed == []
     assert got.is_zero and got.to_terms() == {}
-    assert got.to_terms() == dict_sum([(a, w), (neg, w)], 1) == {}
+    assert got.to_terms() == int_product((a, w), (neg, w)) == {}
 
 
 def test_k3_hodge_deligne_series_never_packs(monkeypatch):
@@ -779,9 +780,9 @@ def test_k3_hodge_deligne_series_never_packs(monkeypatch):
 def test_dense_wide_pair_still_packs():
     # both sides of 90-100 bits: no limb width leaves the narrow side's
     # products below 2^61, so the sum packs
-    ta = {(k,): 2 ** 100 + k for k in range(300)}
-    tb = {(k,): -(2 ** 90) - 3 * k for k in range(300)}
+    ta = {k: 2 ** 100 + k for k in range(300)}
+    tb = {k: -(2 ** 90) - 3 * k for k in range(300)}
     with packed_sums() as packed, limb_sums() as limbs:
         got = slot_product(Slot.wrap(ta), Slot.wrap(tb)).to_terms()
-    assert got == dict_sum([(ta, tb)], 1)
+    assert got == int_product((ta, tb))
     assert len(packed) == 1 and limbs == []

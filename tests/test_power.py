@@ -569,8 +569,8 @@ class TestEulerProductPath:
         b = [{(-3,): 2, (1,): -1}, {(-5,): 1, (0,): 3}, {(-1,): -2}, {},
              {(4,): 1}, {(-7,): -1}, {}, {(2,): 2}]
         got = self.same(b, 8)
-        assert min(e for e, in got[8]) == -24
-        assert max(e for e, in got[8]) <= 8  # the upper rate is 1/1
+        assert min(got[8]) == -24
+        assert max(got[8]) <= 8  # the upper rate is 1/1
 
     def test_binomial_branch(self):
         # every factor has |c| > N/i: 7 and -9 at i = 1, -5 at i = 3,
@@ -585,22 +585,22 @@ class TestEulerProductPath:
         b = [{(-4,): 1, (2,): 1}, {}, {(6,): 1}, {}, {(10,): 2}, {}, {}, {}]
         got = self.same(b, 8)
         for n in range(1, 9):
-            assert min(e for e, in got[n]) == -4 * n
-        assert max(e for e, in got[8]) == 16  # u^2 per t in every factor
+            assert min(got[n]) == -4 * n
+        assert max(got[8]) == 16  # u^2 per t in every factor
 
     def test_row_cancels_to_zero_and_refills(self):
         # after i = 2, f_2 = -u^2; the first term of i = 1 adds u * u to
         # it, so the row is 0 before the second term (u^-3) refills it
         # from a lower origin
-        b = [{(1,): 1, (-3,): 1}, {(2,): -1}, {}]
+        b = [{1: 1, -3: 1}, {2: -1}, {}]
         got = row_maps(_euler_product(b, 3))
         assert got == recurrence_terms(b, 3)
-        assert got[2] == {(-2,): 1, (-6,): 1}
+        assert got[2] == {-2: 1, -6: 1}
         # (1 - u^2 t^2) / (1 - u t) = 1 + u t: rows 2..4 end at 0
-        b = [{(1,): 1}, {(2,): -1}, {}, {}]
+        b = [{1: 1}, {2: -1}, {}, {}]
         got = row_maps(_euler_product(b, 4))
         assert got == recurrence_terms(b, 4)
-        assert got == [{(0,): 1}, {(1,): 1}, {}, {}, {}]
+        assert got == [{0: 1}, {1: 1}, {}, {}, {}]
 
     def test_binomial_branch_across_origins(self):
         # rows 5 and 6 hold u^4 and u^-5 when the binomial factors i = 3,
@@ -608,7 +608,7 @@ class TestEulerProductPath:
         b = [{(-1,): 8, (2,): -7}, {(3,): -9}, {(-2,): 7}, {}, {(4,): 1},
              {(-5,): 1}]
         got = self.same(b, 6)
-        assert min(e for e, in got[6]) == -6
+        assert min(got[6]) == -6
 
     @pytest.mark.parametrize("e", [
         {(0, 0): 1, (1, 1): 1, (2, 2): 1},
@@ -641,14 +641,14 @@ class TestEulerProductPath:
     @pytest.mark.parametrize("nvars", [0, 1])
     def test_orders_zero_and_one(self, nvars):
         one = (0,) * nvars
-        assert self.same([], 0, nvars) == [{(0,): 1}]
-        assert self.same([{one: 3}], 1, nvars) == [{(0,): 1}, {(0,): 3}]
+        assert self.same([], 0, nvars) == [{0: 1}]
+        assert self.same([{one: 3}], 1, nvars) == [{0: 1}, {0: 3}]
         if nvars:
-            assert self.same([{(-2,): -1}], 1) == [{(0,): 1}, {(-2,): -1}]
+            assert self.same([{(-2,): -1}], 1) == [{0: 1}, {-2: -1}]
 
     @pytest.mark.parametrize("nvars", [0, 1])
     def test_all_zero_exponents(self, nvars):
-        assert self.same([{}] * 5, 5, nvars) == [{(0,): 1}] + [{}] * 5
+        assert self.same([{}] * 5, 5, nvars) == [{0: 1}] + [{}] * 5
 
 
 X_RING = RingDescriptor(("x",))
@@ -721,7 +721,7 @@ class TestProductRouting:
         fold = Fold.graded(1, 40, b)
         assert fold.gcd == 5000
         slots = [fold.slot(t) for t in b]
-        assert slots[0].to_terms() == {(0,): 1, (1,): 1}
+        assert slots[0].to_terms() == {0: 1, 1: 1}
         assert _multiplies_out(slots, 40)
         a = Polynomial(X_RING, b[0])
         assert base_series(a, 40) == _monomial_base_exact(a, 40)
@@ -759,7 +759,7 @@ class TestProductRouting:
 
         monkeypatch.setattr(power, "_euler_product", recorded)
         got = exp_map([x ** e, 1], order=200)
-        assert seen and seen[0][0] == {(1,): 1}
+        assert seen and seen[0][0] == {1: 1}
         assert got == self.two_factors(e, 0, 200)
         monkeypatch.setattr(power, "_multiplies_out", lambda b, order: False)
         assert got == exp_map([x ** e, 1], order=200)
@@ -801,7 +801,7 @@ class TestProductRouting:
 
         monkeypatch.setattr(power, "_solve_forward", recorded)
         pow_series(A, m)
-        assert seen and all(s.arr is not None for s in seen)
+        assert seen and all(s.lined for s in seen)
 
     def test_passes_count_and_route_as_the_per_term_count(self, monkeypatch):
         # _passes reads an array slot in one numpy pass and a term map from
@@ -821,7 +821,7 @@ class TestProductRouting:
         cases = [(folded(surface_exponents(e, n), n, 2), n)
                  for e in diamonds for n in (12, 40)]
         cases.append((folded(hilbert_exponents(3, 40), 40), 40))
-        cases.append(([gridops.Slot.wrap({(0,): 2 ** 70, (1,): -3})], 1))
+        cases.append(([gridops.Slot.wrap({0: 2 ** 70, 1: -3})], 1))
         rng = random.Random(37)
         for ring, nvars in ((LAURENT_L, 1), (UV, 2)):
             for _ in range(10):
