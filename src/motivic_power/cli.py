@@ -194,27 +194,25 @@ def _local_size(data: LocalHilbertData, order: int, nvars: int) -> Size:
                 ((min(exps), max(exps)),) * nvars, 0.0)
 
 
-def _count(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError("counts must be nonnegative, got %d" % n)
-    return n
+def _int_flag(least: int, most: float, message: str):
+    """The argparse type of a flag that takes an integer in least..most;
+    ``message``, formatted with the value, refuses one outside them."""
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "takes an integer, got %r" % value) from None
+        if not least <= n <= most:
+            raise argparse.ArgumentTypeError(message.format(n))
+        return n
+    return parse
 
 
-def _samples(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("need at least one sample, got %d" % n)
-    return n
-
-
-def _order(value: str) -> int:
-    n = int(value)
-    if not 0 <= n <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            "truncation order must be between 0 and %d" % MAX_ORDER
-        )
-    return n
+_count = _int_flag(0, math.inf, "counts must be nonnegative, got {}")
+_samples = _int_flag(1, math.inf, "need at least one sample, got {}")
+_order = _int_flag(0, MAX_ORDER, "truncation order must be between 0 and %d"
+                   % MAX_ORDER)
 
 
 def _add_common(parser: argparse.ArgumentParser, default_truncate: int = 10):

@@ -121,36 +121,20 @@ def _product_lined(na: int, nb: int) -> bool:
 
 # -- the dict product -----------------------------------------------------
 
-def _accumulate_product(acc: Dict[Exps, int], pterms, qterms, nvars: int):
+def _accumulate_product(acc: Dict[Exps, int], pterms, qterms):
     """Add the expanded product of two term maps into ``acc``.
 
     The dict product: ``Polynomial.__mul__`` (products too small for a
     line), the reference recurrence ``power._monomial_base_exact`` and
-    the tests' references run through here.  The exponent addition
-    is unrolled for zero, one and two variables (Z, Z[L] and Z[u,v]).
+    the tests' references run through here.
     """
     if len(pterms) > len(qterms):
         pterms, qterms = qterms, pterms
     get = acc.get
-    if nvars == 0:
-        c = pterms.get((), 0) * qterms.get((), 0)
-        if c:
-            acc[()] = get((), 0) + c
-    elif nvars == 1:
-        for (x1,), c1 in pterms.items():
-            for (y1,), c2 in qterms.items():
-                e = (x1 + y1,)
-                acc[e] = get(e, 0) + c1 * c2
-    elif nvars == 2:
-        for (x1, x2), c1 in pterms.items():
-            for (y1, y2), c2 in qterms.items():
-                e = (x1 + y1, x2 + y2)
-                acc[e] = get(e, 0) + c1 * c2
-    else:
-        for e1, c1 in pterms.items():
-            for e2, c2 in qterms.items():
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
+    for e1, c1 in pterms.items():
+        for e2, c2 in qterms.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
 
 
 # -- the fold: one variable per solve --------------------------------------

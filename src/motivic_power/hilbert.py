@@ -57,7 +57,7 @@ class VarietyClass(_Frozen):
     __slots__ = ("representation", "dimension")
 
     def __init__(self, representation, dimension: int):
-        if isinstance(representation, int):
+        if type(representation) is int:
             representation = Polynomial.constant(INTEGERS, representation)
         if not isinstance(representation, Polynomial):
             raise TypeError("representation must be a Polynomial or int")
@@ -250,7 +250,7 @@ def kapranov_zeta(X, order: int) -> Series:
     power."""
     if isinstance(X, VarietyClass):
         X = X.representation
-    elif isinstance(X, int):
+    elif type(X) is int:
         X = Polynomial.constant(INTEGERS, X)
     elif not isinstance(X, Polynomial):
         raise TypeError("the class must be an int, a Polynomial or a "

@@ -95,7 +95,6 @@ def _divisor_table(order: int) -> List[List[int]]:
 
 def _monomial_base_exact(a: Polynomial, order: int) -> Series:
     ring = a.ring
-    nvars = ring.nvars
     coeffs = [Polynomial.one(ring)]
     if order == 0:
         return Series._raw(ring, 0, coeffs)
@@ -106,7 +105,7 @@ def _monomial_base_exact(a: Polynomial, order: int) -> Series:
             term = scaled[j]
             prev = coeffs[n - j]
             if term._terms and prev._terms:
-                _accumulate_product(acc, term._terms, prev._terms, nvars)
+                _accumulate_product(acc, term._terms, prev._terms)
         divided = {}
         for exps, c in acc.items():
             if c:
@@ -436,8 +435,10 @@ class EulerProduct(_Frozen):
         _check_count(order, "order")
         exps: List[Polynomial] = []
         for b in exponents:
-            if isinstance(b, int):
+            if type(b) is int:
                 b = Polynomial.constant(ring, b)
+            elif not isinstance(b, Polynomial):
+                raise TypeError("exponents must be Polynomial or int")
             elif b.ring != ring:
                 raise RingMismatchError(
                     "exponent over %s in product over %s" % (b.ring, ring)
@@ -550,7 +551,7 @@ def assemble(product: EulerProduct) -> Series:
 
 def _exponent(m: Union[Polynomial, int], ring: RingDescriptor) -> Polynomial:
     """A power's exponent as a polynomial: an int is a constant of ``ring``."""
-    if isinstance(m, int):
+    if type(m) is int:
         return Polynomial.constant(ring, m)
     if not isinstance(m, Polynomial):
         raise TypeError("the exponent must be an int or a Polynomial, got %s"

@@ -215,15 +215,13 @@ class Polynomial(_Frozen):
         'u*v + 1'
     """
 
-    __slots__ = ("ring", "_terms", "_hashcache")
-    # the hash of the ring's variable names differs between interpreters
-    _caches = {"_hashcache": lambda: None}
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[Exponents, int]):
         nvars = ring.nvars
         clean: Dict[Exponents, int] = {}
         for exps, coef in terms.items():
-            if not isinstance(coef, int):
+            if type(coef) is not int:
                 raise TypeError("coefficients must be int, got %r" % type(coef))
             if coef == 0:
                 continue
@@ -234,7 +232,7 @@ class Polynomial(_Frozen):
                     % (exps, len(exps), nvars)
                 )
             for e in exps:
-                if not isinstance(e, int):
+                if type(e) is not int:
                     raise TypeError("exponents must be int")
                 if e < 0 and not ring.laurent:
                     raise ValueError(
@@ -243,7 +241,6 @@ class Polynomial(_Frozen):
             clean[exps] = coef
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hashcache", None)
 
     @classmethod
     def _raw(cls, ring: RingDescriptor, terms: Dict[Exponents, int]) -> "Polynomial":
@@ -251,7 +248,6 @@ class Polynomial(_Frozen):
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hashcache", None)
         return self
 
     # -- constructors -------------------------------------------------
@@ -266,7 +262,7 @@ class Polynomial(_Frozen):
 
     @classmethod
     def constant(cls, ring: RingDescriptor, value: int) -> "Polynomial":
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise TypeError("constant must be int")
         if value == 0:
             return cls._raw(ring, {})
@@ -320,7 +316,7 @@ class Polynomial(_Frozen):
         if isinstance(other, Polynomial):
             _check_ring(self, other)
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return Polynomial.constant(self.ring, other)
         return None
 
@@ -367,7 +363,7 @@ class Polynomial(_Frozen):
             product = slot_product(fold.slot(p), fold.slot(q))
             return fold.polynomials(ring, [product])[0]
         acc: Dict[Exponents, int] = {}
-        _accumulate_product(acc, p, q, ring.nvars)
+        _accumulate_product(acc, p, q)
         return Polynomial._raw(ring, {e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
@@ -380,18 +376,14 @@ class Polynomial(_Frozen):
         return _power(self, n) if n else Polynomial.one(self.ring)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
-        h = self._hashcache
-        if h is None:
-            h = hash((self.ring, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hashcache", h)
-        return h
+        return hash((self.ring, frozenset(self._terms.items())))
 
     # -- ring maps ----------------------------------------------------
 

@@ -39,7 +39,7 @@ class Series(_Frozen):
         _check_count(order, "order")
         coeffs: List[Polynomial] = []
         for c in coefficients:
-            if isinstance(c, int):
+            if type(c) is int:
                 c = Polynomial.constant(ring, c)
             elif not isinstance(c, Polynomial):
                 raise TypeError("coefficients must be Polynomial or int")

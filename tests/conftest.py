@@ -24,7 +24,6 @@ ALL_RINGS = [INTEGERS, LAURENT_L, UV]
 def dict_series_product(A, B):
     """A * B summed in plain dicts: the series-product reference."""
     ring = A.ring
-    nvars = ring.nvars
     a = A.coefficients
     b = B.coefficients
     out = []
@@ -34,7 +33,7 @@ def dict_series_product(A, B):
             p = a[i]
             q = b[k - i]
             if p._terms and q._terms:
-                _accumulate_product(acc, p._terms, q._terms, nvars)
+                _accumulate_product(acc, p._terms, q._terms)
         out.append(Polynomial._raw(ring, {e: c for e, c in acc.items() if c}))
     return Series._raw(ring, A.order, out)
 
@@ -48,8 +47,7 @@ def dict_inverse(A):
         acc = {}
         for j in range(1, k + 1):
             if a[j]._terms and inv[k - j]._terms:
-                _accumulate_product(acc, a[j]._terms, inv[k - j]._terms,
-                                    ring.nvars)
+                _accumulate_product(acc, a[j]._terms, inv[k - j]._terms)
         inv.append(Polynomial._raw(ring, {e: -c for e, c in acc.items() if c}))
     return Series._raw(ring, A.order, inv)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import shlex
 import sys
 import time
@@ -660,12 +661,20 @@ class TestCostBound:
         ["oracle-check", "--max-points", "-1"],
         ["oracle-check", "--max-weight", "-2"],
         ["oracle-check", "--max-size", "-1"],
+        ["zeta", "--class", "1", "--truncate", "x"],
+        ["axioms", "--samples", "x"],
+        ["oracle-check", "--max-points", "x"],
     ])
     def test_negative_counts_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "error: argument --" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: argument --" in err
+        if argv[-1] == "x":
+            assert "%s: takes an integer, got 'x'" % argv[-2] in err
+        # no private function of the parser is named
+        assert not re.search(r"(?<![\w-])_\w", err)
 
 
 def json_nodes(node, path=()):

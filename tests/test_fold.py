@@ -157,7 +157,7 @@ def check_products(data, ring, exps):
                       .map(lambda terms: Polynomial(ring, terms)))
             for _ in range(2))
     acc = {}
-    _accumulate_product(acc, p.terms, q.terms, ring.nvars)
+    _accumulate_product(acc, p.terms, q.terms)
     assert (p * q).terms == {e: c for e, c in acc.items() if c}
     return p, q
 

@@ -345,7 +345,7 @@ def test_every_slot_speaks_one_variable(case, data):
     # every route on the same sum, against its dict reference
     acc = {}
     for ta, tb in pairs:
-        _accumulate_product(acc, ta, tb, nvars)
+        _accumulate_product(acc, ta, tb)
     want = poly(acc)
     live = [(a, b) for a, b in slots if not a.is_zero and not b.is_zero]
     slot_format(fold, ring, gridops._sum_terms(live), want)

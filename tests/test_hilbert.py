@@ -341,6 +341,8 @@ ORDER = (ValueError, "^order must be a nonnegative integer$")
 DIMENSION = (ValueError, "^dimension must be a positive integer$")
 EXPONENT = (TypeError, "^the exponent must be an int or a Polynomial")
 CLASS = (TypeError, "^the class must be an int, a Polynomial or a VarietyClass")
+COEFFICIENTS = (TypeError, "^coefficients must be Polynomial or int$")
+EXPONENTS = (TypeError, "^exponents must be Polynomial or int$")
 
 
 @pytest.mark.parametrize("call,error", [
@@ -377,6 +379,32 @@ CLASS = (TypeError, "^the class must be an int, a Polynomial or a VarietyClass")
                  id="VarietyClass-bool"),
     pytest.param(lambda: LocalHilbertData(True, RAMP), DIMENSION,
                  id="LocalHilbertData-bool"),
+    # nor a coefficient or an exponent entry, so none is written as "True"
+    pytest.param(lambda: Polynomial.from_json(
+        Polynomial.constant(INTEGERS, True).to_json()),
+        (TypeError, "^constant must be int$"), id="Polynomial-bool-constant"),
+    pytest.param(lambda: Series.from_json(
+        Series(INTEGERS, 2, [1, True, 0]).to_json()), COEFFICIENTS,
+        id="Series-bool-coefficient"),
+    pytest.param(lambda: Polynomial.from_json(
+        Polynomial(RingDescriptor(("x",)), {(True,): 2}).to_json()),
+        (TypeError, "^exponents must be int$"), id="Polynomial-bool-exponent"),
+    pytest.param(lambda: Polynomial(UV, {(1, 0): False}),
+                 (TypeError, "^coefficients must be int"),
+                 id="Polynomial-bool-coefficient"),
+    pytest.param(lambda: EulerProduct(INTEGERS, 1, [True]), EXPONENTS,
+                 id="EulerProduct-bool-exponent"),
+    pytest.param(lambda: pow_series(RAMP, True), EXPONENT,
+                 id="pow_series-bool"),
+    pytest.param(lambda: VarietyClass(True, 1),
+                 (TypeError, "^representation must be a Polynomial or int$"),
+                 id="VarietyClass-bool-representation"),
+    pytest.param(lambda: kapranov_zeta(False, 3), CLASS,
+                 id="kapranov_zeta-bool"),
+    pytest.param(lambda: EulerProduct(INTEGERS, 1, ["x"]), EXPONENTS,
+                 id="EulerProduct-str-exponent"),
+    pytest.param(lambda: exp_map([2.5], order=1, ring=INTEGERS), EXPONENTS,
+                 id="exp_map-float-exponent"),
     pytest.param(lambda: pow_series(RAMP, 1.5), EXPONENT, id="pow_series"),
     pytest.param(lambda: transport_check(MonomialMap.identity(MOTIVIC_RING),
                                          RAMP, 1.5),

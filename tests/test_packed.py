@@ -82,10 +82,10 @@ def term_maps(ring, max_size=6, degree=4):
     return st.dictionaries(exps, coefficients, max_size=max_size)
 
 
-def dict_sum(pairs, nvars):
+def dict_sum(pairs):
     acc = {}
     for ta, tb in pairs:
-        _accumulate_product(acc, ta, tb, nvars)
+        _accumulate_product(acc, ta, tb)
     return {e: c for e, c in acc.items() if c}
 
 
@@ -268,7 +268,7 @@ def test_spread_operand_on_a_folded_line_is_not_convolved():
     with convolutions() as convolved, packed_sums() as packed:
         got = slot_product(g, Slot.wrap(fold(tf, 2, 40))).to_terms()
     spread = {(5 * x, 5 * y): c for (x, y), c in tb.items()}
-    assert got == fold(dict_sum([(spread, tf)], 2), 2, 40)
+    assert got == fold(dict_sum([(spread, tf)]), 2, 40)
     assert convolved == [] and packed == []
 
 

@@ -53,6 +53,12 @@ class TestPolynomialBasics:
         uv = Polynomial(UV, {(1, 1): 1})
         assert uv + 1 == Polynomial(UV, {(1, 1): 1, (0, 0): 1})
 
+    def test_a_bool_is_no_constant(self):
+        one = Polynomial.one(INTEGERS)
+        assert one == 1 and (one == True) is False  # noqa: E712
+        with pytest.raises(TypeError):
+            one + True
+
     def test_mul_example(self):
         L = Polynomial.variable(LAURENT_L, "L")
         assert (1 + L) * (1 + L) == Polynomial(
@@ -228,7 +234,7 @@ class TestProductRoute:
     @staticmethod
     def dict_product(p, q):
         acc = {}
-        _accumulate_product(acc, p.terms, q.terms, p.ring.nvars)
+        _accumulate_product(acc, p.terms, q.terms)
         return {e: c for e, c in acc.items() if c}
 
     @staticmethod
